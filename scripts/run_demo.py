@@ -2,28 +2,23 @@
 """End-to-end demo on the bundled example layout.
 
 Parses the first bundled layout document, densifies it to 13 frames at
-720x480, writes per-object mask PGMs and composite PPM renders, runs the
-seeded attention block, and prints a JSON summary.
+720x480, validates it and writes it to video.json. Then runs the CLI's
+mask, render and attend subcommands on that file: per-object mask PGMs,
+composite PPM renders and the seeded attention block. Stdout is the JSON
+each subcommand prints.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from blobvid.blobs import FrameGeometry, rasterize
-from blobvid.config import Config
+from blobvid.blobs import FrameGeometry
+from blobvid.cli import main as blobvid_cli
 from blobvid.exemplars import EXEMPLAR_1_LAYOUT
 from blobvid.layout import densify_layout, parse_layout
-from blobvid.pipeline import run_attend_block
-from blobvid.pnm import write_mask_pgm, write_ppm
 from blobvid.video import validate, video_to_json
-
-import numpy as np
-
-PALETTE = ((230, 80, 80), (80, 180, 90), (80, 120, 220), (230, 200, 70))
 
 
 def main() -> int:
@@ -34,39 +29,28 @@ def main() -> int:
     args = ap.parse_args()
 
     out = Path(args.out_dir)
-    (out / "masks").mkdir(parents=True, exist_ok=True)
-    (out / "render").mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
 
-    geom = FrameGeometry(720, 480)
     doc = parse_layout(EXEMPLAR_1_LAYOUT)
-    v = densify_layout(doc, 13, geom)
+    v = densify_layout(doc, 13, FrameGeometry(720, 480))
     violations = validate(v)
     if violations:
         for item in violations:
             print(f"violation: {item}", file=sys.stderr)
         return 1
-    (out / "video.json").write_text(video_to_json(v))
+    video = out / "video.json"
+    video.write_text(video_to_json(v))
 
-    s = args.feature_size
-    for t in range(v.num_frames):
-        img = np.zeros((120, 180, 3), dtype=np.uint8)
-        for n, track in enumerate(v.tracks):
-            write_mask_pgm(out / "masks", t, track.object_id,
-                           rasterize(track.params[t], geom, s, s))
-            full = rasterize(track.params[t], geom, 120, 180)
-            img[full.bits] = PALETTE[n % len(PALETTE)]
-        write_ppm(out / "render" / f"f{t:04d}.ppm", img)
-
-    cfg = Config(feature_h=s, feature_w=s, seed=args.seed)
-    _, stats = run_attend_block(v, cfg, dim=16, n_tokens=4)
-
-    print(json.dumps({
-        "tracks": v.num_tracks,
-        "frames": v.num_frames,
-        "masks_written": v.num_frames * v.num_tracks,
-        "attend": stats.to_dict(),
-        "out_dir": str(out),
-    }, indent=2))
+    grid = ["--feature-h", str(args.feature_size), "--feature-w", str(args.feature_size)]
+    for argv in (
+        ["mask", str(video), "--out-dir", str(out / "masks"), *grid],
+        ["render", str(video), "--out-dir", str(out / "render"),
+         "--render-h", "120", "--render-w", "180"],
+        ["attend", str(video), "--dim", "16", "--tokens", "4", "--seed", str(args.seed), *grid],
+    ):
+        code = blobvid_cli(argv)
+        if code:
+            return code
     return 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMask, InvalidBlob, RangeError, ShapeError
+from .errors import InvalidBlob, RangeError, ShapeError
 
 __all__ = [
     "BlobParams",
@@ -170,9 +170,3 @@ def mask_iou(m1: BinaryMask, m2: BinaryMask) -> float:
     if union == 0:
         return 1.0
     return inter / union
-
-
-def require_nonempty(mask: BinaryMask, what: str = "mask") -> None:
-    """Raise EmptyMask unless at least one cell is set."""
-    if not mask.bits.any():
-        raise EmptyMask(f"{what} has no set cells")

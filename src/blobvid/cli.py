@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .blobs import BlobParams, FrameGeometry, rasterize
-from .config import Config, load_config
+from .config import CHOICES, Config, load_config
 from .errors import BlobvidError
 from .fitting import fit_ellipse, interpolate_blob_params
-from .gradcheck import run_gradcheck
+from .gradcheck import DEFAULT_STEP, DEFAULT_TOL, run_gradcheck
 from .metrics import (
     COSINE_MODES,
     load_frame_evals,
@@ -45,11 +45,6 @@ _PALETTE = (
     (150, 150, 150),
 )
 
-_CONFIG_FIELDS = (
-    "feature_h", "feature_w", "anchor_interval", "rescale", "fourier_freqs",
-    "seed", "dense_cap", "interp_method", "interp_orientation",
-)
-
 
 def _print_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
@@ -60,7 +55,7 @@ def _load_video(path: str):
 
 
 def _cfg_from_args(args: argparse.Namespace) -> Config:
-    overrides = {f: getattr(args, f, None) for f in _CONFIG_FIELDS}
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(Config)}
     return load_config(config_file=args.config, env=os.environ, overrides=overrides)
 
 
@@ -202,15 +197,10 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--threads", type=int, default=1)
-    for field, kind in (("feature-h", int), ("feature-w", int), ("anchor-interval", int),
-                        ("rescale", float), ("fourier-freqs", int), ("dense-cap", int)):
-        common.add_argument(f"--{field}", type=kind, default=None,
-                            dest=field.replace("-", "_"))
-    common.add_argument("--interp-method", choices=("linear", "slerp"), default=None)
-    common.add_argument("--interp-orientation", choices=("as_printed", "standard"),
-                        default=None)
+    for f in dataclasses.fields(Config):
+        common.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            choices=CHOICES.get(f.name), default=None)
 
     parser = argparse.ArgumentParser(prog="blobvid")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -268,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", parents=[common],
                        help="finite-difference check of the analytic gradients")
     p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     p.set_defaults(fn=_cmd_gradcheck)
 
     return parser

@@ -1,4 +1,9 @@
-"""Runtime configuration with layered precedence: flags > environment > file > defaults."""
+"""Runtime configuration with layered precedence: flags > environment > file > defaults.
+
+The fields of ``Config`` are the whole configuration surface: the config file
+keys, the ``BLOBVID_*`` environment variables and the CLI flags are all derived
+from them, each field's type from its default.
+"""
 
 from __future__ import annotations
 
@@ -10,53 +15,49 @@ from typing import Any, Mapping
 
 from .errors import RangeError, SchemaError
 
-__all__ = ["Config", "ENV_PREFIX", "load_config"]
+__all__ = ["CHOICES", "Config", "ENV_PREFIX", "load_config"]
 
 ENV_PREFIX = "BLOBVID_"
 
-_INTERP_METHODS = ("linear", "slerp")
-_ORIENTATIONS = ("as_printed", "standard")
+# Allowed values of the string fields.
+CHOICES = {
+    "interp_method": ("linear", "slerp"),
+    "interp_orientation": ("as_printed", "standard"),
+}
 
 
 @dataclass(frozen=True)
 class Config:
     feature_h: int = 16
     feature_w: int = 16
-    anchor_interval: int = 8
     rescale: float = 1.0
     fourier_freqs: int = 8
     seed: int = 0
-    dense_cap: int = 8192
     interp_method: str = "linear"
     interp_orientation: str = "as_printed"
 
     def __post_init__(self):
         if self.feature_h < 1 or self.feature_w < 1:
             raise RangeError(f"feature grid must be at least 1x1, got {self.feature_h}x{self.feature_w}")
-        if self.anchor_interval < 1:
-            raise RangeError(f"anchor interval must be >= 1, got {self.anchor_interval}")
         if not self.rescale > 0:
             raise RangeError(f"rescale must be positive, got {self.rescale}")
         if self.fourier_freqs < 1:
             raise RangeError(f"need at least one Fourier frequency, got {self.fourier_freqs}")
-        if self.dense_cap < 1:
-            raise RangeError(f"dense cap must be >= 1, got {self.dense_cap}")
-        if self.interp_method not in _INTERP_METHODS:
-            raise RangeError(f"interp method must be one of {_INTERP_METHODS}, got {self.interp_method!r}")
-        if self.interp_orientation not in _ORIENTATIONS:
-            raise RangeError(
-                f"interp orientation must be one of {_ORIENTATIONS}, got {self.interp_orientation!r}"
-            )
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise RangeError(f"{name.replace('_', ' ')} must be one of {allowed}, got {value!r}")
 
 
 def _coerce(name: str, kind: type, raw: Any):
+    # int(True) and int(3.7) would succeed, so booleans and fractions are refused first.
+    if isinstance(raw, bool):
+        raise SchemaError(f"config field {name}: {raw!r} is a boolean, not a {kind.__name__}")
+    if kind is int and isinstance(raw, float) and not raw.is_integer():
+        raise SchemaError(f"config field {name}: {raw!r} is not a whole number")
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return str(raw)
-    except (TypeError, ValueError) as e:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"config field {name}: cannot read {raw!r} as {kind.__name__}") from e
 
 
@@ -71,28 +72,25 @@ def load_config(config_file: str | None = None,
     """
     if env is None:
         env = os.environ
-    field_types = {f.name: f.type for f in fields(Config)}
-    kinds = {"feature_h": int, "feature_w": int, "anchor_interval": int, "rescale": float,
-             "fourier_freqs": int, "seed": int, "dense_cap": int,
-             "interp_method": str, "interp_orientation": str}
+    kinds = {f.name: type(f.default) for f in fields(Config)}
     values: dict[str, Any] = {}
     if config_file is not None:
         doc = json.loads(Path(config_file).read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
             raise SchemaError("config file must hold a JSON object")
         for key, raw in doc.items():
-            if key not in field_types:
+            if key not in kinds:
                 raise SchemaError(f"unknown config key {key!r}")
             values[key] = _coerce(key, kinds[key], raw)
-    for name in field_types:
+    for name, kind in kinds.items():
         env_key = ENV_PREFIX + name.upper()
         if env_key in env:
-            values[name] = _coerce(name, kinds[name], env[env_key])
+            values[name] = _coerce(name, kind, env[env_key])
     if overrides:
         for key, raw in overrides.items():
             if raw is None:
                 continue
-            if key not in field_types:
+            if key not in kinds:
                 raise SchemaError(f"unknown config override {key!r}")
             values[key] = _coerce(key, kinds[key], raw)
     return Config(**values)

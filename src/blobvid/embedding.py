@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import erf
 
 from .blobs import BlobParams, FrameGeometry, canonicalize
+from .config import CHOICES
 from .errors import DegenerateVector, RangeError, ShapeError
 
 __all__ = [
@@ -298,7 +299,7 @@ def interp_weights(t: int, k: int, t_anchor: int | None = None,
     """
     if k < 1:
         raise RangeError(f"anchor interval must be >= 1, got {k}")
-    if orientation not in ("as_printed", "standard"):
+    if orientation not in CHOICES["interp_orientation"]:
         raise RangeError(f"unknown interpolation orientation {orientation!r}")
     t0 = (t // k) * k if t_anchor is None else t_anchor
     t1 = t0 + k

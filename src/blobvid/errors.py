@@ -26,7 +26,7 @@ class RangeError(BlobvidError, ValueError):
 
 
 class TooLarge(BlobvidError, ValueError):
-    """A requested dense materialization exceeds the configured cap."""
+    """A requested dense materialization exceeds its size cap."""
 
 
 class DegenerateVector(BlobvidError, ValueError):

@@ -24,7 +24,6 @@ __all__ = [
     "LabelField",
     "AttnMask3D",
     "build_label_field",
-    "attn_mask_query",
     "materialize_dense",
     "per_frame_masks",
 ]
@@ -152,10 +151,6 @@ class AttnMask3D:
             raise RangeError(f"row range [{start}, {stop}) outside [0, {n}]")
         block = self.field.bits[start:stop, None, :] & self.field.bits[None, :, :]
         return block.any(axis=2)
-
-
-def attn_mask_query(m: AttnMask3D, i: int, j: int) -> float:
-    return m.query(i, j)
 
 
 def materialize_dense(m: AttnMask3D, cap: int = _DENSE_CAP_DEFAULT) -> np.ndarray:

@@ -16,7 +16,6 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
 
 from .blobs import BlobParams, FrameGeometry, canonicalize
 from .errors import EmptyPrompt, ParseError, RangeError, SchemaError
@@ -40,7 +39,6 @@ __all__ = [
     "PromptBundle",
     "default_prompt_bundle",
     "build_icl_prompt",
-    "LayoutProvider",
     "FileReplayProvider",
     "HTTPChatProvider",
 ]
@@ -276,10 +274,6 @@ def build_icl_prompt(user_prompt: str, bundle: PromptBundle | None = None) -> st
         parts.append("")
     parts.append(f"Prompt: {user_prompt}")
     return "\n".join(parts)
-
-
-class LayoutProvider(Protocol):
-    def generate(self, prompt: str) -> str: ...
 
 
 @dataclass(frozen=True)

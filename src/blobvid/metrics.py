@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .embedding import read_embedding
-from .errors import DegenerateVector, RangeError, ShapeError, UndefinedMetric
+from .errors import DegenerateVector, RangeError, SchemaError, ShapeError, UndefinedMetric
 
 __all__ = [
     "BBox",
@@ -180,17 +180,6 @@ class MetricReport:
     skipped: int
     averaging: str = "pooled"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "metric": self.metric,
-                "value": self.value,
-                "num_pairs": self.num_pairs,
-                "skipped": self.skipped,
-                "averaging": self.averaging,
-            }
-        )
-
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
@@ -250,20 +239,47 @@ def region_cosine_metrics(embs: Iterable[RegionEmbedding], mode: str) -> MetricR
 # File loaders for the CLI
 
 
+def _frame_items(path, items_key: str) -> dict[int, list[dict]]:
+    """Read {"frames": [{"frame": t, items_key: [{...}]}]} as {t: [{...}]}."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    frames = doc.get("frames", []) if isinstance(doc, dict) else None
+    if not isinstance(frames, list):
+        raise SchemaError(f"{path}: must be an object with a \"frames\" list")
+    out = {}
+    for fr in frames:
+        # JSON numbers load as int or float; type() also keeps true/false out.
+        if not (isinstance(fr, dict) and type(fr.get("frame")) is int):
+            raise SchemaError(f"{path}: every frame entry needs an integer \"frame\"")
+        items = fr.get(items_key, [])
+        if not (isinstance(items, list) and all(isinstance(d, dict) for d in items)):
+            raise SchemaError(f"{path} frame {fr['frame']}: {items_key} must be a list of objects")
+        out[fr["frame"]] = items
+    return out
+
+
+def _bbox(d: dict, where: str) -> list:
+    box = d.get("bbox")
+    if not (isinstance(box, list) and len(box) == 4 and all(type(x) in (int, float) for x in box)):
+        raise SchemaError(f"{where}: bbox must be a list of 4 numbers")
+    return box
+
+
 def load_frame_evals(detections_path, ground_truth_path) -> list[FrameEval]:
     """Join detection and ground-truth JSON files on frame index."""
-    det_doc = json.loads(Path(detections_path).read_text(encoding="utf-8"))
-    gt_doc = json.loads(Path(ground_truth_path).read_text(encoding="utf-8"))
     dets_by_frame: dict[int, list[BBox]] = {}
-    for fr in det_doc.get("frames", []):
-        dets_by_frame[int(fr["frame"])] = [
-            BBox(*d["bbox"], confidence=d.get("confidence", 1.0)) for d in fr.get("detections", [])
+    for t, items in _frame_items(detections_path, "detections").items():
+        where = f"{detections_path} frame {t}"
+        if not all(type(d.get("confidence", 1.0)) in (int, float) for d in items):
+            raise SchemaError(f"{where}: confidence must be a number")
+        dets_by_frame[t] = [
+            BBox(*_bbox(d, where), confidence=d.get("confidence", 1.0)) for d in items
         ]
     gts_by_frame: dict[int, list[tuple[int, BBox]]] = {}
-    for fr in gt_doc.get("frames", []):
-        gts_by_frame[int(fr["frame"])] = [
-            (int(o["id"]), BBox(*o["bbox"])) for o in fr.get("objects", [])
-        ]
+    for t, items in _frame_items(ground_truth_path, "objects").items():
+        where = f"{ground_truth_path} frame {t}"
+        if not all(type(o.get("id")) is int for o in items):
+            raise SchemaError(f"{where}: object id must be an integer")
+        gts_by_frame[t] = [(o["id"], BBox(*_bbox(o, where))) for o in items]
     frames = sorted(set(dets_by_frame) | set(gts_by_frame))
     return [
         FrameEval(

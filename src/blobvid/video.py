@@ -171,6 +171,13 @@ def _expect(cond: bool, message: str):
         raise SchemaError(message)
 
 
+def _frame_key(k: str, where: str) -> int:
+    try:
+        return int(k)
+    except ValueError:
+        raise SchemaError(f"{where}: frame key {k!r} is not an integer") from None
+
+
 def video_from_json(text: str) -> BlobVideo:
     try:
         doc = json.loads(text)
@@ -181,24 +188,28 @@ def video_from_json(text: str) -> BlobVideo:
             f"unsupported schema version {doc.get('version')!r}")
     for key in ("width", "height", "num_frames", "anchor_interval", "tracks"):
         _expect(key in doc, f"missing key {key!r}")
+    # JSON numbers load as int or float; type() also keeps true/false out.
+    for key in ("width", "height", "num_frames", "anchor_interval"):
+        _expect(type(doc[key]) is int, f"{key} must be an integer")
     geom = FrameGeometry(doc["width"], doc["height"])
     tracks = []
     _expect(isinstance(doc["tracks"], list), "tracks must be a list")
     for entry in doc["tracks"]:
         _expect(isinstance(entry, dict), "track entry must be an object")
-        _expect(isinstance(entry.get("id"), int), "track id must be an integer")
+        _expect(type(entry.get("id")) is int, "track id must be an integer")
         raw_params = entry.get("params", {})
         _expect(isinstance(raw_params, dict), f"track {entry['id']}: params must be an object")
         params = {}
         for k, vals in raw_params.items():
-            _expect(isinstance(vals, list) and len(vals) == 5,
+            _expect(isinstance(vals, list) and len(vals) == 5
+                    and all(type(x) in (int, float) for x in vals),
                     f"track {entry['id']} frame {k}: blob must have 5 numbers")
-            params[int(k)] = BlobParams(*vals)
+            params[_frame_key(k, f"track {entry['id']}")] = BlobParams(*vals)
         raw_caps = entry.get("captions", {})
         _expect(isinstance(raw_caps, dict), f"track {entry['id']}: captions must be an object")
         captions = {}
         for k, c in raw_caps.items():
             _expect(isinstance(c, str), f"track {entry['id']} frame {k}: caption must be a string")
-            captions[int(k)] = c
+            captions[_frame_key(k, f"track {entry['id']}")] = c
         tracks.append(BlobTrack(entry["id"], params, captions))
     return BlobVideo(doc["num_frames"], geom, doc["anchor_interval"], tuple(tracks))

@@ -35,7 +35,6 @@ from blobvid.labelfield import (
     NEG_INF,
     AttnMask3D,
     LabelField,
-    attn_mask_query,
     build_label_field,
     materialize_dense,
     per_frame_masks,
@@ -155,7 +154,7 @@ def test_3_implicit_pair_mask_equals_dense_materialization():
             # Exhaustive scalar queries at small sizes.
             for i in range(field.size):
                 for j in range(field.size):
-                    ok &= attn_mask_query(mask, i, j) == expected[i, j]
+                    ok &= mask.query(i, j) == expected[i, j]
         else:
             # The block route is the production implicit query; the scalar
             # entry point is additionally spot-checked on 20k random pairs.
@@ -167,7 +166,7 @@ def test_3_implicit_pair_mask_equals_dense_materialization():
             for _ in range(20000):
                 i = int(rng.integers(field.size))
                 j = int(rng.integers(field.size))
-                ok &= attn_mask_query(mask, i, j) == expected[i, j]
+                ok &= mask.query(i, j) == expected[i, j]
 
     # Sharing a label is not transitive: 0~1 and 1~2 but 0 and 2 are blocked.
     counter = AttnMask3D(LabelField.from_label_sets(1, 1, 3, 2, [{0}, {0, 1}, {1}]))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from blobvid.blobs import BlobParams, FrameGeometry, rasterize
-from blobvid.cli import main
+from blobvid.cli import _cfg_from_args, build_parser, main
+from blobvid.config import CHOICES, Config
 from blobvid.embedding import read_embedding, write_embedding
 from blobvid.pnm import read_mask_pgm, read_ppm, write_mask_pgm
 from blobvid.video import BlobTrack, BlobVideo, video_to_json
@@ -242,6 +244,93 @@ class TestConfigPlumbing:
         assert code == 0
         m = read_mask_pgm(out_dir / "f0000_o0.pgm")
         assert (m.h, m.w) == (4, 12)
+
+
+class TestConfigSurface:
+    def test_every_field_is_set_by_file_env_and_flag(self, tmp_path, monkeypatch):
+        # Two values suffice: file=A, then env=B over it, then flag=A over that.
+        cfg = tmp_path / "cfg.json"
+        for f in dataclasses.fields(Config):
+            allowed = CHOICES.get(f.name)
+            a = next(c for c in allowed if c != f.default) if allowed else f.default + 1
+            b = f.default if allowed else f.default + 2
+            flag = "--" + f.name.replace("_", "-")
+            env_key = "BLOBVID_" + f.name.upper()
+            cfg.write_text(json.dumps({f.name: a}))
+            argv = ["gradcheck", "--config", str(cfg)]
+
+            monkeypatch.delenv(env_key, raising=False)
+            assert getattr(_cfg_from_args(build_parser().parse_args(argv)), f.name) == a
+            monkeypatch.setenv(env_key, str(b))
+            assert getattr(_cfg_from_args(build_parser().parse_args(argv)), f.name) == b
+            args = build_parser().parse_args(argv + [flag, str(a)])
+            assert getattr(_cfg_from_args(args), f.name) == a
+            monkeypatch.delenv(env_key)
+
+    @pytest.mark.parametrize("name", ["dense_cap", "anchor_interval"])
+    def test_removed_knobs_are_rejected(self, tmp_path, video_file, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main(["mask", str(video_file), "--out-dir", str(tmp_path),
+                  "--" + name.replace("_", "-"), "8"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: 8}))
+        code, out, err = run_cli(capsys, [
+            "mask", str(video_file), "--out-dir", str(tmp_path / "masks"), "--config", str(cfg),
+        ])
+        assert code == 1 and out == ""
+        assert err.startswith("error: unknown config key")
+
+
+_DELETE = object()
+_DETS = {"frames": [{"frame": 0, "detections": [{"bbox": [1, 0, 11, 10], "confidence": 0.9}]}]}
+_GT = {"frames": [{"frame": 0, "objects": [{"id": 0, "bbox": [0, 0, 10, 10]}]}]}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("target, path, value", [
+        ("video", ("tracks", 0, "params", "x"), [20, 20, 8, 5, 0.2]),
+        ("video", ("num_frames",), "2"),
+        ("video", ("anchor_interval",), "8"),
+        ("video", ("tracks", 0, "params", "0", 0), "a"),
+        ("video", ("tracks", 0, "params", "0", 0), True),
+        ("dets", ("frames", 0, "detections", 0, "bbox"), [1, 0, 11]),
+        ("dets", ("frames", 0, "detections", 0, "confidence"), "high"),
+        ("dets", ("frames", 0, "frame"), _DELETE),
+    ], ids=["frame-key-x", "num-frames-str", "anchor-interval-str", "blob-str", "blob-bool",
+            "bbox-3-numbers", "confidence-str", "frame-missing"])
+    def test_one_error_line_and_exit_1(self, tmp_path, video_file, capsys, target, path, value):
+        docs = {"video": json.loads(video_file.read_text()),
+                "dets": json.loads(json.dumps(_DETS)), "gt": json.loads(json.dumps(_GT))}
+        *parents, last = path
+        node = docs[target]
+        for key in parents:
+            node = node[key]
+        if value is _DELETE:
+            del node[last]
+        else:
+            node[last] = value
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        if target == "video":
+            argv = ["validate", str(tmp_path / "video.json")]
+        else:
+            argv = ["metrics", "miou", "--detections", str(tmp_path / "dets.json"),
+                    "--ground-truth", str(tmp_path / "gt.json")]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_negative_frame_key_is_a_violation(self, tmp_path, video_file, capsys):
+        doc = json.loads(video_file.read_text())
+        doc["tracks"][0]["params"]["-1"] = doc["tracks"][0]["params"]["0"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["validate", str(bad)])
+        assert code == 1 and out == ""
+        assert "frame -1 outside" in err and "error:" not in err
 
 
 class TestUsageErrors:

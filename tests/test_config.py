@@ -9,17 +9,15 @@ from blobvid.errors import RangeError, SchemaError
 class TestConfigValidation:
     def test_defaults_valid(self):
         cfg = Config()
-        assert cfg.feature_h == 16 and cfg.anchor_interval == 8
+        assert cfg.feature_h == 16
         assert cfg.interp_method == "linear"
 
     @pytest.mark.parametrize("kwargs", [
         {"feature_h": 0},
         {"feature_w": -3},
-        {"anchor_interval": 0},
         {"rescale": 0.0},
         {"rescale": -1.0},
         {"fourier_freqs": 0},
-        {"dense_cap": 0},
         {"interp_method": "cubic"},
         {"interp_orientation": "upside_down"},
     ])
@@ -85,6 +83,24 @@ class TestLoadConfig:
         p.write_text(json.dumps([1, 2]))
         with pytest.raises(SchemaError):
             load_config(str(p), env={})
+
+    @pytest.mark.parametrize("doc", [
+        {"feature_h": 3.7},
+        {"seed": True},
+        {"rescale": False},
+    ])
+    def test_file_rejects_fractions_and_booleans(self, tmp_path, doc):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"config field {next(iter(doc))}"):
+            load_config(str(p), env={})
+
+    def test_whole_numbers_load_from_file_and_env(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"feature_h": 16, "feature_w": 24.0, "rescale": 2}))
+        cfg = load_config(str(p), env={ENV_PREFIX + "SEED": "16"})
+        assert (cfg.feature_h, cfg.feature_w, cfg.rescale, cfg.seed) == (16, 24, 2.0, 16)
+        assert type(cfg.feature_w) is int and type(cfg.rescale) is float
 
     def test_unrelated_env_ignored(self):
         cfg = load_config(env={"PATH": "/usr/bin", "SEED": "7"})

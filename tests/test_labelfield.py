@@ -9,7 +9,6 @@ from blobvid.labelfield import (
     NEG_INF,
     AttnMask3D,
     LabelField,
-    attn_mask_query,
     build_label_field,
     materialize_dense,
     per_frame_masks,
@@ -144,7 +143,6 @@ class TestAttnMask3D:
         for i, j in zip(idx[::2].tolist(), idx[1::2].tolist()):
             want = 0.0 if (sets[i] & sets[j]) else NEG_INF
             assert m.query(i, j) == want
-            assert attn_mask_query(m, i, j) == want
 
     def test_intersection_not_transitive(self):
         m = self.build([{0}, {0, 1}, {1}])
