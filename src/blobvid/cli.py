@@ -140,7 +140,7 @@ def _cmd_attend(args: argparse.Namespace) -> int:
                                   threads=args.threads)
     if args.out is not None:
         write_embedding(args.out, out)
-    _print_json(stats.to_dict())
+    _print_json(dataclasses.asdict(stats))
     return 0
 
 
@@ -195,24 +195,27 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--threads", type=int, default=1)
+    # Every subcommand takes --threads; only those that load a Config take
+    # --config and the per-field flags.
+    threaded = argparse.ArgumentParser(add_help=False)
+    threaded.add_argument("--threads", type=int, default=1)
+    configured = argparse.ArgumentParser(add_help=False, parents=[threaded])
+    configured.add_argument("--config", help="JSON config file")
     for f in dataclasses.fields(Config):
-        common.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                            choices=CHOICES.get(f.name), default=None)
+        configured.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                                choices=CHOICES.get(f.name), default=None)
 
     parser = argparse.ArgumentParser(prog="blobvid")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit", parents=[common], help="fit an ellipse to a mask PGM")
+    p = sub.add_parser("fit", parents=[threaded], help="fit an ellipse to a mask PGM")
     p.add_argument("mask")
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--max-iter", type=int, default=200)
     p.set_defaults(fn=_cmd_fit)
 
-    p = sub.add_parser("interp", parents=[common], help="interpolate two blob params")
+    p = sub.add_parser("interp", parents=[threaded], help="interpolate two blob params")
     p.add_argument("--p1", type=float, nargs=5, required=True,
                    metavar=("CX", "CY", "A", "B", "THETA"))
     p.add_argument("--p2", type=float, nargs=5, required=True,
@@ -220,13 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.set_defaults(fn=_cmd_interp)
 
-    p = sub.add_parser("mask", parents=[common], help="write per-object mask PGMs")
+    p = sub.add_parser("mask", parents=[configured], help="write per-object mask PGMs")
     p.add_argument("video")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--frames", default=None, help="comma-separated frame indices")
     p.set_defaults(fn=_cmd_mask)
 
-    p = sub.add_parser("render", parents=[common], help="write composite PPM frames")
+    p = sub.add_parser("render", parents=[configured], help="write composite PPM frames")
     p.add_argument("video")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--frames", default=None)
@@ -234,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--render-w", type=int, default=None)
     p.set_defaults(fn=_cmd_render)
 
-    p = sub.add_parser("attend", parents=[common],
+    p = sub.add_parser("attend", parents=[configured],
                        help="run the attention demo block on a video")
     p.add_argument("video")
     p.add_argument("--dim", type=int, default=16)
@@ -242,11 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write output features (f32le + sidecar)")
     p.set_defaults(fn=_cmd_attend)
 
-    p = sub.add_parser("validate", parents=[common], help="check a video JSON")
+    p = sub.add_parser("validate", parents=[threaded], help="check a video JSON")
     p.add_argument("video")
     p.set_defaults(fn=_cmd_validate)
 
-    p = sub.add_parser("metrics", parents=[common], help="layout-control metrics")
+    p = sub.add_parser("metrics", parents=[threaded], help="layout-control metrics")
     p.add_argument("kind", choices=("miou",) + COSINE_MODES)
     p.add_argument("--detections", default=None)
     p.add_argument("--ground-truth", default=None)
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", default=None)
     p.set_defaults(fn=_cmd_metrics)
 
-    p = sub.add_parser("gradcheck", parents=[common],
+    p = sub.add_parser("gradcheck", parents=[configured],
                        help="finite-difference check of the analytic gradients")
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--step", type=float, default=DEFAULT_STEP)

@@ -7,13 +7,11 @@ from them, each field's type from its default.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Any, Mapping
 
-from .errors import RangeError, SchemaError
+from .errors import RangeError, SchemaError, read_json
 
 __all__ = ["CHOICES", "Config", "ENV_PREFIX", "load_config"]
 
@@ -75,7 +73,7 @@ def load_config(config_file: str | None = None,
     kinds = {f.name: type(f.default) for f in fields(Config)}
     values: dict[str, Any] = {}
     if config_file is not None:
-        doc = json.loads(Path(config_file).read_text(encoding="utf-8"))
+        doc = read_json(config_file)
         if not isinstance(doc, dict):
             raise SchemaError("config file must hold a JSON object")
         for key, raw in doc.items():

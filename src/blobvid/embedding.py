@@ -16,11 +16,10 @@ from pathlib import Path
 from typing import Protocol
 
 import numpy as np
-from scipy.special import erf
 
 from .blobs import BlobParams, FrameGeometry, canonicalize
 from .config import CHOICES
-from .errors import DegenerateVector, RangeError, ShapeError
+from .errors import DegenerateVector, RangeError, SchemaError, ShapeError, read_json
 
 __all__ = [
     "EmbeddingSeq",
@@ -158,10 +157,14 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erf  # deferred: importing blobvid loads no scipy
+
     return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erf  # deferred: importing blobvid loads no scipy
+
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     return cdf + x * pdf
@@ -399,10 +402,16 @@ def write_embedding(path, data: np.ndarray) -> None:
 
 def read_embedding(path) -> np.ndarray:
     path = Path(path)
-    sidecar = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
+    sidecar_path = str(path) + ".json"
+    sidecar = read_json(sidecar_path)
+    if not isinstance(sidecar, dict):
+        raise SchemaError(f"{sidecar_path}: must be a JSON object")
     if sidecar.get("dtype") != "f32le":
         raise ShapeError(f"unsupported embedding dtype {sidecar.get('dtype')!r}")
-    shape = tuple(int(x) for x in sidecar["shape"])
+    shape = sidecar.get("shape")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(x) is int and x >= 0 for x in shape)):
+        raise SchemaError(f"{sidecar_path}: shape must be a list of two non-negative integers")
     raw = np.fromfile(path, dtype="<f4")
     if raw.size != shape[0] * shape[1]:
         raise ShapeError(f"embedding file holds {raw.size} values, sidecar says {shape}")
@@ -418,7 +427,7 @@ class FileProvider:
 
     def embed(self, caption: str) -> EmbeddingSeq:
         manifest_file = Path(self.manifest_path)
-        manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
+        manifest = read_json(manifest_file)
         key = caption_hash(caption)
         if key not in manifest:
             raise KeyError(f"no embedding for caption hash {key}")

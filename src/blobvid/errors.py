@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON file reader that raises them."""
+
+import json
+from pathlib import Path
 
 
 class BlobvidError(Exception):
@@ -57,3 +60,16 @@ class ParseError(BlobvidError, ValueError):
         self.byte_offset = byte_offset
         self.line = line
         self.column = column
+
+
+def read_json(path):
+    """Parse the JSON file at path; text that is not JSON raises ParseError naming the file."""
+    raw = Path(path).read_bytes()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text", byte_offset=e.start) from None
+    except json.JSONDecodeError as e:
+        offset = len(e.doc[:e.pos].encode("utf-8"))
+        raise ParseError(f"{path}: not valid JSON: {e.msg}", byte_offset=offset,
+                         line=e.lineno, column=e.colno) from None

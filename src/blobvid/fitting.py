@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .blobs import BinaryMask, BlobParams, FrameGeometry, canonicalize, mask_iou, rasterize
 from .errors import EmptyMask, InvalidBlob, RangeError
@@ -69,6 +68,8 @@ def fit_ellipse(mask: BinaryMask, geom: FrameGeometry,
     Deterministic: the initial simplex is built from the moment init with fixed
     per-dimension steps. The result never scores below the moment init.
     """
+    from scipy import optimize  # deferred: importing blobvid loads no scipy
+
     init = moments_init(mask, geom)
     cell_w = geom.width / mask.w
     cell_h = geom.height / mask.h

@@ -9,16 +9,21 @@ counted, never raised.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .embedding import read_embedding
-from .errors import DegenerateVector, RangeError, SchemaError, ShapeError, UndefinedMetric
+from .errors import (
+    DegenerateVector,
+    RangeError,
+    SchemaError,
+    ShapeError,
+    UndefinedMetric,
+    read_json,
+)
 
 __all__ = [
     "BBox",
@@ -111,6 +116,8 @@ def match_detections(dets: Sequence[BBox], gts: Sequence[BBox],
     per_gt = [0.0] * len(gts)
     pairs = []
     if method == "hungarian":
+        from scipy.optimize import linear_sum_assignment  # deferred: importing blobvid loads no scipy
+
         rows, cols = linear_sum_assignment(-iou)
         for r, c in zip(rows.tolist(), cols.tolist()):
             pairs.append((kept[r], c))
@@ -241,7 +248,7 @@ def region_cosine_metrics(embs: Iterable[RegionEmbedding], mode: str) -> MetricR
 
 def _frame_items(path, items_key: str) -> dict[int, list[dict]]:
     """Read {"frames": [{"frame": t, items_key: [{...}]}]} as {t: [{...}]}."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path)
     frames = doc.get("frames", []) if isinstance(doc, dict) else None
     if not isinstance(frames, list):
         raise SchemaError(f"{path}: must be an object with a \"frames\" list")
@@ -298,14 +305,23 @@ def load_region_embeddings(manifest_path) -> list[RegionEmbedding]:
     to a binary embedding file with its JSON sidecar.
     """
     manifest_file = Path(manifest_path)
-    doc = json.loads(manifest_file.read_text(encoding="utf-8"))
+    doc = read_json(manifest_file)
+    entries = doc.get("embeddings") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise SchemaError(f"{manifest_path}: must be an object with an \"embeddings\" list")
     out = []
-    for entry in doc.get("embeddings", []):
+    for i, entry in enumerate(entries):
+        # type() also keeps true/false out of the integer fields.
+        if not (isinstance(entry, dict)
+                and type(entry.get("object")) is int and type(entry.get("frame")) is int
+                and isinstance(entry.get("kind"), str) and isinstance(entry.get("path"), str)):
+            raise SchemaError(f"{manifest_path} embedding {i}: needs integer \"object\" and "
+                              f"\"frame\" and string \"kind\" and \"path\"")
         data = read_embedding(manifest_file.parent / entry["path"])
         out.append(
             RegionEmbedding(
-                object_id=int(entry["object"]),
-                frame=int(entry["frame"]),
+                object_id=entry["object"],
+                frame=entry["frame"],
                 kind=entry["kind"],
                 vector=data.reshape(-1),
             )

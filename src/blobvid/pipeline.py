@@ -46,14 +46,6 @@ class AttendStats:
     row_sum_max_err: float
     max_abs_output: float
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "zero_rows": self.zero_rows,
-            "row_sum_max_err": self.row_sum_max_err,
-            "max_abs_output": self.max_abs_output,
-        }
-
 
 def context_embeddings(v: BlobVideo, provider: TextEmbedProvider,
                        method: str = "linear",

@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blobvid
 from blobvid.blobs import BlobParams, FrameGeometry, rasterize
 from blobvid.cli import _cfg_from_args, build_parser, main
 from blobvid.config import CHOICES, Config
@@ -332,6 +337,43 @@ class TestMalformedInput:
         assert code == 1 and out == ""
         assert "frame -1 outside" in err and "error:" not in err
 
+    @pytest.mark.parametrize("target, text", [
+        ("config", "{not json"),
+        ("dets", "{not json"),
+        ("gt", "{not json"),
+        ("manifest", "[]"),
+        ("manifest", json.dumps({"embeddings": [{"object": 0, "frame": 0, "kind": "caption"}]})),
+        ("manifest", json.dumps({"embeddings": [
+            {"object": "0", "frame": 0, "kind": "caption", "path": "cap.bin"}]})),
+        ("sidecar", "{not json"),
+        ("sidecar", json.dumps({"shape": [1], "dtype": "f32le"})),
+    ], ids=["config-not-json", "dets-not-json", "gt-not-json", "manifest-list",
+            "manifest-path-missing", "manifest-object-str", "sidecar-not-json",
+            "sidecar-shape-1"])
+    def test_bad_json_file_is_one_error_line(self, tmp_path, video_file, capsys, target, text):
+        write_embedding(tmp_path / "cap.bin", np.array([[1.0, 0.0]]))
+        files = {"config": json.dumps({"seed": 1}), "dets": json.dumps(_DETS),
+                 "gt": json.dumps(_GT), "manifest": json.dumps({"embeddings": [
+                     {"object": 0, "frame": 0, "kind": kind, "path": "cap.bin"}
+                     for kind in ("caption", "generated")]})}
+        files["cap.bin" if target == "sidecar" else target] = text
+        for name, body in files.items():
+            (tmp_path / f"{name}.json").write_text(body)
+        if target == "config":
+            argv = ["mask", str(video_file), "--out-dir", str(tmp_path / "masks"),
+                    "--config", str(tmp_path / "config.json")]
+        elif target in ("manifest", "sidecar"):
+            argv = ["metrics", "rclip_t", "--embeddings", str(tmp_path / "manifest.json")]
+        else:
+            argv = ["metrics", "miou", "--detections", str(tmp_path / "dets.json"),
+                    "--ground-truth", str(tmp_path / "gt.json")]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+        if text == "{not json":
+            assert "byte offset 1" in err
+
 
 class TestUsageErrors:
     def test_no_command(self, capsys):
@@ -348,3 +390,56 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["metrics", "rclip_q"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--config", "x.json"]])
+    @pytest.mark.parametrize("argv", [
+        ["fit", "m.pgm"],
+        ["interp", "--p1", "1", "1", "2", "1", "0", "--p2", "1", "1", "2", "1", "0",
+         "--alpha", "0.5"],
+        ["validate", "v.json"],
+        ["metrics", "miou"],
+    ], ids=["fit", "interp", "validate", "metrics"])
+    def test_config_flags_only_where_a_config_is_read(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+        assert build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
+
+
+# Runs each argv through cli.main in a fresh interpreter, then prints which
+# scipy modules that interpreter has loaded.
+_LOADED_SCIPY = """
+import json, sys
+import blobvid, blobvid.cli
+for argv in json.loads(sys.argv[1]):
+    assert blobvid.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def _loaded_scipy(commands, cwd):
+    # As in acceptance gate 9: the child runs the source this process imported.
+    src = str(Path(blobvid.__file__).resolve().parent.parent)
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, json.dumps(commands)],
+                          capture_output=True, text=True, cwd=cwd, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestStartup:
+    def test_commands_without_scipy_do_not_load_it(self, tmp_path, video_file):
+        loaded = _loaded_scipy([
+            ["validate", str(video_file)],
+            ["interp", "--p1", "10", "10", "5", "3", "0", "--p2", "20", "20", "5", "3", "0",
+             "--alpha", "0.5"],
+            ["mask", str(video_file), "--out-dir", "masks", "--frames", "0"],
+            ["render", str(video_file), "--out-dir", "render", "--frames", "0"],
+        ], tmp_path)
+        assert loaded == []
+
+    def test_fit_still_loads_the_optimizer(self, tmp_path):
+        mask = rasterize(BlobParams(16, 16, 8, 5, 0.3), FrameGeometry(32, 32), 32, 32)
+        loaded = _loaded_scipy([["fit", str(write_mask_pgm(tmp_path, 0, 0, mask))]], tmp_path)
+        assert "scipy.optimize" in loaded

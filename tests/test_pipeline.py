@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,6 @@ class TestRunAttendBlock:
 
     def test_stats_to_dict_keys(self):
         s = AttendStats(rows=3, zero_rows=0, row_sum_max_err=0.0, max_abs_output=1.5)
-        assert s.to_dict() == {
+        assert dataclasses.asdict(s) == {
             "rows": 3, "zero_rows": 0, "row_sum_max_err": 0.0, "max_abs_output": 1.5,
         }
