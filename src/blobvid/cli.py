@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .blobs import BlobParams, FrameGeometry, rasterize
+from .blobs import BlobParams, FrameGeometry
 from .config import CHOICES, Config, load_config
-from .errors import BlobvidError
+from .errors import BlobvidError, read_text
 from .fitting import fit_ellipse, interpolate_blob_params
 from .gradcheck import DEFAULT_STEP, DEFAULT_TOL, run_gradcheck
+from .labelfield import per_frame_masks
 from .metrics import (
     COSINE_MODES,
     load_frame_evals,
@@ -51,7 +52,7 @@ def _print_json(obj) -> None:
 
 
 def _load_video(path: str):
-    return video_from_json(Path(path).read_text(encoding="utf-8"))
+    return video_from_json(read_text(path), path)
 
 
 def _cfg_from_args(args: argparse.Namespace) -> Config:
@@ -59,10 +60,12 @@ def _cfg_from_args(args: argparse.Namespace) -> Config:
     return load_config(config_file=args.config, env=os.environ, overrides=overrides)
 
 
-def _parse_frames(selector: str | None, num_frames: int) -> list[int]:
-    if selector is None:
-        return list(range(num_frames))
-    return [int(tok) for tok in selector.split(",") if tok.strip()]
+def _frame_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated frame indices, got {text!r}") from None
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -89,21 +92,16 @@ def _cmd_interp(args: argparse.Namespace) -> int:
 def _cmd_mask(args: argparse.Namespace) -> int:
     cfg = _cfg_from_args(args)
     v = densify(_load_video(args.video))
-    frames = _parse_frames(args.frames, v.num_frames)
+    frames = args.frames if args.frames is not None else range(v.num_frames)
+    per_frame = parallel_map(
+        lambda t: per_frame_masks(v, t, cfg.feature_h, cfg.feature_w, cfg.rescale)[0],
+        frames, args.threads)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def job(t: int):
-        return [
-            (track.object_id,
-             rasterize(track.params[t], v.geom, cfg.feature_h, cfg.feature_w, cfg.rescale))
-            for track in v.tracks
-        ]
-
     count = 0
-    for t, files in zip(frames, parallel_map(job, frames, args.threads)):
-        for object_id, m in files:
-            write_mask_pgm(out_dir, t, object_id, m)
+    for t, masks in zip(frames, per_frame):
+        for track, m in zip(v.tracks, masks):
+            write_mask_pgm(out_dir, t, track.object_id, m)
             count += 1
     _print_json({"written": count, "dir": str(out_dir)})
     return 0
@@ -112,24 +110,22 @@ def _cmd_mask(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     cfg = _cfg_from_args(args)
     v = densify(_load_video(args.video))
-    frames = _parse_frames(args.frames, v.num_frames)
+    frames = args.frames if args.frames is not None else range(v.num_frames)
     h = args.render_h if args.render_h is not None else v.geom.height
     w = args.render_w if args.render_w is not None else v.geom.width
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def job(t: int):
         img = np.zeros((h, w, 3), dtype=np.uint8)
-        for n, track in enumerate(v.tracks):
-            m = rasterize(track.params[t], v.geom, h, w, cfg.rescale)
+        for n, m in enumerate(per_frame_masks(v, t, h, w, cfg.rescale)[0]):
             img[m.bits] = _PALETTE[n % len(_PALETTE)]
-        return f"f{t:04d}.ppm", img
+        return img
 
-    count = 0
-    for name, img in parallel_map(job, frames, args.threads):
-        write_ppm(out_dir / name, img)
-        count += 1
-    _print_json({"written": count, "dir": str(out_dir)})
+    images = parallel_map(job, frames, args.threads)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for t, img in zip(frames, images):
+        write_ppm(out_dir / f"f{t:04d}.ppm", img)
+    _print_json({"written": len(images), "dir": str(out_dir)})
     return 0
 
 
@@ -160,9 +156,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         if args.detections is None or args.ground_truth is None:
             raise BlobvidError("miou needs --detections and --ground-truth")
         evals = load_frame_evals(args.detections, args.ground_truth)
-        frames = [int(tok) for tok in args.frames.split(",")] if args.frames else sorted(
-            e.frame for e in evals
-        )
+        frames = args.frames or sorted(e.frame for e in evals)
         value = mean_iou(evals, frames, method=args.match)
         _print_json({
             "metric": "miou",
@@ -226,13 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mask", parents=[configured], help="write per-object mask PGMs")
     p.add_argument("video")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--frames", default=None, help="comma-separated frame indices")
+    p.add_argument("--frames", type=_frame_list, default=None,
+                   help="comma-separated frame indices")
     p.set_defaults(fn=_cmd_mask)
 
     p = sub.add_parser("render", parents=[configured], help="write composite PPM frames")
     p.add_argument("video")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--frames", default=None)
+    p.add_argument("--frames", type=_frame_list, default=None)
     p.add_argument("--render-h", type=int, default=None)
     p.add_argument("--render-w", type=int, default=None)
     p.set_defaults(fn=_cmd_render)
@@ -253,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("miou",) + COSINE_MODES)
     p.add_argument("--detections", default=None)
     p.add_argument("--ground-truth", default=None)
-    p.add_argument("--frames", default=None)
+    p.add_argument("--frames", type=_frame_list, default=None)
     p.add_argument("--match", choices=("hungarian", "greedy"), default="hungarian")
     p.add_argument("--embeddings", default=None)
     p.set_defaults(fn=_cmd_metrics)

@@ -48,7 +48,7 @@ def _frozen_2d(arr, what: str) -> np.ndarray:
     if out.ndim != 2 or out.shape[0] < 1 or out.shape[1] < 1:
         raise ShapeError(f"{what} must be a (tokens, dim) array, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
-        raise ValueError(f"{what} must be finite")
+        raise ShapeError(f"{what} must be finite")
     out.setflags(write=False)
     return out
 
@@ -429,6 +429,8 @@ class FileProvider:
         manifest_file = Path(self.manifest_path)
         manifest = read_json(manifest_file)
         key = caption_hash(caption)
-        if key not in manifest:
-            raise KeyError(f"no embedding for caption hash {key}")
+        if not isinstance(manifest, dict):
+            raise SchemaError(f"{manifest_file}: must be a JSON object")
+        if not isinstance(manifest.get(key), str):
+            raise SchemaError(f"{manifest_file}: no embedding path for caption hash {key}")
         return EmbeddingSeq(read_embedding(manifest_file.parent / manifest[key]))

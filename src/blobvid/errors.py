@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the JSON file reader that raises them."""
+"""Exception types shared across the package, and the JSON readers that raise them."""
+
+from __future__ import annotations
 
 import json
 from pathlib import Path
@@ -62,14 +64,26 @@ class ParseError(BlobvidError, ValueError):
         self.column = column
 
 
-def read_json(path):
-    """Parse the JSON file at path; text that is not JSON raises ParseError naming the file."""
+def parse_json(text: str, source: str | None = None):
+    """json.loads; text that is not JSON raises ParseError with the byte offset,
+    naming source when given."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        offset = len(text[:e.pos].encode("utf-8"))
+        message = f"{source}: not valid JSON: {e.msg}" if source else e.msg
+        raise ParseError(message, byte_offset=offset, line=e.lineno, column=e.colno) from None
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path; other bytes raise ParseError naming the file."""
     raw = Path(path).read_bytes()
     try:
-        return json.loads(raw.decode("utf-8"))
+        return raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text", byte_offset=e.start) from None
-    except json.JSONDecodeError as e:
-        offset = len(e.doc[:e.pos].encode("utf-8"))
-        raise ParseError(f"{path}: not valid JSON: {e.msg}", byte_offset=offset,
-                         line=e.lineno, column=e.colno) from None
+
+
+def read_json(path):
+    """Parse the JSON file at path; text that is not JSON raises ParseError naming the file."""
+    return parse_json(read_text(path), str(path))

@@ -103,21 +103,15 @@ def build_label_field(v: BlobVideo, h: int, w: int, rho: float = 1.0) -> LabelFi
     """
     if not v.is_dense():
         raise ShapeError("label field needs a dense video; call densify first")
-    n_objects = v.num_tracks
-    n_labels = n_objects + 1
+    n_labels = v.num_tracks + 1
     nbytes = (n_labels + 7) // 8
-    hw = h * w
-    bits = np.zeros((v.num_frames * hw, nbytes), dtype=np.uint8)
-    bg_byte, bg_bit = n_objects >> 3, n_objects & 7
+    bits = np.zeros((v.num_frames, h * w, nbytes), dtype=np.uint8)
     for t in range(v.num_frames):
-        base = t * hw
-        covered = np.zeros(hw, dtype=bool)
-        for n, track in enumerate(v.tracks):
-            m = rasterize(track.params[t], v.geom, h, w, rho).bits.ravel()
-            bits[base : base + hw, n >> 3] |= m.astype(np.uint8) << np.uint8(n & 7)
-            covered |= m
-        bits[base : base + hw, bg_byte] |= (~covered).astype(np.uint8) << np.uint8(bg_bit)
-    return LabelField(v.num_frames, h, w, n_labels, bits)
+        masks, background = per_frame_masks(v, t, h, w, rho)
+        # The background mask comes last, so its label is n_labels - 1.
+        for n, m in enumerate(masks + [background]):
+            bits[t, :, n >> 3] |= m.bits.ravel().astype(np.uint8) << np.uint8(n & 7)
+    return LabelField(v.num_frames, h, w, n_labels, bits.reshape(-1, nbytes))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .blobs import BlobParams, FrameGeometry, canonicalize
-from .errors import EmptyPrompt, ParseError, RangeError, SchemaError
+from .errors import EmptyPrompt, RangeError, SchemaError, parse_json
 from .exemplars import (
     EXEMPLAR_1_LAYOUT,
     EXEMPLAR_1_PROMPT,
@@ -87,12 +87,7 @@ def parse_layout(text: str) -> LayoutDoc:
     Malformed JSON raises ParseError with the byte offset; structurally wrong
     documents raise SchemaError naming the offending frame or object.
     """
-    body = _strip_fence(text)
-    try:
-        doc = json.loads(body)
-    except json.JSONDecodeError as e:
-        byte_offset = len(body[: e.pos].encode("utf-8"))
-        raise ParseError(e.msg, byte_offset=byte_offset, line=e.lineno, column=e.colno) from e
+    doc = parse_json(_strip_fence(text))
     if not isinstance(doc, dict):
         raise SchemaError(f"layout must be a JSON object, got {type(doc).__name__}")
     frames: dict[int, dict[str, LayoutEntry]] = {}
@@ -217,19 +212,15 @@ def serialize_layout(v: BlobVideo, frame_stride: int = 1) -> str:
         raise RangeError(f"frame stride must be >= 1, got {frame_stride}")
     if not v.is_dense():
         raise SchemaError("serialize_layout needs a dense video; call densify first")
-    doc: dict[str, dict] = {}
-    if v.num_tracks == 0:
-        return json.dumps(doc, ensure_ascii=False)
-    for t in range(0, v.num_frames, frame_stride):
-        objs = {}
-        for track in v.tracks:
-            p = track.params[t]
-            entry: dict = {"blob": [p.cx, p.cy, p.a, p.b, p.theta]}
-            if t in track.captions:
-                entry["caption"] = track.captions[t]
-            objs[f"Object{track.object_id}"] = entry
-        doc[f"Frame{t}"] = objs
-    return json.dumps(doc, ensure_ascii=False, indent=1)
+    frames: dict[int, dict[str, LayoutEntry]] = {}
+    if v.num_tracks:  # no tracks emit "{}", not a run of empty frames
+        for t in range(0, v.num_frames, frame_stride):
+            frames[t] = {}
+            for track in v.tracks:
+                p = track.params[t]
+                frames[t][str(track.object_id)] = LayoutEntry(
+                    (p.cx, p.cy, p.a, p.b, p.theta), track.captions.get(t))
+    return serialize_layout_doc(LayoutDoc(frames))
 
 
 # ---------------------------------------------------------------------------

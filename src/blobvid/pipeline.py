@@ -34,7 +34,7 @@ from .embedding import (
 from .errors import ShapeError
 from .labelfield import AttnMask3D, build_label_field, per_frame_masks
 from .parallel import parallel_map
-from .video import BlobVideo, densify
+from .video import BlobVideo, densify, fill_frames
 
 __all__ = ["AttendStats", "context_embeddings", "run_attend_block"]
 
@@ -58,31 +58,17 @@ def context_embeddings(v: BlobVideo, provider: TextEmbedProvider,
     """
     out: dict[tuple[int, int], EmbeddingSeq] = {}
     for n, track in enumerate(v.tracks):
-        cap_frames = sorted(track.captions)
-        anchors = {t: provider.embed(track.captions[t]) for t in cap_frames}
-        if not cap_frames:
-            empty = provider.embed("")
-            for t in range(v.num_frames):
-                out[(n, t)] = empty
-            continue
-        hi = 0
-        for t in range(v.num_frames):
-            if t in anchors:
-                out[(n, t)] = anchors[t]
-            elif t < cap_frames[0]:
-                out[(n, t)] = anchors[cap_frames[0]]
-            elif t > cap_frames[-1]:
-                out[(n, t)] = anchors[cap_frames[-1]]
-            else:
-                while cap_frames[hi + 1] < t:
-                    hi += 1
-                t0, t1 = cap_frames[hi], cap_frames[hi + 1]
-                if method == "slerp":
-                    out[(n, t)] = interp_slerp(anchors[t0], anchors[t1], (t - t0) / (t1 - t0))
-                else:
-                    out[(n, t)] = interp_linear(
-                        anchors[t0], anchors[t1], t, t1 - t0, t_anchor=t0, orientation=orientation
-                    )
+        anchors = ({t: provider.embed(c) for t, c in sorted(track.captions.items())}
+                   or {0: provider.embed("")})
+
+        def blend(t0: int, t1: int, t: int) -> EmbeddingSeq:
+            if method == "slerp":
+                return interp_slerp(anchors[t0], anchors[t1], (t - t0) / (t1 - t0))
+            return interp_linear(anchors[t0], anchors[t1], t, t1 - t0, t_anchor=t0,
+                                 orientation=orientation)
+
+        for t, e in fill_frames(anchors, v.num_frames, blend).items():
+            out[(n, t)] = e
     return out
 
 

@@ -35,7 +35,14 @@ def _read_header(data: bytes, magic: bytes):
             pos += 1
         if start == pos:
             raise ParseError("truncated header", byte_offset=pos)
-        fields.append(int(data[start:pos]))
+        token = data[start:pos]
+        if not token.isdigit():
+            raise ParseError(f"header field {token.decode('latin-1')!r} is not a decimal integer",
+                             byte_offset=start)
+        if len(fields) < 2 and int(token) < 1:
+            raise ParseError(f"width and height must be at least 1, got {int(token)}",
+                             byte_offset=start)
+        fields.append(int(token))
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = fields
     if maxval != 255:

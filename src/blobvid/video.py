@@ -10,13 +10,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .blobs import BlobParams, FrameGeometry
-from .errors import EmptyTrack, RangeError, SchemaError
+from .errors import EmptyTrack, RangeError, SchemaError, parse_json
 from .fitting import interpolate_blob_params
 
-__all__ = ["BlobTrack", "BlobVideo", "Violation", "densify", "validate",
+__all__ = ["BlobTrack", "BlobVideo", "Violation", "densify", "fill_frames", "validate",
            "video_to_json", "video_from_json"]
+
+V = TypeVar("V")
 
 _HALF_PI = math.pi / 2.0
 
@@ -30,9 +33,6 @@ class BlobTrack:
     object_id: int
     params: dict[int, BlobParams] = field(default_factory=dict)
     captions: dict[int, str] = field(default_factory=dict)
-
-    def annotated_frames(self) -> list[int]:
-        return sorted(self.params)
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,32 @@ class Violation:
         return f"{prefix}: {self.field}: {self.message}" if prefix else f"{self.field}: {self.message}"
 
 
+def fill_frames(anchors: dict[int, V], num_frames: int,
+                blend: Callable[[int, int, int], V]) -> dict[int, V]:
+    """A value for every frame in [0, num_frames) from values at anchor frames.
+
+    Anchor frames keep their value (the same object); frames before the first
+    or after the last anchor copy the nearest one; a frame t between
+    neighbouring anchors t0 < t < t1 gets blend(t0, t1, t). anchors must not
+    be empty.
+    """
+    frames = sorted(anchors)
+    out: dict[int, V] = {}
+    hi = 0
+    for t in range(num_frames):
+        if t in anchors:
+            out[t] = anchors[t]
+        elif t < frames[0]:
+            out[t] = anchors[frames[0]]
+        elif t > frames[-1]:
+            out[t] = anchors[frames[-1]]
+        else:
+            while frames[hi + 1] < t:
+                hi += 1
+            out[t] = blend(frames[hi], frames[hi + 1], t)
+    return out
+
+
 def densify(v: BlobVideo) -> BlobVideo:
     """Fill every frame of every track.
 
@@ -87,30 +113,15 @@ def densify(v: BlobVideo) -> BlobVideo:
     """
     new_tracks = []
     for track in v.tracks:
-        frames = track.annotated_frames()
-        if not frames:
+        p = track.params
+        if not p:
             raise EmptyTrack(f"track {track.object_id} has no annotated frames")
-        if frames[0] < 0 or frames[-1] >= v.num_frames:
+        if min(p) < 0 or max(p) >= v.num_frames:
             raise RangeError(
-                f"track {track.object_id} annotated outside [0, {v.num_frames}): {frames[0]}..{frames[-1]}"
+                f"track {track.object_id} annotated outside [0, {v.num_frames}): {min(p)}..{max(p)}"
             )
-        params: dict[int, BlobParams] = {}
-        hi = 0
-        for t in range(v.num_frames):
-            if t in track.params:
-                params[t] = track.params[t]
-                continue
-            if t < frames[0]:
-                params[t] = track.params[frames[0]]
-                continue
-            if t > frames[-1]:
-                params[t] = track.params[frames[-1]]
-                continue
-            while frames[hi + 1] < t:
-                hi += 1
-            t0, t1 = frames[hi], frames[hi + 1]
-            alpha = (t - t0) / (t1 - t0)
-            params[t] = interpolate_blob_params(track.params[t0], track.params[t1], alpha)
+        params = fill_frames(p, v.num_frames, lambda t0, t1, t: interpolate_blob_params(
+            p[t0], p[t1], (t - t0) / (t1 - t0)))
         new_tracks.append(BlobTrack(track.object_id, params, dict(track.captions)))
     return BlobVideo(v.num_frames, v.geom, v.anchor_interval, tuple(new_tracks))
 
@@ -178,11 +189,9 @@ def _frame_key(k: str, where: str) -> int:
         raise SchemaError(f"{where}: frame key {k!r} is not an integer") from None
 
 
-def video_from_json(text: str) -> BlobVideo:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"video document is not valid JSON: {e.msg} at position {e.pos}") from e
+def video_from_json(text: str, source: str = "video document") -> BlobVideo:
+    """Parse the canonical JSON schema; source names the text in a ParseError."""
+    doc = parse_json(text, source)
     _expect(isinstance(doc, dict), "video document must be a JSON object")
     _expect(doc.get("version") == SCHEMA_VERSION,
             f"unsupported schema version {doc.get('version')!r}")

@@ -375,6 +375,57 @@ class TestMalformedInput:
             assert "byte offset 1" in err
 
 
+class TestBadFramesAndFiles:
+    @pytest.mark.parametrize("command, frames", [("mask", "999"), ("render", "-1"),
+                                                 ("render", "0,9")],
+                             ids=["mask-999", "render-minus-1", "render-one-bad-of-two"])
+    def test_frame_out_of_range_writes_nothing(self, tmp_path, video_file, capsys, command,
+                                               frames):
+        code, out, err = run_cli(capsys, [command, str(video_file), "--out-dir",
+                                          str(tmp_path / "out"), "--frames", frames])
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "outside [0, 9)" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["mask", "v.json", "--out-dir", "m", "--frames", "a"],
+        ["render", "v.json", "--out-dir", "r", "--frames", "0,x"],
+        ["metrics", "miou", "--frames", "x"],
+    ], ids=["mask", "render", "metrics"])
+    def test_frames_not_integers_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--frames" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [b"P5\nab 3\n255\n", b"P5\n-3 -3\n255\n"],
+                             ids=["letters", "negative"])
+    def test_fit_bad_pgm_header(self, tmp_path, capsys, header):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(header + b"\x00" * 9)
+        code, out, err = run_cli(capsys, ["fit", str(path)])
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "byte offset 3" in err
+
+    @pytest.mark.parametrize("body, detail", [
+        (b'{"version": 1, "caption": "\xff"}', "not UTF-8 text (byte offset 27)"),
+        (b'{"version": 1,}', "not valid JSON: Expecting property name enclosed in double quotes"
+                            " (byte offset 14)"),
+    ], ids=["not-utf8", "not-json"])
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["mask", "--out-dir", "m"], ["render", "--out-dir", "r"], ["attend"],
+    ], ids=["validate", "mask", "render", "attend"])
+    def test_bad_video_file_names_it_and_the_byte_offset(self, tmp_path, capsys, body, detail,
+                                                         command):
+        path = tmp_path / "video.json"
+        path.write_bytes(body)
+        code, out, err = run_cli(capsys, [command[0], str(path), *command[1:]])
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: {detail}\n"
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

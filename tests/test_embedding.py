@@ -25,7 +25,7 @@ from blobvid.embedding import (
     read_embedding,
     write_embedding,
 )
-from blobvid.errors import DegenerateVector, RangeError, ShapeError
+from blobvid.errors import DegenerateVector, RangeError, SchemaError, ShapeError
 
 GEOM = FrameGeometry(64, 36)  # sqrt(64*36) = 48
 
@@ -278,14 +278,29 @@ class TestEmbeddingIO:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         provider = FileProvider(str(tmp_path / "manifest.json"))
         assert np.array_equal(provider.embed("a cup").data, data)
-        with pytest.raises(KeyError):
+        with pytest.raises(SchemaError):
             provider.embed("unknown caption")
+
+    @pytest.mark.parametrize("manifest", [
+        ["x.bin"],
+        {caption_hash("a cup"): 3},
+        {caption_hash("a cup"): None},
+    ], ids=["list", "path-int", "path-null"])
+    def test_file_provider_bad_manifest_names_it(self, tmp_path, manifest):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match="manifest.json"):
+            FileProvider(str(tmp_path / "manifest.json")).embed("a cup")
 
 
 class TestEmbeddingSeq:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             EmbeddingSeq(np.array([[np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_is_a_shape_error(self, value):
+        with pytest.raises(ShapeError, match="finite"):
+            EmbeddingSeq(np.array([[value, 1.0]]))
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):

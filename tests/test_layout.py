@@ -236,6 +236,15 @@ class TestSerializeLayout:
         with pytest.raises(RangeError):
             serialize_layout(BlobVideo(2, GEOM, 8, ()), frame_stride=0)
 
+    @pytest.mark.parametrize("layout", [EXEMPLAR_1_LAYOUT, EXEMPLAR_2_LAYOUT],
+                             ids=["exemplar-1", "exemplar-2"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_doc_serializer(self, layout, stride):
+        doc = parse_layout(layout)
+        v = densify_layout(doc, num_frames=doc.max_frame() + 1, geom=GEOM)
+        text = serialize_layout(v, stride)
+        assert text == serialize_layout_doc(parse_layout(text))
+
     def test_doc_serializer_stable(self):
         once = serialize_layout_doc(parse_layout(EXEMPLAR_2_LAYOUT))
         twice = serialize_layout_doc(parse_layout(once))

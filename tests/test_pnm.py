@@ -58,6 +58,21 @@ class TestPgm:
         with pytest.raises(ParseError):
             read_pgm(p)
 
+    @pytest.mark.parametrize("data, offset", [
+        (b"P5\nab 3\n255\n\x00", 3),
+        (b"P5\n3 3x\n255\n\x00", 5),
+        (b"P5\n2 2\n25.5\n\x00", 7),
+        (b"P5\n-3 -3\n255\n\x00", 3),
+        (b"P5\n0 3\n255\n\x00", 3),
+        (b"P5\n3 0\n255\n\x00", 5),
+    ], ids=["letters", "trailing-letter", "fraction", "negative", "zero-width", "zero-height"])
+    def test_rejects_bad_header_field_at_its_offset(self, tmp_path, data, offset):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            read_pgm(p)
+        assert exc.value.byte_offset == offset
+
     def test_write_rejects_non_2d(self, tmp_path):
         with pytest.raises(ShapeError):
             write_pgm(tmp_path / "a.pgm", np.zeros((2, 2, 3), dtype=np.uint8))

@@ -11,6 +11,7 @@ from blobvid.video import (
     BlobTrack,
     BlobVideo,
     densify,
+    fill_frames,
     validate,
     video_from_json,
     video_to_json,
@@ -85,6 +86,30 @@ class TestDensify:
         dense = densify(BlobVideo(8, GEOM, 4, (track,)))
         assert dense.tracks[0].params[2].cx == pytest.approx(4.0)
         assert dense.tracks[0].params[7] is p5
+
+
+class TestFillFrames:
+    def test_anchors_nearest_copies_and_one_blend_per_interior_frame(self):
+        anchors = {2: object(), 5: object(), 6: object()}
+        calls = []
+
+        def blend(t0, t1, t):
+            calls.append((t0, t1, t))
+            return ("blend", t)
+
+        out = fill_frames(anchors, 9, blend)
+        assert list(out) == list(range(9))
+        for t, value in anchors.items():
+            assert out[t] is value
+        assert out[0] is anchors[2] and out[1] is anchors[2]
+        assert out[7] is anchors[6] and out[8] is anchors[6]
+        assert calls == [(2, 5, 3), (2, 5, 4)]
+        assert out[3] == ("blend", 3) and out[4] == ("blend", 4)
+
+    def test_single_anchor_is_copied_everywhere(self):
+        anchor = object()
+        out = fill_frames({3: anchor}, 5, lambda t0, t1, t: pytest.fail("no interior frame"))
+        assert all(out[t] is anchor for t in range(5))
 
 
 class TestValidate:
