@@ -6,13 +6,21 @@ Two forward ops in float64:
   caption tokens of all blobs, but a blob's tokens are reachable only from
   locations inside that blob's mask. Locations covered by no blob get a zero
   output row rather than a softmax over nothing.
-* masked_3d_self_attention: all T*h*w locations attend to each other under an
-  additive pairwise mask derived from shared labels.
+* masked_3d_self_attention: all T*h*w locations attend to each other, a pair
+  allowed iff the two label sets share a label.
 
-Masking is additive: blocked logits get NEG_INF (the most negative finite
-float64) added, which keeps softmax shifting finite and underflows blocked
-weights to exactly zero. Backward passes are hand-derived and checked against
-central finite differences in the gradcheck module.
+Blocked logits are set to NEG_INF (the most negative finite float64), which
+keeps softmax shifting finite and underflows blocked weights to exactly zero.
+Backward passes are hand-derived and checked against central finite
+differences in the gradcheck module.
+
+The 3D self-attention never builds its n x n logits (n = T*h*w). Positions
+with the same label set attend to the same keys, so they are grouped into
+classes and evaluated in row blocks (the row-tiled softmax of "Self-attention
+Does Not Need O(n^2) Memory" and FlashAttention): a large class runs a plain
+softmax over its gathered keys, and small classes share blocks over all keys
+under a boolean mask. The backward pass recomputes each block's softmax in
+the same fixed order. Memory is O(_BLOCK x n).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 from .blobs import BinaryMask
 from .embedding import BlobEmbedding
 from .errors import ShapeError
-from .labelfield import NEG_INF, AttnMask3D
+from .labelfield import NEG_INF, AttnMask3D, LabelField, shares_label
 
 __all__ = [
     "CrossAttnWeights",
@@ -41,6 +49,13 @@ __all__ = [
     "masked_3d_self_attention_backward",
     "gated_fuse_backward",
 ]
+
+# Rows per block of the 3D self-attention; no intermediate is larger than
+# _BLOCK x n.
+_BLOCK = 256
+# Label classes with fewer positions than this share packed, masked blocks,
+# so thousands of tiny classes do not become thousands of tiny GEMMs.
+_SMALL_CLASS = 8
 
 
 @dataclass(frozen=True)
@@ -114,18 +129,22 @@ class SelfAttnWeights:
 def masked_softmax(logits: np.ndarray, allow: np.ndarray) -> np.ndarray:
     """Row softmax under a boolean mask.
 
-    Blocked entries receive an additive NEG_INF and end up with exactly zero
-    weight; rows with nothing allowed come back as all-zero rows.
+    Blocked entries become NEG_INF before the shift and end up with exactly
+    zero weight; rows with nothing allowed come back as all-zero rows. Works
+    in one buffer the size of logits.
     """
     if logits.shape != allow.shape:
         raise ShapeError(f"logits {logits.shape} vs mask {allow.shape}")
-    z = logits + np.where(allow, 0.0, NEG_INF)
-    zmax = z.max(axis=1, keepdims=True) if z.shape[1] else np.zeros((z.shape[0], 1))
-    e = np.exp(z - zmax)
-    e = np.where(allow, e, 0.0)
-    s = e.sum(axis=1, keepdims=True)
-    any_allowed = allow.any(axis=1, keepdims=True) if z.shape[1] else np.zeros((z.shape[0], 1), dtype=bool)
-    return np.where(any_allowed, e / np.where(s == 0.0, 1.0, s), 0.0)
+    z = np.where(allow, logits, NEG_INF)
+    if z.shape[1]:
+        z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    # A row with nothing allowed shifted by NEG_INF itself, so its exps are 1.
+    z *= allow
+    s = z.sum(axis=1, keepdims=True)
+    s[s == 0.0] = 1.0
+    z /= s
+    return z
 
 
 def _stack_cross(g, blobs: Sequence[BlobEmbedding], masks: Sequence[BinaryMask],
@@ -179,9 +198,50 @@ def masked_cross_attention(g, blobs: Sequence[BlobEmbedding], masks: Sequence[Bi
     return out
 
 
-def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights,
-                             return_probs: bool = False):
-    """Full self-attention over all T*h*w locations under the pairwise label mask."""
+def _label_blocks(field: LabelField):
+    """Row blocks of the 3D self-attention, grouped by label set.
+
+    Yields (rows, keys, allow): the query positions of a block, the key
+    positions it reads (an index array or slice(None) for all), and None when
+    every row may attend to every key, else a boolean (len(rows), n) mask.
+    Positions with equal label sets form a class and attend to the same keys.
+    A class of at least _SMALL_CLASS positions gets blocks of its own over its
+    gathered keys; the smaller classes are packed together, in class order,
+    into blocks over all keys under a mask. Positions with an empty label set
+    attend to nothing and are in no block. The order depends on the field
+    alone, so results are the same on every run.
+    """
+    bits = field.bits
+    codes, inverse, counts = np.unique(bits, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)
+    order = np.argsort(inverse, kind="stable")
+    starts = np.cumsum(counts) - counts
+    nonempty = codes.any(axis=1)
+    large = nonempty & (counts >= _SMALL_CLASS)
+    for c in np.flatnonzero(large):
+        rows = order[starts[c]:starts[c] + counts[c]]
+        keys = np.flatnonzero(shares_label(codes[c:c + 1], codes)[0][inverse])
+        for s in range(0, rows.size, _BLOCK):
+            yield rows[s:s + _BLOCK], keys, None
+    packed = order[(nonempty & ~large)[inverse[order]]]
+    for s in range(0, packed.size, _BLOCK):
+        rows = packed[s:s + _BLOCK]
+        yield rows, slice(None), shares_label(bits[rows], bits)
+
+
+def _block_probs(q_rows: np.ndarray, k_keys: np.ndarray, allow) -> np.ndarray:
+    """Softmax weights of one row block (queries already scaled by 1/sqrt(d));
+    a plain row softmax when allow is None."""
+    logits = q_rows @ k_keys.T
+    if allow is not None:
+        return masked_softmax(logits, allow)
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
+
+
+def _self_projections(g, mask: AttnMask3D, wts: SelfAttnWeights):
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2:
         raise ShapeError(f"features must be (Thw, d), got shape {g.shape}")
@@ -190,15 +250,28 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights,
         raise ShapeError(f"{n} feature rows vs mask over {mask.size} positions")
     if wts.wq.shape != (d, d):
         raise ShapeError(f"projections {wts.wq.shape} do not match feature width {d}")
-    q = g @ wts.wq
-    k = g @ wts.wk
-    v = g @ wts.wv
-    allow = mask.allowed_rows(0, n)
-    logits = (q @ k.T) / math.sqrt(d)
-    probs = masked_softmax(logits, allow)
-    out = probs @ v
-    if return_probs:
-        return out, probs
+    scale = 1.0 / math.sqrt(d)
+    return g, (g @ wts.wq) * scale, g @ wts.wk, g @ wts.wv, scale
+
+
+def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights,
+                             return_row_sums: bool = False):
+    """Self-attention over all T*h*w locations under the pairwise label mask.
+
+    Evaluated block by block over _label_blocks, so no array is larger than
+    _BLOCK x n. With return_row_sums, also returns each row's total softmax
+    weight: 1 up to rounding, 0 for a position with an empty label set.
+    """
+    g, q, k, v, _ = _self_projections(g, mask, wts)
+    out = np.zeros_like(g)
+    sums = np.zeros(g.shape[0])
+    for rows, keys, allow in _label_blocks(mask.field):
+        p = _block_probs(q[rows], k[keys], allow)
+        out[rows] = p @ v[keys]
+        sums[rows] = p.sum(axis=1)
+        del p  # free this block's weights before the next block's logits
+    if return_row_sums:
+        return out, sums
     return out
 
 
@@ -273,23 +346,29 @@ class SelfAttnGrads:
 
 def masked_3d_self_attention_backward(g, mask: AttnMask3D, wts: SelfAttnWeights,
                                       upstream: np.ndarray) -> SelfAttnGrads:
-    g = np.asarray(g, dtype=np.float64)
+    """Recomputes each block's softmax, FlashAttention-style, in the forward's
+    block order, so no array is larger than _BLOCK x n."""
+    g, q, k, v, scale = _self_projections(g, mask, wts)
     upstream = np.asarray(upstream, dtype=np.float64)
-    n, d = g.shape
-    scale = 1.0 / math.sqrt(d)
-    q = g @ wts.wq
-    k = g @ wts.wk
-    v = g @ wts.wv
-    allow = mask.allowed_rows(0, n)
-    probs = masked_softmax((q @ k.T) * scale, allow)
     if upstream.shape != g.shape:
         raise ShapeError(f"upstream must have shape {g.shape}, got {upstream.shape}")
 
-    dv = probs.T @ upstream
-    dprobs = upstream @ v.T
-    dlogits = _softmax_vjp(probs, dprobs)
-    dq = (dlogits @ k) * scale
-    dk = (dlogits.T @ q) * scale
+    dq = np.zeros_like(g)
+    dk = np.zeros_like(g)
+    dv = np.zeros_like(g)
+    for rows, keys, allow in _label_blocks(mask.field):
+        k_keys = k[keys]
+        p = _block_probs(q[rows], k_keys, allow)
+        up = upstream[rows]
+        dv[keys] += p.T @ up
+        # Softmax VJP in place: dlogits = p * (dp - rowsum(dp * p)).
+        dlogits = up @ v[keys].T
+        dlogits -= np.einsum("ij,ij->i", dlogits, p)[:, None]
+        dlogits *= p
+        dq[rows] = dlogits @ k_keys
+        dk[keys] += dlogits.T @ q[rows]
+        del p, dlogits  # free this block's arrays before the next block's logits
+    dq *= scale
     dg = dq @ wts.wq.T + dk @ wts.wk.T + dv @ wts.wv.T
     return SelfAttnGrads(
         g=dg,

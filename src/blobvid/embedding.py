@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Protocol
 
@@ -425,12 +425,18 @@ class FileProvider:
 
     manifest_path: str
 
-    def embed(self, caption: str) -> EmbeddingSeq:
+    @cached_property
+    def _manifest(self) -> dict:
+        """The parsed manifest, read on the first embed call only."""
         manifest_file = Path(self.manifest_path)
         manifest = read_json(manifest_file)
-        key = caption_hash(caption)
         if not isinstance(manifest, dict):
             raise SchemaError(f"{manifest_file}: must be a JSON object")
-        if not isinstance(manifest.get(key), str):
+        return manifest
+
+    def embed(self, caption: str) -> EmbeddingSeq:
+        manifest_file = Path(self.manifest_path)
+        key = caption_hash(caption)
+        if not isinstance(self._manifest.get(key), str):
             raise SchemaError(f"{manifest_file}: no embedding path for caption hash {key}")
-        return EmbeddingSeq(read_embedding(manifest_file.parent / manifest[key]))
+        return EmbeddingSeq(read_embedding(manifest_file.parent / self._manifest[key]))

@@ -24,6 +24,7 @@ from .attention import (
 )
 from .blobs import BinaryMask
 from .embedding import BlobEmbedding, EmbeddingSeq, MlpWeights, blob_embed, blob_embed_backward
+from .errors import RangeError
 from .labelfield import AttnMask3D, LabelField
 
 __all__ = ["GradCheckReport", "central_difference_grads", "relative_error", "run_gradcheck"]
@@ -201,7 +202,17 @@ class GradCheckReport:
 
 def run_gradcheck(seed: int = 0, instances: int = 20, step: float = DEFAULT_STEP,
                   tolerance: float = DEFAULT_TOL) -> GradCheckReport:
-    """Run every backward check `instances` times and report the worst error."""
+    """Run every backward check `instances` times and report the worst error.
+
+    A check that runs no instance, or compares against a non-positive step or
+    tolerance, proves nothing, so those arguments raise RangeError.
+    """
+    if instances < 1:
+        raise RangeError(f"instances must be at least 1, got {instances}")
+    if not step > 0:
+        raise RangeError(f"step must be positive, got {step}")
+    if not tolerance > 0:
+        raise RangeError(f"tolerance must be positive, got {tolerance}")
     rng = np.random.default_rng(seed)
     per_op = {}
     for name, check in _CHECKS.items():

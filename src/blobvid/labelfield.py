@@ -4,8 +4,11 @@ Every position of a T x h x w grid carries the set of object labels whose
 rasterized blob covers it; positions covered by no object carry the background
 label. Two positions may attend to each other iff their label sets intersect.
 The pairwise relation is implicit: storage stays at ceil((N+1)/8) bytes per
-position and queries AND two bitsets, so the full Thw x Thw matrix is only
-ever built on request and under a size cap.
+position and queries AND two bitsets. The 3D self-attention reads the bits
+directly, grouping positions with equal bitsets and streaming row blocks (see
+the attention module), so the full Thw x Thw relation is built only by the
+test oracles allowed_rows(0, Thw) and materialize_dense, the latter under a
+size cap.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "build_label_field",
     "materialize_dense",
     "per_frame_masks",
+    "shares_label",
 ]
 
 # Additive mask value: most negative finite float64. Using a finite value keeps
@@ -143,8 +147,15 @@ class AttnMask3D:
         n = self.size
         if not (0 <= start <= stop <= n):
             raise RangeError(f"row range [{start}, {stop}) outside [0, {n}]")
-        block = self.field.bits[start:stop, None, :] & self.field.bits[None, :, :]
-        return block.any(axis=2)
+        return shares_label(self.field.bits[start:stop], self.field.bits)
+
+
+def shares_label(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean (len(a), len(b)): whether label bitset rows of a and b intersect."""
+    out = np.zeros((a.shape[0], b.shape[0]), dtype=bool)
+    for byte in range(a.shape[1]):
+        out |= (a[:, byte, None] & b[None, :, byte]) != 0
+    return out
 
 
 def materialize_dense(m: AttnMask3D, cap: int = _DENSE_CAP_DEFAULT) -> np.ndarray:

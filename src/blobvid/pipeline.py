@@ -72,8 +72,8 @@ def context_embeddings(v: BlobVideo, provider: TextEmbedProvider,
     return out
 
 
-def _row_stats(probs: np.ndarray):
-    sums = probs.sum(axis=1)
+def _row_stats(sums: np.ndarray):
+    """(rows with zero total weight, largest |sum - 1| over the other rows)."""
     zero = sums == 0.0
     if np.all(zero):
         return int(zero.sum()), 0.0
@@ -112,21 +112,21 @@ def run_attend_block(v: BlobVideo, cfg: Config, dim: int = 16, n_tokens: int = 4
         masks, _ = per_frame_masks(v, t, h, w, cfg.rescale)
         g_t = g[t * hw : (t + 1) * hw]
         ca_out, probs = masked_cross_attention(g_t, blobs, masks, ca_w, return_probs=True)
-        return gated_fuse(g_t, ca_out, ca_w.gate), probs
+        return gated_fuse(g_t, ca_out, ca_w.gate), probs.sum(axis=1)
 
     per_frame = parallel_map(frame_cross, range(v.num_frames), threads)
     x = np.vstack([fused for fused, _ in per_frame])
     ca_zero = 0
     ca_err = 0.0
-    for _, probs in per_frame:
-        z, e = _row_stats(probs)
+    for _, sums in per_frame:
+        z, e = _row_stats(sums)
         ca_zero += z
         ca_err = max(ca_err, e)
 
     field = build_label_field(v, h, w, cfg.rescale)
-    sa_out, sa_probs = masked_3d_self_attention(x, AttnMask3D(field), sa_w, return_probs=True)
+    sa_out, sa_sums = masked_3d_self_attention(x, AttnMask3D(field), sa_w, return_row_sums=True)
     y = gated_fuse(x, sa_out, sa_w.gate)
-    sa_zero, sa_err = _row_stats(sa_probs)
+    sa_zero, sa_err = _row_stats(sa_sums)
 
     stats = AttendStats(
         rows=int(y.shape[0]),

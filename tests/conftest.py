@@ -120,13 +120,9 @@ def cross_attention_reference(g, blob_arrays, mask_arrays, wq, wk_list, wv_list)
     return probs @ values_m
 
 
-def self_attention_reference(g, label_sets, wq, wk, wv):
-    """Dense reference over Thw positions; allowed iff the Python label sets
-    intersect."""
-    n, d = g.shape
-    q = g @ wq
-    k = g @ wk
-    v = g @ wv
+def _self_attention_probs_reference(q, k, label_sets):
+    """Dense (Thw, Thw) weights; allowed iff the Python label sets intersect."""
+    n, d = q.shape
     scale = 1.0 / math.sqrt(d)
     logits = np.empty((n, n), dtype=np.float64)
     for i in range(n):
@@ -135,7 +131,33 @@ def self_attention_reference(g, label_sets, wq, wk, wv):
                 logits[i, j] = float(q[i] @ k[j]) * scale
             else:
                 logits[i, j] = -np.inf
-    return softmax_reference(logits) @ v
+    return softmax_reference(logits)
+
+
+def self_attention_reference(g, label_sets, wq, wk, wv):
+    """Dense reference over Thw positions; allowed iff the Python label sets
+    intersect."""
+    return _self_attention_probs_reference(g @ wq, g @ wk, label_sets) @ (g @ wv)
+
+
+def self_attention_backward_reference(g, label_sets, wq, wk, wv, upstream):
+    """Gradients (g, wq, wk, wv) of <upstream, self_attention_reference(...)>
+    by the chain rule through the dense weight matrix P: with Y = P V and
+    P = softmax(Q K^T / sqrt(d)) over the explicit -inf logits,
+    dS_ij = P_ij (dP_ij - sum_l P_il dP_il). Blocked entries and rows with
+    nothing allowed have P = 0, so their logit gradients are zero."""
+    d = g.shape[1]
+    scale = 1.0 / math.sqrt(d)
+    q, k, v = g @ wq, g @ wk, g @ wv
+    probs = _self_attention_probs_reference(q, k, label_sets)
+    dprobs = upstream @ v.T
+    dlogits = np.zeros_like(probs)
+    for i in range(probs.shape[0]):
+        dlogits[i] = probs[i] * (dprobs[i] - probs[i] @ dprobs[i])
+    dq = dlogits @ k * scale
+    dk = dlogits.T @ q * scale
+    dv = probs.T @ upstream
+    return (dq @ wq.T + dk @ wk.T + dv @ wv.T, g.T @ dq, g.T @ dk, g.T @ dv)
 
 
 # ---------------------------------------------------------------------------

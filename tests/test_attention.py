@@ -1,14 +1,18 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from blobvid import attention
 from blobvid.attention import (
     CrossAttnWeights,
     SelfAttnWeights,
     gated_fuse,
     gated_fuse_backward,
     masked_3d_self_attention,
+    masked_3d_self_attention_backward,
     masked_cross_attention,
     masked_softmax,
 )
@@ -20,6 +24,7 @@ from blobvid.labelfield import NEG_INF, AttnMask3D, LabelField
 
 from conftest import (
     cross_attention_reference,
+    self_attention_backward_reference,
     self_attention_reference,
     softmax_reference,
 )
@@ -159,9 +164,9 @@ class TestMaskedSelfAttention:
         field = LabelField.from_label_sets(1, 2, 2, 3, sets)
         g = rng.standard_normal((4, 5))
         wts = SelfAttnWeights.seeded(5, seed=3)
-        out, probs = masked_3d_self_attention(g, AttnMask3D(field), wts, return_probs=True)
+        out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts, return_row_sums=True)
         # Every position shares a label with itself, so no zero rows here.
-        assert probs.sum(axis=1) == pytest.approx(np.ones(4), abs=1e-12)
+        assert sums == pytest.approx(np.ones(4), abs=1e-12)
 
     def test_disjoint_labels_never_mix(self, rng):
         # Two positions with disjoint sets: each attends only to itself.
@@ -169,8 +174,9 @@ class TestMaskedSelfAttention:
         field = LabelField.from_label_sets(1, 1, 2, 2, sets)
         g = rng.standard_normal((2, 3))
         wts = SelfAttnWeights.seeded(3, seed=1)
-        _, probs = masked_3d_self_attention(g, AttnMask3D(field), wts, return_probs=True)
-        assert np.array_equal(probs, np.eye(2))
+        out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts, return_row_sums=True)
+        assert np.array_equal(out, g @ wts.wv)
+        assert np.array_equal(sums, np.ones(2))
 
     def test_feature_count_mismatch(self, rng):
         field = LabelField.from_label_sets(1, 1, 2, 2, [{0}, {1}])
@@ -178,6 +184,121 @@ class TestMaskedSelfAttention:
         wts = SelfAttnWeights.seeded(3, seed=1)
         with pytest.raises(ShapeError):
             masked_3d_self_attention(g, AttnMask3D(field), wts)
+        with pytest.raises(ShapeError):
+            masked_3d_self_attention_backward(g, AttnMask3D(field), wts, g)
+
+
+def assert_matches_dense_references(rng, sets, n_labels, d=5):
+    """Forward, row sums and all four gradients of the streamed op against the
+    dense conftest references, on a 1 x 1 x n field holding the given sets."""
+    n = len(sets)
+    field = LabelField.from_label_sets(1, 1, n, n_labels, sets)
+    g = rng.standard_normal((n, d))
+    upstream = rng.standard_normal((n, d))
+    wts = SelfAttnWeights.seeded(d, seed=int(rng.integers(1 << 30)))
+    out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts, return_row_sums=True)
+    assert out == pytest.approx(self_attention_reference(g, sets, wts.wq, wts.wk, wts.wv),
+                                abs=1e-10)
+    want_sums = np.array([1.0 if labs else 0.0 for labs in sets])
+    assert sums == pytest.approx(want_sums, abs=1e-12)
+    grads = masked_3d_self_attention_backward(g, AttnMask3D(field), wts, upstream)
+    want = self_attention_backward_reference(g, sets, wts.wq, wts.wk, wts.wv, upstream)
+    for got, ref in zip((grads.g, grads.wq, grads.wk, grads.wv), want):
+        assert got == pytest.approx(ref, abs=1e-10)
+    return out, sums, grads
+
+
+def blocks_by_class(sets, n_labels):
+    """The op's row blocks as (own, classes): own is True for a block of one
+    class over its gathered keys, classes the label sets of the block's rows."""
+    field = LabelField.from_label_sets(1, 1, len(sets), n_labels, sets)
+    return [(allow is None, [frozenset(sets[r]) for r in rows])
+            for rows, _, allow in attention._label_blocks(field)]
+
+
+def shuffled(rng, sets):
+    return [sets[i] for i in rng.permutation(len(sets))]
+
+
+class TestStreamedSelfAttention:
+    """The op streams row blocks grouped by label set. Each field here makes one
+    kind of block run, and every case checks the forward, the row sums and
+    the backward against the dense references."""
+
+    def test_one_class_over_several_blocks_of_its_own(self, rng):
+        big = 2 * attention._BLOCK + 1
+        sets = shuffled(rng, [{0}] * big + [{0, 1}] * 3 + [{1}] * 9 + [{2}] * 2)
+        blocks = blocks_by_class(sets, 3)
+        own = [classes for is_own, classes in blocks if is_own and set(classes) == {frozenset({0})}]
+        assert len(own) == 3 and sum(map(len, own)) == big
+        assert_matches_dense_references(rng, sets, 3)
+
+    def test_tiny_classes_fill_two_packed_blocks(self, rng):
+        # Classes of 1-3 positions over overlapping label sets; together more
+        # than _BLOCK rows, so the packed blocks split one class between them.
+        sets, k = [], 0
+        while len(sets) <= attention._BLOCK + 20:
+            k += 1
+            sets += [{b for b in range(10) if k >> b & 1}] * (1 + k % 3)
+        sets = shuffled(rng, sets)
+        blocks = blocks_by_class(sets, 10)
+        assert not any(is_own for is_own, _ in blocks)
+        assert len(blocks) == 2
+        assert set(blocks[0][1]) & set(blocks[1][1])
+        assert max(Counter(frozenset(s) for s in sets).values()) <= 3
+        assert_matches_dense_references(rng, sets, 10)
+
+    def test_almost_every_position_has_its_own_class(self, rng):
+        n_labels = 12
+        sets = [{lab for lab in range(n_labels) if rng.random() < 0.5} or {0}
+                for _ in range(attention._BLOCK + 50)]
+        assert len(Counter(frozenset(s) for s in sets)) > 0.9 * len(sets)
+        assert_matches_dense_references(rng, sets, n_labels)
+
+    @pytest.mark.parametrize("n_empty", [1, 16])
+    def test_empty_label_sets_give_zero_rows(self, rng, n_empty):
+        sets = shuffled(rng, [{0}, {0, 1}, {1}] * 4 + [{2}] * 9 + [set()] * n_empty)
+        out, sums, grads = assert_matches_dense_references(rng, sets, 3)
+        empty = np.array([not labs for labs in sets])
+        assert np.all(out[empty] == 0.0)
+        assert np.all(sums[empty] == 0.0)
+        assert np.all(grads.g[empty] == 0.0)
+
+    def test_no_dense_mask_and_block_sized_memory(self, rng, monkeypatch):
+        # At n = 4096 the dense logits alone take 128 MiB; the streamed op
+        # holds a few _BLOCK x n arrays (8 MiB each) and never asks for the
+        # dense mask.
+        n = 4096
+        sets = [{0}] * (n - 512) + [{0, 1 + i % 200} for i in range(512)]
+        field = LabelField.from_label_sets(1, 64, 64, 201, shuffled(rng, sets))
+        g = rng.standard_normal((n, 8))
+        wts = SelfAttnWeights.seeded(8, seed=5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense mask built")
+
+        monkeypatch.setattr(AttnMask3D, "allowed_rows", refuse)
+        tracemalloc.start()
+        try:
+            masked_3d_self_attention(g, AttnMask3D(field), wts)
+            _, fwd_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            masked_3d_self_attention_backward(g, AttnMask3D(field), wts, g)
+            _, bwd_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense_logits = n * n * 8
+        assert fwd_peak < dense_logits // 4 and bwd_peak < dense_logits // 4
+
+    def test_reruns_are_bitwise_identical(self, rng):
+        sets = shuffled(rng, [{0}] * 40 + [{0, 1}] * 5 + [{1}, {2}, {1, 2}] * 3)
+        field = LabelField.from_label_sets(1, 1, len(sets), 3, sets)
+        g = rng.standard_normal((len(sets), 4))
+        wts = SelfAttnWeights.seeded(4, seed=9)
+        a = masked_3d_self_attention_backward(g, AttnMask3D(field), wts, g)
+        b = masked_3d_self_attention_backward(g, AttnMask3D(field), wts, g)
+        for x, y in zip((a.g, a.wq, a.wk, a.wv), (b.g, b.wq, b.wk, b.wv)):
+            assert np.array_equal(x, y)
 
 
 class TestGatedFuse:

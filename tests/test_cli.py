@@ -223,6 +223,21 @@ class TestGradcheck:
             "gated_fuse", "blob_embed",
         }
 
+    @pytest.mark.parametrize("argv, detail", [
+        (["--instances", "0"], "instances must be at least 1"),
+        (["--instances", "-3"], "instances must be at least 1"),
+        (["--step", "0"], "step must be positive"),
+        (["--tolerance", "-1"], "tolerance must be positive"),
+    ], ids=["instances-0", "instances-neg", "step-0", "tolerance-neg"])
+    def test_vacuous_or_degenerate_run_is_one_error_line(self, capsys, argv, detail):
+        # A check that runs nothing or divides by a zero step must not report
+        # success or crash with a traceback.
+        code, out, err = run_cli(capsys, ["gradcheck", *argv])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: ") and detail in err
+
 
 class TestConfigPlumbing:
     def test_flag_beats_config_file(self, tmp_path, video_file, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from blobvid import embedding
 from blobvid.blobs import BlobParams, FrameGeometry
 from blobvid.embedding import (
     DeterministicStub,
@@ -290,6 +292,27 @@ class TestEmbeddingIO:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SchemaError, match="manifest.json"):
             FileProvider(str(tmp_path / "manifest.json")).embed("a cup")
+
+    def test_file_provider_reads_its_manifest_once(self, tmp_path, monkeypatch):
+        captions = ["a cup", "a dog", "a red car"]
+        manifest = {}
+        for i, caption in enumerate(captions):
+            write_embedding(tmp_path / f"{i}.bin", np.full((2, 3), float(i)))
+            manifest[caption_hash(caption)] = f"{i}.bin"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        reads = []
+        real = embedding.read_json
+
+        def counting(p):
+            reads.append(Path(p))
+            return real(p)
+
+        monkeypatch.setattr(embedding, "read_json", counting)
+        provider = FileProvider(str(path))
+        for caption in captions * 2:
+            assert np.all(provider.embed(caption).data == captions.index(caption))
+        assert reads.count(path) == 1
 
 
 class TestEmbeddingSeq:
