@@ -156,16 +156,17 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    from scipy.special import erf  # deferred: importing blobvid loads no scipy
+# math.erf, applied elementwise, keeps the scipy import (most of the start-up
+# of a one-shot `blobvid attend`) out of the commands that run the MLP.
+_erf = np.vectorize(math.erf, otypes=[np.float64])
 
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+
+def _gelu(x: np.ndarray) -> np.ndarray:
+    return 0.5 * x * (1.0 + _erf(x * _INV_SQRT2))
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    from scipy.special import erf  # deferred: importing blobvid loads no scipy
-
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     return cdf + x * pdf
 

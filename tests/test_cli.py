@@ -502,10 +502,20 @@ class TestStartup:
              "--alpha", "0.5"],
             ["mask", str(video_file), "--out-dir", "masks", "--frames", "0"],
             ["render", str(video_file), "--out-dir", "render", "--frames", "0"],
+            ["attend", str(video_file), "--dim", "8", "--tokens", "2",
+             "--feature-h", "6", "--feature-w", "6"],
+            ["gradcheck", "--instances", "1"],
         ], tmp_path)
         assert loaded == []
 
     def test_fit_still_loads_the_optimizer(self, tmp_path):
         mask = rasterize(BlobParams(16, 16, 8, 5, 0.3), FrameGeometry(32, 32), 32, 32)
         loaded = _loaded_scipy([["fit", str(write_mask_pgm(tmp_path, 0, 0, mask))]], tmp_path)
+        assert "scipy.optimize" in loaded
+
+    def test_miou_still_loads_the_optimizer(self, tmp_path):
+        (tmp_path / "dets.json").write_text(json.dumps(_DETS))
+        (tmp_path / "gt.json").write_text(json.dumps(_GT))
+        loaded = _loaded_scipy([["metrics", "miou", "--detections", "dets.json",
+                                 "--ground-truth", "gt.json"]], tmp_path)
         assert "scipy.optimize" in loaded

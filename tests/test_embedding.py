@@ -134,6 +134,40 @@ class TestBlobEmbed:
             blob_embed(np.ones(3), e_s, MlpWeights.identity(4))
 
 
+class TestErf:
+    # fdlibm's s_erf.c switches between its approximations at these |x|.
+    EDGES = np.array([0.84375, 1.25, 1.0 / 0.35, 6.0])
+
+    def grid(self):
+        edges = np.concatenate([self.EDGES, np.nextafter(self.EDGES, 0.0),
+                                np.nextafter(self.EDGES, np.inf)])
+        return np.concatenate([np.linspace(-8.0, 8.0, 160_001), edges, -edges,
+                               [0.0, -0.0, 1e-300, -1e-300]])
+
+    def test_within_4_ulp_of_scipy(self):
+        x = self.grid()
+        got, want = embedding._erf(x), erf(x)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_special_values(self):
+        got = embedding._erf(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0]))
+        assert got[:2].tolist() == [1.0, -1.0]
+        assert np.isnan(got[2])
+        assert got[3] == 0.0 and not np.signbit(got[3]) and np.signbit(got[4])
+
+    def test_odd(self):
+        x = self.grid()
+        assert embedding._erf(-x).tobytes() == (-embedding._erf(x)).tobytes()
+
+    @pytest.mark.parametrize("x", [np.float64(0.5), np.array(-1.5), np.empty(0),
+                                   np.empty((0, 3)), np.empty((2, 0))],
+                             ids=["scalar", "0-d", "empty", "empty-rows", "empty-cols"])
+    def test_keeps_shape_and_float64(self, x):
+        got = embedding._erf(x)
+        assert got.shape == np.shape(x) and got.dtype == np.float64
+
+
 class TestInterpWeights:
     def test_anchor_frames_give_exact_onehot(self):
         assert interp_weights(0, 8) == (0.0, 1.0)
