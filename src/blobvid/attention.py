@@ -20,21 +20,32 @@ classes and evaluated in row blocks (the row-tiled softmax of "Self-attention
 Does Not Need O(n^2) Memory" and FlashAttention): a large class runs a plain
 softmax over its gathered keys, and small classes share blocks over all keys
 under a boolean mask. The backward pass recomputes each block's softmax in
-the same fixed order. Memory is O(_BLOCK x n).
+the same fixed order. Memory is O(_BLOCK x n) per thread.
+
+The blocks are dealt into _PARTS fixed parts (block i goes to part i %
+_PARTS), the split FlashAttention-2 uses across workers: each part writes its
+own rows, and in the backward keeps its own partial key and value gradients,
+which are added in part order at the end. The parts run on up to _PARTS
+threads while OpenBLAS is pinned to one thread (see the blas module), else
+one after another. The split never depends on the thread or CPU count, so
+results are bitwise the same either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import blas
 from .blobs import BinaryMask
 from .embedding import BlobEmbedding
 from .errors import ShapeError
 from .labelfield import NEG_INF, AttnMask3D, LabelField, shares_label
+from .parallel import parallel_map
 
 __all__ = [
     "CrossAttnWeights",
@@ -52,7 +63,9 @@ __all__ = [
 
 # Rows per block of the 3D self-attention; no intermediate is larger than
 # _BLOCK x n.
-_BLOCK = 256
+_BLOCK = 128
+# Fixed parts the blocks are dealt into, and the most threads that run them.
+_PARTS = 2
 # Label classes with fewer positions than this share packed, masked blocks,
 # so thousands of tiny classes do not become thousands of tiny GEMMs.
 _SMALL_CLASS = 8
@@ -200,18 +213,18 @@ def masked_cross_attention(g, blobs: Sequence[BlobEmbedding], masks: Sequence[Bi
     return out
 
 
-def _label_blocks(field: LabelField):
+def _label_blocks(field: LabelField) -> list:
     """Row blocks of the 3D self-attention, grouped by label set.
 
-    Yields (rows, keys, allow): the query positions of a block, the key
-    positions it reads (an index array or slice(None) for all), and None when
-    every row may attend to every key, else a boolean (len(rows), n) mask.
-    Positions with equal label sets form a class and attend to the same keys.
-    A class of at least _SMALL_CLASS positions gets blocks of its own over its
-    gathered keys; the smaller classes are packed together, in class order,
-    into blocks over all keys under a mask. Positions with an empty label set
-    attend to nothing and are in no block. The order depends on the field
-    alone, so results are the same on every run.
+    Returns (rows, keys, masked) triples: the query positions of a block, the
+    key positions it reads (an index array or slice(None) for all), and
+    whether its rows need a mask over those keys (_block_allow) or may attend
+    to every one. Positions with equal label sets form a class and attend to
+    the same keys. A class of at least _SMALL_CLASS positions gets blocks of
+    its own over its gathered keys; the smaller classes are packed together,
+    in class order, into masked blocks over all keys. Positions with an empty
+    label set attend to nothing and are in no block. The order depends on the
+    field alone, so results are the same on every run.
     """
     bits = field.bits
     codes, inverse, counts = np.unique(bits, axis=0, return_inverse=True, return_counts=True)
@@ -220,15 +233,20 @@ def _label_blocks(field: LabelField):
     starts = np.cumsum(counts) - counts
     nonempty = codes.any(axis=1)
     large = nonempty & (counts >= _SMALL_CLASS)
+    blocks = []
     for c in np.flatnonzero(large):
         rows = order[starts[c]:starts[c] + counts[c]]
         keys = np.flatnonzero(shares_label(codes[c:c + 1], codes)[0][inverse])
-        for s in range(0, rows.size, _BLOCK):
-            yield rows[s:s + _BLOCK], keys, None
+        blocks += [(rows[s:s + _BLOCK], keys, False) for s in range(0, rows.size, _BLOCK)]
     packed = order[(nonempty & ~large)[inverse[order]]]
-    for s in range(0, packed.size, _BLOCK):
-        rows = packed[s:s + _BLOCK]
-        yield rows, slice(None), shares_label(bits[rows], bits)
+    blocks += [(packed[s:s + _BLOCK], slice(None), True) for s in range(0, packed.size, _BLOCK)]
+    return blocks
+
+
+def _block_allow(field: LabelField, rows: np.ndarray, masked: bool):
+    """The boolean (len(rows), n) mask of a masked block, else None. Built
+    only when its block runs, so at most one per thread is alive."""
+    return shares_label(field.bits[rows], field.bits) if masked else None
 
 
 def _block_probs(q_rows: np.ndarray, k_keys: np.ndarray, allow) -> np.ndarray:
@@ -241,6 +259,21 @@ def _block_probs(q_rows: np.ndarray, k_keys: np.ndarray, allow) -> np.ndarray:
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=1, keepdims=True)
     return logits
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_parts(fn, blocks: list, pinned: bool) -> list:
+    """fn over the _PARTS fixed parts of blocks, results in part order. The
+    parts run on up to _PARTS threads when OpenBLAS is pinned to one thread
+    and there is more than one block, else one after another in this thread;
+    either way every part does the same arithmetic in the same order."""
+    threads = min(_PARTS, _usable_cpus()) if pinned and len(blocks) > 1 else 1
+    return parallel_map(fn, [blocks[i::_PARTS] for i in range(_PARTS)], threads)
 
 
 def _self_projections(g, mask: AttnMask3D, wts: SelfAttnWeights):
@@ -264,14 +297,20 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights,
     _BLOCK x n. With return_row_sums, also returns each row's total softmax
     weight: 1 up to rounding, 0 for a position with an empty label set.
     """
-    g, q, k, v, _ = _self_projections(g, mask, wts)
-    out = np.zeros_like(g)
-    sums = np.zeros(g.shape[0])
-    for rows, keys, allow in _label_blocks(mask.field):
-        p = _block_probs(q[rows], k[keys], allow)
-        out[rows] = p @ v[keys]
-        sums[rows] = p.sum(axis=1)
-        del p  # free this block's weights before the next block's logits
+    with blas.one_thread() as pinned:
+        g, q, k, v, _ = _self_projections(g, mask, wts)
+        out = np.zeros_like(g)
+        sums = np.zeros(g.shape[0])
+
+        def part(blocks):
+            # Blocks own disjoint rows, so the parts never write the same entry.
+            for rows, keys, masked in blocks:
+                p = _block_probs(q[rows], k[keys], _block_allow(mask.field, rows, masked))
+                out[rows] = p @ v[keys]
+                sums[rows] = p.sum(axis=1)
+                del p  # free this block's weights before the next block's logits
+
+        _run_parts(part, _label_blocks(mask.field), pinned)
     if return_row_sums:
         return out, sums
     return out
@@ -350,34 +389,43 @@ def masked_3d_self_attention_backward(g, mask: AttnMask3D, wts: SelfAttnWeights,
                                       upstream: np.ndarray) -> SelfAttnGrads:
     """Recomputes each block's softmax, FlashAttention-style, in the forward's
     block order, so no array is larger than _BLOCK x n."""
-    g, q, k, v, scale = _self_projections(g, mask, wts)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != g.shape:
-        raise ShapeError(f"upstream must have shape {g.shape}, got {upstream.shape}")
+    with blas.one_thread() as pinned:
+        g, q, k, v, scale = _self_projections(g, mask, wts)
+        upstream = np.asarray(upstream, dtype=np.float64)
+        if upstream.shape != g.shape:
+            raise ShapeError(f"upstream must have shape {g.shape}, got {upstream.shape}")
+        dq = np.zeros_like(g)
 
-    dq = np.zeros_like(g)
-    dk = np.zeros_like(g)
-    dv = np.zeros_like(g)
-    for rows, keys, allow in _label_blocks(mask.field):
-        k_keys = k[keys]
-        p = _block_probs(q[rows], k_keys, allow)
-        up = upstream[rows]
-        dv[keys] += p.T @ up
-        # Softmax VJP in place: dlogits = p * (dp - rowsum(dp * p)).
-        dlogits = up @ v[keys].T
-        dlogits -= np.einsum("ij,ij->i", dlogits, p)[:, None]
-        dlogits *= p
-        dq[rows] = dlogits @ k_keys
-        dk[keys] += dlogits.T @ q[rows]
-        del p, dlogits  # free this block's arrays before the next block's logits
-    dq *= scale
-    dg = dq @ wts.wq.T + dk @ wts.wk.T + dv @ wts.wv.T
-    return SelfAttnGrads(
-        g=dg,
-        wq=g.T @ dq,
-        wk=g.T @ dk,
-        wv=g.T @ dv,
-    )
+        def part(blocks):
+            # dq rows are disjoint across blocks; each part keeps its own dk, dv.
+            dk = np.zeros_like(g)
+            dv = np.zeros_like(g)
+            for rows, keys, masked in blocks:
+                k_keys = k[keys]
+                p = _block_probs(q[rows], k_keys, _block_allow(mask.field, rows, masked))
+                up = upstream[rows]
+                dv[keys] += p.T @ up
+                # Softmax VJP in place: dlogits = p * (dp - rowsum(dp * p)).
+                dlogits = up @ v[keys].T
+                dlogits -= np.einsum("ij,ij->i", dlogits, p)[:, None]
+                dlogits *= p
+                dq[rows] = dlogits @ k_keys
+                dk[keys] += dlogits.T @ q[rows]
+                del p, dlogits  # free this block's arrays before the next block's logits
+            return dk, dv
+
+        (dk, dv), *rest = _run_parts(part, _label_blocks(mask.field), pinned)
+        for part_dk, part_dv in rest:
+            dk += part_dk
+            dv += part_dv
+        dq *= scale
+        dg = dq @ wts.wq.T + dk @ wts.wk.T + dv @ wts.wv.T
+        return SelfAttnGrads(
+            g=dg,
+            wq=g.T @ dq,
+            wk=g.T @ dk,
+            wv=g.T @ dv,
+        )
 
 
 def gated_fuse_backward(x, attn_out, gamma: float, upstream: np.ndarray):

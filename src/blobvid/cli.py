@@ -68,6 +68,16 @@ def _frame_list(text: str) -> list[int]:
             f"expected comma-separated frame indices, got {text!r}") from None
 
 
+def _thread_count(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"expected a thread count of at least 1, got {text!r}")
+    return threads
+
+
 def _cmd_fit(args: argparse.Namespace) -> int:
     mask = read_mask_pgm(args.mask)
     width = args.width if args.width is not None else mask.w
@@ -192,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Every subcommand takes --threads; only those that load a Config take
     # --config and the per-field flags.
     threaded = argparse.ArgumentParser(add_help=False)
-    threaded.add_argument("--threads", type=int, default=1)
+    threaded.add_argument("--threads", type=_thread_count, default=1)
     configured = argparse.ArgumentParser(add_help=False, parents=[threaded])
     configured.add_argument("--config", help="JSON config file")
     for f in dataclasses.fields(Config):

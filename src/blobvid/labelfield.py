@@ -6,9 +6,8 @@ label. Two positions may attend to each other iff their label sets intersect.
 The pairwise relation is implicit: storage stays at ceil((N+1)/8) bytes per
 position and queries AND two bitsets. The 3D self-attention reads the bits
 directly, grouping positions with equal bitsets and streaming row blocks (see
-the attention module), so the full Thw x Thw relation is built only by the
-test oracles allowed_rows(0, Thw) and materialize_dense, the latter under a
-size cap.
+the attention module), so the full Thw x Thw relation is built only by
+allowed_rows(0, Thw) in test oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .blobs import BinaryMask, rasterize
-from .errors import RangeError, ShapeError, TooLarge
+from .errors import RangeError, ShapeError
 from .video import BlobVideo
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "LabelField",
     "AttnMask3D",
     "build_label_field",
-    "materialize_dense",
     "per_frame_masks",
     "shares_label",
 ]
@@ -35,8 +33,6 @@ __all__ = [
 # Additive mask value: most negative finite float64. Using a finite value keeps
 # softmax shifting free of (-inf) - (-inf) NaNs; exp underflows to exactly 0.
 NEG_INF = float(np.finfo(np.float64).min)
-
-_DENSE_CAP_DEFAULT = 8192
 
 
 @dataclass(frozen=True)
@@ -155,19 +151,6 @@ def shares_label(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((a.shape[0], b.shape[0]), dtype=bool)
     for byte in range(a.shape[1]):
         out |= (a[:, byte, None] & b[None, :, byte]) != 0
-    return out
-
-
-def materialize_dense(m: AttnMask3D, cap: int = _DENSE_CAP_DEFAULT) -> np.ndarray:
-    """Dense (Thw, Thw) float64 matrix of {0, NEG_INF}. Guarded by a size cap."""
-    n = m.size
-    if n > cap:
-        raise TooLarge(f"dense mask would be {n}x{n}, cap is {cap}")
-    out = np.empty((n, n), dtype=np.float64)
-    step = 1024
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        out[s:e] = np.where(m.allowed_rows(s, e), 0.0, NEG_INF)
     return out
 
 

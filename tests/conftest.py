@@ -13,12 +13,30 @@ import math
 import numpy as np
 import pytest
 
+from blobvid import blas
 from blobvid.blobs import BinaryMask, BlobParams, FrameGeometry
+from blobvid.errors import TooLarge
+from blobvid.labelfield import NEG_INF, AttnMask3D
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def openblas_threads():
+    """numpy's bundled OpenBLAS's thread count, or None where none is found."""
+    funcs = blas._lookup()
+    return funcs[0]() if funcs else None
+
+
+@pytest.fixture(scope="session", autouse=True)
+def openblas_threads_unchanged():
+    # A pin to one thread that outlived its op would slow every later BLAS
+    # call in the process, so the suite must end at the count it started at.
+    before = openblas_threads()
+    yield
+    assert openblas_threads() == before, "OpenBLAS thread count changed by the test session"
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +176,26 @@ def self_attention_backward_reference(g, label_sets, wq, wk, wv, upstream):
     dk = dlogits.T @ q * scale
     dv = probs.T @ upstream
     return (dq @ wq.T + dk @ wk.T + dv @ wv.T, g.T @ dq, g.T @ dk, g.T @ dv)
+
+
+# ---------------------------------------------------------------------------
+# Dense view of the implicit pair mask under test (not an independent
+# reference: it reads AttnMask3D.allowed_rows)
+
+_DENSE_CAP_DEFAULT = 8192
+
+
+def materialize_dense(m: AttnMask3D, cap: int = _DENSE_CAP_DEFAULT) -> np.ndarray:
+    """Dense (Thw, Thw) float64 matrix of {0, NEG_INF}. Guarded by a size cap."""
+    n = m.size
+    if n > cap:
+        raise TooLarge(f"dense mask would be {n}x{n}, cap is {cap}")
+    out = np.empty((n, n), dtype=np.float64)
+    step = 1024
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        out[s:e] = np.where(m.allowed_rows(s, e), 0.0, NEG_INF)
+    return out
 
 
 # ---------------------------------------------------------------------------

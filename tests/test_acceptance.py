@@ -36,7 +36,6 @@ from blobvid.labelfield import (
     AttnMask3D,
     LabelField,
     build_label_field,
-    materialize_dense,
     per_frame_masks,
 )
 from blobvid.layout import densify_layout, parse_layout, serialize_layout_doc
@@ -47,6 +46,7 @@ from blobvid.video import BlobTrack, BlobVideo, video_to_json
 from conftest import (
     angle_mean_reference,
     cross_attention_reference,
+    materialize_dense,
     random_canonical_blob,
     self_attention_reference,
 )

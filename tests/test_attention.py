@@ -212,8 +212,8 @@ def blocks_by_class(sets, n_labels):
     """The op's row blocks as (own, classes): own is True for a block of one
     class over its gathered keys, classes the label sets of the block's rows."""
     field = LabelField.from_label_sets(1, 1, len(sets), n_labels, sets)
-    return [(allow is None, [frozenset(sets[r]) for r in rows])
-            for rows, _, allow in attention._label_blocks(field)]
+    return [(not masked, [frozenset(sets[r]) for r in rows])
+            for rows, _, masked in attention._label_blocks(field)]
 
 
 def shuffled(rng, sets):
@@ -234,13 +234,21 @@ class TestStreamedSelfAttention:
         assert_matches_dense_references(rng, sets, 3)
 
     def test_tiny_classes_fill_two_packed_blocks(self, rng):
-        # Classes of 1-3 positions over overlapping label sets; together more
-        # than _BLOCK rows, so the packed blocks split one class between them.
-        sets, k = [], 0
-        while len(sets) <= attention._BLOCK + 20:
-            k += 1
-            sets += [{b for b in range(10) if k >> b & 1}] * (1 + k % 3)
-        sets = shuffled(rng, sets)
+        # Classes of 1-3 positions over overlapping label sets (class k holds
+        # label b iff bit b of k is set), together more than _BLOCK rows. The
+        # op packs classes in bitset order, byte by byte from the low labels,
+        # so k runs in that order. The classes fill exactly _BLOCK - 1 rows,
+        # then a 3-position class takes packed rows _BLOCK - 1 to _BLOCK + 1:
+        # the two packed blocks split it between them at any block size.
+        order = sorted(range(1, 1 << 10), key=lambda k: (k & 255, k >> 8))
+        sizes = []
+        while sum(sizes) < attention._BLOCK - 1:
+            sizes.append(min(1 + len(sizes) % 3, attention._BLOCK - 1 - sum(sizes)))
+        sizes.append(3)
+        while sum(sizes) <= attention._BLOCK + 20:
+            sizes.append(1 + len(sizes) % 3)
+        sets = shuffled(rng, [{b for b in range(10) if k >> b & 1}
+                              for k, size in zip(order, sizes) for _ in range(size)])
         blocks = blocks_by_class(sets, 10)
         assert not any(is_own for is_own, _ in blocks)
         assert len(blocks) == 2

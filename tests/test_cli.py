@@ -471,6 +471,25 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    @pytest.mark.parametrize("argv", [
+        ["fit", "m.pgm"],
+        ["interp", "--p1", "1", "1", "2", "1", "0", "--p2", "1", "1", "2", "1", "0",
+         "--alpha", "0.5"],
+        ["mask", "v.json", "--out-dir", "m"],
+        ["render", "v.json", "--out-dir", "r"],
+        ["attend", "v.json"],
+        ["validate", "v.json"],
+        ["metrics", "miou"],
+        ["gradcheck"],
+    ], ids=lambda argv: argv[0])
+    def test_threads_below_one_is_a_usage_error(self, capsys, argv, threads):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads: expected a thread count of at least 1" in capsys.readouterr().err
+        assert build_parser().parse_args(argv + ["--threads", "1"]).threads == 1
+
 
 # Runs each argv through cli.main in a fresh interpreter, then prints which
 # scipy modules that interpreter has loaded.

@@ -10,12 +10,11 @@ from blobvid.labelfield import (
     AttnMask3D,
     LabelField,
     build_label_field,
-    materialize_dense,
     per_frame_masks,
 )
 from blobvid.video import BlobTrack, BlobVideo, densify
 
-from conftest import random_canonical_blob
+from conftest import materialize_dense, random_canonical_blob
 
 GEOM = FrameGeometry(64, 64)
 
