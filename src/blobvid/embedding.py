@@ -156,8 +156,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-# math.erf, applied elementwise, keeps the scipy import (most of the start-up
-# of a one-shot `blobvid attend`) out of the commands that run the MLP.
+# math.erf, applied elementwise: the package needs no scipy.
 _erf = np.vectorize(math.erf, otypes=[np.float64])
 
 

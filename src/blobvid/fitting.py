@@ -3,6 +3,15 @@
 fit_ellipse maximizes the IOU between a rasterized ellipse and a target mask
 with derivative-free Nelder-Mead, started from image moments. The objective is
 piecewise constant in the parameters, so the simplex steps are sized in cells.
+
+_nelder_mead follows scipy's non-adaptive Nelder-Mead
+(scipy.optimize.minimize(method="Nelder-Mead") with an initial simplex and
+only maxiter set) step for step: reflection 1, expansion 2, contraction 0.5
+and shrink 0.5, no bounds, and the same stopping test. A piecewise-constant
+objective ties often, and which tied vertex is best decides the next step,
+so the simplex is reordered exactly as scipy reorders it: np.argsort of the
+default kind, applied twice to the initial simplex. The same masks therefore
+give the same parameters, bit for bit, and the same iteration count.
 """
 
 from __future__ import annotations
@@ -56,9 +65,65 @@ def moments_init(mask: BinaryMask, geom: FrameGeometry) -> BlobParams:
     return canonicalize(BlobParams(cx, cy, a, b, theta))
 
 
+# Nelder-Mead coefficients (scipy's non-adaptive defaults): reflection,
+# expansion, contraction and shrink.
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+
+
 def _clamped(vec: np.ndarray, floor: float) -> BlobParams:
     cx, cy, a, b, theta = (float(v) for v in vec)
     return BlobParams(cx, cy, max(a, floor), max(b, floor), theta)
+
+
+def _nelder_mead(func, simplex: np.ndarray, max_iter: int, xatol: float,
+                 fatol: float) -> tuple[np.ndarray, int]:
+    """Minimize func from an (N+1, N) simplex; return the best vertex and the
+    iteration count, which starts at 1 as scipy's nit does."""
+    sim = np.array(simplex, dtype=np.float64)
+    n = sim.shape[1]
+    fsim = np.array([func(x) for x in sim], dtype=np.float64)
+    for _ in range(2):  # scipy sorts the initial simplex twice
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < max_iter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + _RHO) * xbar - _RHO * sim[-1]
+        fxr = func(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
+            fxc = func(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = (1 - _PSI) * xbar + _PSI * sim[-1]
+            fxcc = func(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
+                fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], iterations
 
 
 def fit_ellipse(mask: BinaryMask, geom: FrameGeometry,
@@ -66,10 +131,11 @@ def fit_ellipse(mask: BinaryMask, geom: FrameGeometry,
     """Fit one ellipse to a mask by maximizing rasterized IOU at the mask's resolution.
 
     Deterministic: the initial simplex is built from the moment init with fixed
-    per-dimension steps. The result never scores below the moment init.
+    per-dimension steps, and _nelder_mead reproduces scipy's Nelder-Mead run
+    from it (xatol 1e-3, the given fatol, at most max_iter iterations).
+    iterations is that run's count, scipy's nit: 1 plus the simplex steps taken.
+    The result never scores below the moment init.
     """
-    from scipy import optimize  # deferred: importing blobvid loads no scipy
-
     init = moments_init(mask, geom)
     cell_w = geom.width / mask.w
     cell_h = geom.height / mask.h
@@ -90,24 +156,13 @@ def fit_ellipse(mask: BinaryMask, geom: FrameGeometry,
         ]
     )
     simplex = np.vstack([x0] + [x0 + steps[i] * np.eye(5)[i] for i in range(5)])
-    res = optimize.minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "maxiter": max_iter,
-            "fatol": fatol,
-            "xatol": 1e-3,
-            "disp": False,
-        },
-    )
-    best = canonicalize(_clamped(np.asarray(res.x, dtype=np.float64), floor))
+    x, iterations = _nelder_mead(objective, simplex, max_iter, xatol=1e-3, fatol=fatol)
+    best = canonicalize(_clamped(x, floor))
     iou = mask_iou(rasterize(best, geom, mask.h, mask.w, 1.0), mask)
     init_iou = mask_iou(rasterize(init, geom, mask.h, mask.w, 1.0), mask)
     if iou < init_iou:
         best, iou = init, init_iou
-    return FitResult(params=best, iou=iou, iterations=int(res.nit))
+    return FitResult(params=best, iou=iou, iterations=iterations)
 
 
 def interpolate_blob_params(p1: BlobParams, p2: BlobParams, alpha: float) -> BlobParams:

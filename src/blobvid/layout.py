@@ -40,7 +40,6 @@ __all__ = [
     "default_prompt_bundle",
     "build_icl_prompt",
     "FileReplayProvider",
-    "HTTPChatProvider",
 ]
 
 _FRAME_KEY = re.compile(r"^Frame(\d+)$")
@@ -275,34 +274,3 @@ class FileReplayProvider:
 
     def generate(self, prompt: str) -> str:
         return Path(self.path).read_text(encoding="utf-8")
-
-
-@dataclass(frozen=True)
-class HTTPChatProvider:
-    """Minimal chat-completion style HTTP provider.
-
-    Posts {"model", "messages"} to the endpoint and returns the first choice's
-    message content. The bearer token is read from the environment at call time.
-    """
-
-    endpoint: str
-    model: str
-    token_env: str = "BLOBVID_API_TOKEN"
-    timeout: float = 60.0
-
-    def generate(self, prompt: str) -> str:
-        import os
-
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.token_env)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        payload = {"model": self.model, "messages": [{"role": "user", "content": prompt}]}
-        resp = requests.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
-        resp.raise_for_status()
-        choice = resp.json()["choices"][0]
-        if "message" in choice:
-            return choice["message"]["content"]
-        return choice["text"]

@@ -9,6 +9,7 @@ counted, never raised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -97,12 +98,72 @@ def _truncate_by_confidence(dets: Sequence[BBox], n: int) -> list[int]:
     return order[:n]
 
 
+def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
+    """Column of each row in a minimum-cost assignment, for rows <= columns.
+
+    Crouse's shortest augmenting path ("On implementing 2D rectangular
+    assignment algorithms", 2016), step for step as scipy's
+    linear_sum_assignment runs it: rows are added in order, the columns are
+    scanned in the same order, and a tie for the shortest path goes to a free
+    column, the last one scanned. Tied matrices get scipy's pairs.
+    """
+    nr, nc = len(cost), len(cost[0])
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        dist = [math.inf] * nc
+        seen_rows = [False] * nr
+        seen_cols = [False] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        i, min_val, sink = cur, 0.0, -1
+        while sink == -1:
+            seen_rows[i] = True
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < dist[j]:
+                    path[j] = i
+                    dist[j] = r
+                if dist[j] < lowest or (dist[j] == lowest and row4col[j] == -1):
+                    lowest, index = dist[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in range(nr):
+            if seen_rows[i] and i != cur:
+                u[i] += min_val - dist[col4row[i]]
+        for j in range(nc):
+            if seen_cols[j]:
+                v[j] -= min_val - dist[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def match_detections(dets: Sequence[BBox], gts: Sequence[BBox],
                      method: str = "hungarian") -> MatchResult:
     """One-to-one assignment of detections to ground truth maximizing total IOU.
 
     Detections beyond the ground-truth count are dropped by descending
-    confidence first. method "greedy" repeatedly takes the best remaining pair
+    confidence first, so the IOU matrix never has more rows than columns.
+    method "hungarian" solves it exactly with _min_cost_assignment on the
+    negated IOUs, which picks the same pairs as scipy's linear_sum_assignment,
+    ties included. method "greedy" repeatedly takes the best remaining pair
     instead; it exists for comparison and is not optimal.
     """
     if method not in ("hungarian", "greedy"):
@@ -116,10 +177,7 @@ def match_detections(dets: Sequence[BBox], gts: Sequence[BBox],
     per_gt = [0.0] * len(gts)
     pairs = []
     if method == "hungarian":
-        from scipy.optimize import linear_sum_assignment  # deferred: importing blobvid loads no scipy
-
-        rows, cols = linear_sum_assignment(-iou)
-        for r, c in zip(rows.tolist(), cols.tolist()):
+        for r, c in enumerate(_min_cost_assignment((-iou).tolist())):
             pairs.append((kept[r], c))
             per_gt[c] = float(iou[r, c])
     else:

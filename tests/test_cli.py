@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -515,6 +516,9 @@ def _loaded_scipy(commands, cwd):
 
 class TestStartup:
     def test_commands_without_scipy_do_not_load_it(self, tmp_path, video_file):
+        mask = rasterize(BlobParams(16, 16, 8, 5, 0.3), FrameGeometry(32, 32), 32, 32)
+        (tmp_path / "dets.json").write_text(json.dumps(_DETS))
+        (tmp_path / "gt.json").write_text(json.dumps(_GT))
         loaded = _loaded_scipy([
             ["validate", str(video_file)],
             ["interp", "--p1", "10", "10", "5", "3", "0", "--p2", "20", "20", "5", "3", "0",
@@ -524,17 +528,23 @@ class TestStartup:
             ["attend", str(video_file), "--dim", "8", "--tokens", "2",
              "--feature-h", "6", "--feature-w", "6"],
             ["gradcheck", "--instances", "1"],
+            ["fit", str(write_mask_pgm(tmp_path, 0, 0, mask))],
+            ["metrics", "miou", "--detections", "dets.json", "--ground-truth", "gt.json"],
         ], tmp_path)
         assert loaded == []
 
-    def test_fit_still_loads_the_optimizer(self, tmp_path):
-        mask = rasterize(BlobParams(16, 16, 8, 5, 0.3), FrameGeometry(32, 32), 32, 32)
-        loaded = _loaded_scipy([["fit", str(write_mask_pgm(tmp_path, 0, 0, mask))]], tmp_path)
-        assert "scipy.optimize" in loaded
-
-    def test_miou_still_loads_the_optimizer(self, tmp_path):
-        (tmp_path / "dets.json").write_text(json.dumps(_DETS))
-        (tmp_path / "gt.json").write_text(json.dumps(_GT))
-        loaded = _loaded_scipy([["metrics", "miou", "--detections", "dets.json",
-                                 "--ground-truth", "gt.json"]], tmp_path)
-        assert "scipy.optimize" in loaded
+    def test_package_imports_nothing_third_party_but_numpy(self):
+        # Every import statement, function-local ones included, of every module.
+        package = Path(blobvid.__file__).resolve().parent
+        outside = set()
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                outside.update((path.name, name) for name in names
+                               if name.split(".")[0] not in sys.stdlib_module_names)
+        assert {name.split(".")[0] for _, name in outside} == {"numpy"}, sorted(outside)

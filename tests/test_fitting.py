@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
+from blobvid import fitting
 from blobvid.blobs import BinaryMask, BlobParams, FrameGeometry, canonicalize, mask_iou, rasterize
 from blobvid.errors import EmptyMask, InvalidBlob, RangeError
 from blobvid.fitting import fit_ellipse, interpolate_blob_params, moments_init
@@ -88,6 +90,64 @@ class TestFitEllipse:
     def test_empty_mask_rejected(self):
         with pytest.raises(EmptyMask):
             fit_ellipse(BinaryMask(np.zeros((8, 8), dtype=bool)), FrameGeometry(8, 8))
+
+
+def scipy_nelder_mead(func, simplex, max_iter, xatol, fatol):
+    return optimize.minimize(func, simplex[0], method="Nelder-Mead", options={
+        "initial_simplex": simplex, "maxiter": max_iter, "xatol": xatol, "fatol": fatol})
+
+
+class TestNelderMeadMatchesScipy:
+    """scipy's Nelder-Mead is the oracle: same x bytes, same nit."""
+
+    def fit_against_scipy(self, monkeypatch, mask, geom, **kwargs):
+        # Run the fit, keep what it handed the optimizer, and rerun that in scipy.
+        calls = []
+        port = fitting._nelder_mead
+
+        def spy(func, simplex, *args, **kw):
+            out = port(func, simplex, *args, **kw)
+            calls.append((func, simplex.copy(), args, kw, out))
+            return out
+
+        monkeypatch.setattr(fitting, "_nelder_mead", spy)
+        res = fit_ellipse(mask, geom, **kwargs)
+        monkeypatch.undo()
+        [(func, simplex, args, kw, (x, nit))] = calls
+        ref = scipy_nelder_mead(func, simplex, *args, **kw)
+        assert x.tobytes() == ref.x.tobytes()
+        assert nit == ref.nit == res.iterations
+        return ref
+
+    def test_seeded_masks(self, monkeypatch, rng):
+        geom = FrameGeometry(64, 64)
+        for _ in range(12):
+            p = random_canonical_blob(rng, geom, min_axis=2.0)
+            self.fit_against_scipy(monkeypatch, rasterize(p, geom, 64, 64), geom)
+
+    def test_single_cell_mask(self, monkeypatch):
+        bits = np.zeros((8, 8), dtype=bool)
+        bits[3, 4] = True
+        self.fit_against_scipy(monkeypatch, BinaryMask(bits), FrameGeometry(64, 64))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 7])
+    def test_cut_off_by_max_iter(self, monkeypatch, max_iter):
+        geom = FrameGeometry(48, 48)
+        mask = rasterize(BlobParams(20, 26, 12, 5, 0.7), geom, 48, 48)
+        ref = self.fit_against_scipy(monkeypatch, mask, geom, max_iter=max_iter)
+        assert ref.nit == max_iter
+
+    def test_tied_staircase_objective(self):
+        # Every vertex ties with its neighbours, so only scipy's reordering of
+        # equal values reproduces its path.
+        def func(x):
+            return float(np.floor(np.sum((x - np.array([0.3, -1.2, 2.0])) ** 2)))
+
+        simplex = np.vstack([np.zeros(3), np.eye(3) * 0.5])
+        x, nit = fitting._nelder_mead(func, simplex, 100, xatol=1e-3, fatol=1e-4)
+        ref = scipy_nelder_mead(func, simplex, 100, 1e-3, 1e-4)
+        assert x.tobytes() == ref.x.tobytes()
+        assert nit == ref.nit
 
 
 class TestInterpolateBlobParams:

@@ -16,7 +16,6 @@ from blobvid.exemplars import (
 )
 from blobvid.layout import (
     FileReplayProvider,
-    HTTPChatProvider,
     build_icl_prompt,
     default_prompt_bundle,
     densify_layout,
@@ -281,47 +280,3 @@ class TestProviders:
         (tmp_path / "resp.txt").write_text(SIMPLE, encoding="utf-8")
         provider = FileReplayProvider(str(tmp_path / "resp.txt"))
         assert parse_layout(provider.generate("ignored")).max_frame() == 4
-
-    def test_http_provider_parses_chat_response(self, monkeypatch):
-        calls = {}
-
-        class FakeResponse:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"choices": [{"message": {"content": "```json\n{}\n```"}}]}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            calls["url"] = url
-            calls["payload"] = json
-            calls["headers"] = headers
-            calls["timeout"] = timeout
-            return FakeResponse()
-
-        import requests
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        monkeypatch.setenv("BLOBVID_API_TOKEN", "sekrit")
-        provider = HTTPChatProvider("https://example.invalid/v1/chat", model="m-1")
-        out = provider.generate("make a layout")
-        assert out == "```json\n{}\n```"
-        assert calls["url"] == "https://example.invalid/v1/chat"
-        assert calls["payload"]["model"] == "m-1"
-        assert calls["payload"]["messages"][0]["content"] == "make a layout"
-        assert calls["headers"]["Authorization"] == "Bearer sekrit"
-        assert calls["timeout"] == 60.0
-
-    def test_http_provider_text_fallback(self, monkeypatch):
-        class FakeResponse:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"choices": [{"text": "{}"}]}
-
-        import requests
-
-        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse())
-        provider = HTTPChatProvider("https://example.invalid", model="m")
-        assert provider.generate("p") == "{}"

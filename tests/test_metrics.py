@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from blobvid.embedding import write_embedding
 from blobvid.errors import (
@@ -13,6 +16,7 @@ from blobvid.errors import (
     UndefinedMetric,
 )
 from blobvid.metrics import (
+    _min_cost_assignment,
     BBox,
     FrameEval,
     RegionEmbedding,
@@ -149,6 +153,49 @@ class TestMatchDetections:
         ]
         result = match_detections(dets, gt)
         assert result.pairs == ((1, 0),)
+
+
+def assert_matches_scipy(cost):
+    rows, cols = linear_sum_assignment(cost)
+    assert rows.tolist() == list(range(cost.shape[0]))
+    assert _min_cost_assignment(cost.tolist()) == cols.tolist()
+
+
+class TestAssignmentMatchesScipy:
+    """scipy's linear_sum_assignment is the oracle: same rows, same columns."""
+
+    def test_random(self, rng):
+        for _ in range(300):
+            rows = int(rng.integers(1, 7))
+            assert_matches_scipy(-rng.random((rows, int(rng.integers(rows, 8)))))
+
+    def test_quantized_ties(self, rng):
+        for _ in range(300):
+            rows = int(rng.integers(1, 7))
+            levels = int(rng.integers(1, 4))
+            cost = -np.round(rng.random((rows, int(rng.integers(rows, 8)))) * levels) / levels
+            assert_matches_scipy(cost)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (3, 3), (2, 6)])
+    def test_all_zero(self, shape):
+        assert_matches_scipy(np.zeros(shape))
+
+    def test_one_by_one(self):
+        assert _min_cost_assignment([[-0.25]]) == [0]
+        assert_matches_scipy(np.array([[-0.25]]))
+
+    def test_fewer_rows_than_columns(self):
+        cost = -np.array([[0.1, 0.9, 0.0, 0.5], [0.8, 0.9, 0.2, 0.0]])
+        assert _min_cost_assignment(cost.tolist()) == [1, 0]
+        assert_matches_scipy(cost)
+
+    @given(st.data())
+    def test_hypothesis_tied_matrices(self, data):
+        rows = data.draw(st.integers(1, 5))
+        cols = data.draw(st.integers(rows, rows + 3))
+        values = data.draw(st.lists(st.sampled_from([0.0, -0.25, -0.5, -1.0, -1 / 3]),
+                                    min_size=rows * cols, max_size=rows * cols))
+        assert_matches_scipy(np.array(values).reshape(rows, cols))
 
 
 class TestMeanIou:
