@@ -533,6 +533,41 @@ class TestStartup:
         ], tmp_path)
         assert loaded == []
 
+    def test_fit_still_loads_the_optimizer(self, tmp_path, capsys, monkeypatch):
+        # fit runs the package's own Nelder-Mead, not a shortcut around it.
+        import blobvid.fitting as fitting
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return nelder_mead(*args, **kwargs)
+
+        nelder_mead = fitting._nelder_mead
+        monkeypatch.setattr(fitting, "_nelder_mead", counted)
+        mask = rasterize(BlobParams(16, 16, 8, 5, 0.3), FrameGeometry(32, 32), 32, 32)
+        code, _, err = run_cli(capsys, ["fit", str(write_mask_pgm(tmp_path, 0, 0, mask))])
+        assert code == 0, err
+        assert calls
+
+    def test_miou_still_loads_the_optimizer(self, tmp_path, capsys, monkeypatch):
+        # metrics miou's default match runs the package's own optimal assignment.
+        import blobvid.metrics as metrics
+        calls = []
+
+        def counted(cost):
+            calls.append(1)
+            return assignment(cost)
+
+        assignment = metrics._min_cost_assignment
+        monkeypatch.setattr(metrics, "_min_cost_assignment", counted)
+        (tmp_path / "dets.json").write_text(json.dumps(_DETS))
+        (tmp_path / "gt.json").write_text(json.dumps(_GT))
+        code, _, err = run_cli(capsys, ["metrics", "miou",
+                                        "--detections", str(tmp_path / "dets.json"),
+                                        "--ground-truth", str(tmp_path / "gt.json")])
+        assert code == 0, err
+        assert calls
+
     def test_package_imports_nothing_third_party_but_numpy(self):
         # Every import statement, function-local ones included, of every module.
         package = Path(blobvid.__file__).resolve().parent
