@@ -9,10 +9,11 @@ Two forward ops in float64:
 * masked_3d_self_attention: all T*h*w locations attend to each other, a pair
   allowed iff the two label sets share a label.
 
-Blocked logits are set to NEG_INF (the most negative finite float64), which
-keeps softmax shifting finite and underflows blocked weights to exactly zero.
-Backward passes are hand-derived and checked against central finite
-differences in the gradcheck module.
+Both run one row-block kernel, _attend, and its backward, _attend_backward,
+which holds the one softmax VJP; the cross-attention is a single block over
+all tokens. Blocked logits are set to NEG_INF (the most negative finite
+float64), so blocked weights underflow to exactly zero. Backward passes are
+checked against central finite differences in the gradcheck module.
 
 The 3D self-attention never builds its n x n logits (n = T*h*w). Positions
 with the same label set attend to the same keys, so they are grouped into
@@ -191,25 +192,24 @@ def _stack_cross(g, blobs: Sequence[BlobEmbedding], masks: Sequence[BinaryMask],
         K = np.zeros((0, d_g))
         V = np.zeros((0, d_g))
         allow = np.zeros((hw, 0), dtype=bool)
-    return g, K, V, allow
+    scale = 1.0 / math.sqrt(d_g)
+    return g, (g @ wts.wq) * scale, K, V, allow, scale
 
 
 def masked_cross_attention(g, blobs: Sequence[BlobEmbedding], masks: Sequence[BinaryMask],
-                           wts: CrossAttnWeights, return_probs: bool = False):
+                           wts: CrossAttnWeights, return_row_sums: bool = False):
     """Blob-masked cross-attention over stacked caption tokens.
 
     Location j scores every token of every blob, tokens of blob n are allowed
     only where mask n covers j, and the softmax runs over all allowed tokens
-    jointly. Returns (hw, d_g); rows covered by no blob are zero.
+    jointly: one _attend block over all keys. Returns (hw, d_g); rows covered
+    by no blob are zero. With return_row_sums, also returns each row's total
+    softmax weight: 1 up to rounding, 0 for a location covered by no blob.
     """
-    g, K, V, allow = _stack_cross(g, blobs, masks, wts)
-    q = g @ wts.wq
-    scale = 1.0 / math.sqrt(g.shape[1])
-    logits = (q @ K.T) * scale
-    probs = masked_softmax(logits, allow)
-    out = probs @ V
-    if return_probs:
-        return out, probs
+    _, q, K, V, allow, _ = _stack_cross(g, blobs, masks, wts)
+    out, sums = _attend(q, K, V, slice(None), allow)
+    if return_row_sums:
+        return out, sums
     return out
 
 
@@ -261,6 +261,29 @@ def _block_probs(q_rows: np.ndarray, k_keys: np.ndarray, allow) -> np.ndarray:
     return logits
 
 
+def _attend(q, k, v, keys, allow):
+    """One block of masked attention for the scaled query rows q over the keys
+    k[keys]: returns (p @ v[keys], the row sums of p), p the block's weights."""
+    p = _block_probs(q, k[keys], allow)
+    return p @ v[keys], p.sum(axis=1)
+
+
+def _attend_backward(q, k, v, keys, allow, up, dk, dv):
+    """Backward of one _attend block for the upstream rows up: recomputes the
+    weights, adds into dk[keys] and dv[keys], and returns the gradient of q."""
+    k_keys = k[keys]
+    p = _block_probs(q, k_keys, allow)
+    del allow  # free the mask: the block's peak is below, with p and dlogits alive
+    dv[keys] += p.T @ up
+    # Softmax VJP in place: dlogits = p * (dp - rowsum(dp * p)). Rows with
+    # nothing allowed have all-zero p, so their gradient is zero.
+    dlogits = up @ v[keys].T
+    dlogits -= np.einsum("ij,ij->i", dlogits, p)[:, None]
+    dlogits *= p
+    dk[keys] += dlogits.T @ q
+    return dlogits @ k_keys
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -305,10 +328,8 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights,
         def part(blocks):
             # Blocks own disjoint rows, so the parts never write the same entry.
             for rows, keys, masked in blocks:
-                p = _block_probs(q[rows], k[keys], _block_allow(mask.field, rows, masked))
-                out[rows] = p @ v[keys]
-                sums[rows] = p.sum(axis=1)
-                del p  # free this block's weights before the next block's logits
+                out[rows], sums[rows] = _attend(q[rows], k, v, keys,
+                                                _block_allow(mask.field, rows, masked))
 
         _run_parts(part, _label_blocks(mask.field), pinned)
     if return_row_sums:
@@ -329,12 +350,6 @@ def gated_fuse(x, attn_out, gamma: float) -> np.ndarray:
 # Backward passes: gradients of <upstream, forward(...)>
 
 
-def _softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    # Rows that were fully blocked have all-zero probs, so their grad is zero.
-    inner = (dprobs * probs).sum(axis=1, keepdims=True)
-    return probs * (dprobs - inner)
-
-
 @dataclass(frozen=True)
 class CrossAttnGrads:
     g: np.ndarray
@@ -348,21 +363,13 @@ def masked_cross_attention_backward(g, blobs: Sequence[BlobEmbedding],
                                     masks: Sequence[BinaryMask],
                                     wts: CrossAttnWeights,
                                     upstream: np.ndarray) -> CrossAttnGrads:
-    g, K, V, allow = _stack_cross(g, blobs, masks, wts)
+    g, q, K, V, allow, scale = _stack_cross(g, blobs, masks, wts)
     upstream = np.asarray(upstream, dtype=np.float64)
-    d_g = g.shape[1]
-    scale = 1.0 / math.sqrt(d_g)
-    q = g @ wts.wq
-    logits = (q @ K.T) * scale
-    probs = masked_softmax(logits, allow)
-    if upstream.shape != (g.shape[0], d_g):
-        raise ShapeError(f"upstream must have shape {(g.shape[0], d_g)}, got {upstream.shape}")
-
-    dV = probs.T @ upstream
-    dprobs = upstream @ V.T
-    dlogits = _softmax_vjp(probs, dprobs)
-    dq = (dlogits @ K) * scale
-    dK = (dlogits.T @ q) * scale
+    if upstream.shape != g.shape:
+        raise ShapeError(f"upstream must have shape {g.shape}, got {upstream.shape}")
+    dK = np.zeros_like(K)
+    dV = np.zeros_like(V)
+    dq = _attend_backward(q, K, V, slice(None), allow, upstream, dK, dV) * scale
     dg = dq @ wts.wq.T
     dwq = g.T @ dq
 
@@ -401,17 +408,9 @@ def masked_3d_self_attention_backward(g, mask: AttnMask3D, wts: SelfAttnWeights,
             dk = np.zeros_like(g)
             dv = np.zeros_like(g)
             for rows, keys, masked in blocks:
-                k_keys = k[keys]
-                p = _block_probs(q[rows], k_keys, _block_allow(mask.field, rows, masked))
-                up = upstream[rows]
-                dv[keys] += p.T @ up
-                # Softmax VJP in place: dlogits = p * (dp - rowsum(dp * p)).
-                dlogits = up @ v[keys].T
-                dlogits -= np.einsum("ij,ij->i", dlogits, p)[:, None]
-                dlogits *= p
-                dq[rows] = dlogits @ k_keys
-                dk[keys] += dlogits.T @ q[rows]
-                del p, dlogits  # free this block's arrays before the next block's logits
+                dq[rows] = _attend_backward(q[rows], k, v, keys,
+                                            _block_allow(mask.field, rows, masked),
+                                            upstream[rows], dk, dv)
             return dk, dv
 
         (dk, dv), *rest = _run_parts(part, _label_blocks(mask.field), pinned)

@@ -53,15 +53,12 @@ class SchemaError(BlobvidError, ValueError):
 class ParseError(BlobvidError, ValueError):
     """Input text is not valid JSON. Carries the byte offset of the failure."""
 
-    def __init__(self, message: str, byte_offset: int | None = None,
-                 line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, byte_offset: int | None = None):
         detail = message
         if byte_offset is not None:
             detail = f"{message} (byte offset {byte_offset})"
         super().__init__(detail)
         self.byte_offset = byte_offset
-        self.line = line
-        self.column = column
 
 
 def parse_json(text: str, source: str | None = None):
@@ -72,7 +69,7 @@ def parse_json(text: str, source: str | None = None):
     except json.JSONDecodeError as e:
         offset = len(text[:e.pos].encode("utf-8"))
         message = f"{source}: not valid JSON: {e.msg}" if source else e.msg
-        raise ParseError(message, byte_offset=offset, line=e.lineno, column=e.colno) from None
+        raise ParseError(message, byte_offset=offset) from None
 
 
 def read_text(path) -> str:

@@ -133,7 +133,7 @@ class AttnMask3D:
         n = self.size
         if not (0 <= i < n and 0 <= j < n):
             raise RangeError(f"pair ({i}, {j}) outside [0, {n})^2")
-        return bool(np.any(self.field.bits[i] & self.field.bits[j]))
+        return bool(shares_label(self.field.bits[i:i + 1], self.field.bits[j:j + 1])[0, 0])
 
     def query(self, i: int, j: int) -> float:
         return 0.0 if self.allowed(i, j) else NEG_INF

@@ -315,6 +315,8 @@ def _frame_items(path, items_key: str) -> dict[int, list[dict]]:
         # JSON numbers load as int or float; type() also keeps true/false out.
         if not (isinstance(fr, dict) and type(fr.get("frame")) is int):
             raise SchemaError(f"{path}: every frame entry needs an integer \"frame\"")
+        if fr["frame"] in out:
+            raise SchemaError(f"{path}: frame {fr['frame']} is listed twice")
         items = fr.get(items_key, [])
         if not (isinstance(items, list) and all(isinstance(d, dict) for d in items)):
             raise SchemaError(f"{path} frame {fr['frame']}: {items_key} must be a list of objects")

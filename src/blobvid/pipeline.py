@@ -111,8 +111,8 @@ def run_attend_block(v: BlobVideo, cfg: Config, dim: int = 16, n_tokens: int = 4
         ]
         masks, _ = per_frame_masks(v, t, h, w, cfg.rescale)
         g_t = g[t * hw : (t + 1) * hw]
-        ca_out, probs = masked_cross_attention(g_t, blobs, masks, ca_w, return_probs=True)
-        return gated_fuse(g_t, ca_out, ca_w.gate), probs.sum(axis=1)
+        ca_out, sums = masked_cross_attention(g_t, blobs, masks, ca_w, return_row_sums=True)
+        return gated_fuse(g_t, ca_out, ca_w.gate), sums
 
     per_frame = parallel_map(frame_cross, range(v.num_frames), threads)
     x = np.vstack([fused for fused, _ in per_frame])

@@ -182,11 +182,19 @@ def _expect(cond: bool, message: str):
         raise SchemaError(message)
 
 
-def _frame_key(k: str, where: str) -> int:
-    try:
-        return int(k)
-    except ValueError:
-        raise SchemaError(f"{where}: frame key {k!r} is not an integer") from None
+def _frame_keyed(raw: dict, where: str) -> dict:
+    """raw with its frame keys as integers; a key that is not an integer, or
+    two keys that name the same frame ("1" and "01"), raise SchemaError."""
+    out, keys = {}, {}
+    for k, val in raw.items():
+        try:
+            t = int(k)
+        except ValueError:
+            raise SchemaError(f"{where}: frame key {k!r} is not an integer") from None
+        if t in keys:
+            raise SchemaError(f"{where}: frame keys {keys[t]!r} and {k!r} both name frame {t}")
+        out[t], keys[t] = val, k
+    return out
 
 
 def video_from_json(text: str, source: str = "video document") -> BlobVideo:
@@ -208,17 +216,16 @@ def video_from_json(text: str, source: str = "video document") -> BlobVideo:
         _expect(type(entry.get("id")) is int, "track id must be an integer")
         raw_params = entry.get("params", {})
         _expect(isinstance(raw_params, dict), f"track {entry['id']}: params must be an object")
-        params = {}
-        for k, vals in raw_params.items():
+        params = _frame_keyed(raw_params, f"track {entry['id']} params")
+        for t, vals in params.items():
             _expect(isinstance(vals, list) and len(vals) == 5
                     and all(type(x) in (int, float) for x in vals),
-                    f"track {entry['id']} frame {k}: blob must have 5 numbers")
-            params[_frame_key(k, f"track {entry['id']}")] = BlobParams(*vals)
+                    f"track {entry['id']} frame {t}: blob must have 5 numbers")
+            params[t] = BlobParams(*vals)
         raw_caps = entry.get("captions", {})
         _expect(isinstance(raw_caps, dict), f"track {entry['id']}: captions must be an object")
-        captions = {}
-        for k, c in raw_caps.items():
-            _expect(isinstance(c, str), f"track {entry['id']} frame {k}: caption must be a string")
-            captions[_frame_key(k, f"track {entry['id']}")] = c
+        captions = _frame_keyed(raw_caps, f"track {entry['id']} captions")
+        for t, c in captions.items():
+            _expect(isinstance(c, str), f"track {entry['id']} frame {t}: caption must be a string")
         tracks.append(BlobTrack(entry["id"], params, captions))
     return BlobVideo(doc["num_frames"], geom, doc["anchor_interval"], tuple(tracks))

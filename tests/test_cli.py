@@ -319,8 +319,13 @@ class TestMalformedInput:
         ("dets", ("frames", 0, "detections", 0, "bbox"), [1, 0, 11]),
         ("dets", ("frames", 0, "detections", 0, "confidence"), "high"),
         ("dets", ("frames", 0, "frame"), _DELETE),
+        ("gt", ("frames",), [{"frame": 0, "objects": [{"id": 0, "bbox": [1, 0, 11, 10]}]},
+                             _GT["frames"][0]]),
+        ("video", ("tracks", 0, "params", "04"), [30, 24, 8, 5, 0.2]),
+        ("video", ("tracks", 0, "captions", "+0"), "a red ball"),
     ], ids=["frame-key-x", "num-frames-str", "anchor-interval-str", "blob-str", "blob-bool",
-            "bbox-3-numbers", "confidence-str", "frame-missing"])
+            "bbox-3-numbers", "confidence-str", "frame-missing", "gt-frame-twice",
+            "params-key-twice", "caption-key-twice"])
     def test_one_error_line_and_exit_1(self, tmp_path, video_file, capsys, target, path, value):
         docs = {"video": json.loads(video_file.read_text()),
                 "dets": json.loads(json.dumps(_DETS)), "gt": json.loads(json.dumps(_GT))}

@@ -12,6 +12,7 @@ from blobvid.embedding import write_embedding
 from blobvid.errors import (
     DegenerateVector,
     RangeError,
+    SchemaError,
     ShapeError,
     UndefinedMetric,
 )
@@ -341,6 +342,17 @@ class TestLoaders:
         assert evals[0].detections[0].confidence == 0.7
         assert evals[1].ground_truth[0][0] == 3
         assert evals[2].detections == () and evals[2].ground_truth == ()
+
+    @pytest.mark.parametrize("which", ["dets", "gt"])
+    def test_frame_listed_twice_is_rejected(self, tmp_path, which):
+        docs = {"dets": {"frames": [{"frame": 0, "detections": []}]},
+                "gt": {"frames": [{"frame": 0, "objects": []}]}}
+        docs[which]["frames"].append(dict(docs[which]["frames"][0]))
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as exc:
+            load_frame_evals(tmp_path / "dets.json", tmp_path / "gt.json")
+        assert str(exc.value) == f"{tmp_path / (which + '.json')}: frame 0 is listed twice"
 
     def test_region_embeddings(self, tmp_path):
         write_embedding(tmp_path / "v.bin", np.array([[1.0, 0.0]]))

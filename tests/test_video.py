@@ -208,6 +208,20 @@ class TestJsonRoundtrip:
         with pytest.raises(SchemaError):
             video_from_json('{"version": 1, "width": 4, "height": 4, "num_frames": 1, "anchor_interval": 8}')
 
+    @pytest.mark.parametrize("kind, first, second", [
+        ("params", "1", "01"), ("captions", "0", "+0"),
+    ], ids=["params", "captions"])
+    def test_rejects_two_keys_naming_one_frame(self, kind, first, second):
+        track = BlobTrack(7, {0: BlobParams(1, 1, 2, 1, 0), 1: BlobParams(2, 2, 2, 1, 0)},
+                          {0: "thing"})
+        doc = json.loads(video_to_json(BlobVideo(2, GEOM, 8, (track,))))
+        entries = doc["tracks"][0][kind]
+        entries[second] = entries[first]
+        with pytest.raises(SchemaError) as exc:
+            video_from_json(json.dumps(doc))
+        assert str(exc.value) == (f"track 7 {kind}: frame keys {first!r} and {second!r} "
+                                  f"both name frame {int(first)}")
+
     def test_caption_unicode_preserved(self):
         track = BlobTrack(0, {0: BlobParams(1, 1, 2, 1, 0)}, {0: "zürich — tram"})
         v = BlobVideo(1, GEOM, 8, (track,))
