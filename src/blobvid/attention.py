@@ -20,8 +20,14 @@ with the same label set attend to the same keys, so they are grouped into
 classes and evaluated in row blocks (the row-tiled softmax of "Self-attention
 Does Not Need O(n^2) Memory" and FlashAttention): a large class runs a plain
 softmax over its gathered keys, and small classes share blocks over all keys
-under a boolean mask. The backward pass recomputes each block's softmax in
-the same fixed order. Memory is O(_BLOCK x n) per thread.
+under a boolean mask. Memory is O(_BLOCK x n) per thread.
+
+The backward pass recomputes each block's weights in the same fixed order,
+as FlashAttention-2's backward does: it keeps them unnormalized and divides
+the thin upstream rows by the row sums instead, and it forms the logit
+gradients in the weights' own buffer, so it holds one _BLOCK x n array per
+thread. Consecutive blocks of one class in a part (below) gather the class's
+keys once and scatter their key and value gradients once.
 
 The blocks are dealt into _PARTS fixed parts (block i goes to part i %
 _PARTS), the split FlashAttention-2 uses across workers: each part writes its
@@ -37,6 +43,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +77,8 @@ _PARTS = 2
 # Label classes with fewer positions than this share packed, masked blocks,
 # so thousands of tiny classes do not become thousands of tiny GEMMs.
 _SMALL_CLASS = 8
+# Columns of a backward block whose logit gradients are formed at a time.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -140,27 +149,40 @@ class SelfAttnWeights:
         )
 
 
+def _exp_weights(logits: np.ndarray, allow):
+    """Unnormalized softmax weights, in logits' own buffer: returns (e, l) with
+    e = exp(logits - rowmax) and l its (m, 1) row sums, so e / l is the
+    softmax. With a boolean mask allow, blocked entries become NEG_INF before
+    the shift and end up with exactly zero weight, and rows with nothing
+    allowed get l = 1."""
+    if allow is not None:
+        np.putmask(logits, ~allow, NEG_INF)
+    if logits.shape[1]:
+        logits -= logits.max(axis=1, keepdims=True)
+    if allow is not None:
+        # exp is several times slower on the huge negative blocked entries,
+        # so send them to exp(0) = 1 and zero them after the exp.
+        logits *= allow
+        np.exp(logits, out=logits)
+        logits *= allow
+    else:
+        np.exp(logits, out=logits)
+    l = logits.sum(axis=1, keepdims=True)
+    l[l == 0.0] = 1.0
+    return logits, l
+
+
 def masked_softmax(logits: np.ndarray, allow: np.ndarray) -> np.ndarray:
     """Row softmax under a boolean mask.
 
-    Blocked entries become NEG_INF before the shift and end up with exactly
-    zero weight; rows with nothing allowed come back as all-zero rows. Works
-    in one buffer the size of logits.
+    Blocked entries get exactly zero weight; rows with nothing allowed come
+    back as all-zero rows. Works in one buffer the size of logits.
     """
     if logits.shape != allow.shape:
         raise ShapeError(f"logits {logits.shape} vs mask {allow.shape}")
-    z = np.where(allow, logits, NEG_INF)
-    if z.shape[1]:
-        z -= z.max(axis=1, keepdims=True)
-    # exp is several times slower on the huge negative blocked entries, so
-    # send them to exp(0) = 1 and zero them after the exp.
-    z *= allow
-    np.exp(z, out=z)
-    z *= allow
-    s = z.sum(axis=1, keepdims=True)
-    s[s == 0.0] = 1.0
-    z /= s
-    return z
+    e, l = _exp_weights(np.array(logits, dtype=np.float64), allow)
+    e /= l
+    return e
 
 
 def _stack_cross(g, blobs: Sequence[BlobEmbedding], masks: Sequence[BinaryMask],
@@ -255,10 +277,9 @@ def _block_probs(q_rows: np.ndarray, k_keys: np.ndarray, allow) -> np.ndarray:
     logits = q_rows @ k_keys.T
     if allow is not None:
         return masked_softmax(logits, allow)
-    logits -= logits.max(axis=1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    return logits
+    e, l = _exp_weights(logits, None)
+    e /= l
+    return e
 
 
 def _attend(q, k, v, keys, allow):
@@ -268,20 +289,30 @@ def _attend(q, k, v, keys, allow):
     return p @ v[keys], p.sum(axis=1)
 
 
-def _attend_backward(q, k, v, keys, allow, up, dk, dv):
-    """Backward of one _attend block for the upstream rows up: recomputes the
-    weights, adds into dk[keys] and dv[keys], and returns the gradient of q."""
-    k_keys = k[keys]
-    p = _block_probs(q, k_keys, allow)
-    del allow  # free the mask: the block's peak is below, with p and dlogits alive
-    dv[keys] += p.T @ up
-    # Softmax VJP in place: dlogits = p * (dp - rowsum(dp * p)). Rows with
-    # nothing allowed have all-zero p, so their gradient is zero.
-    dlogits = up @ v[keys].T
-    dlogits -= np.einsum("ij,ij->i", dlogits, p)[:, None]
-    dlogits *= p
-    dk[keys] += dlogits.T @ q
-    return dlogits @ k_keys
+def _attend_backward(q, k_keys, v_keys, allow, up, dk_keys, dv_keys):
+    """Backward of one _attend block over the gathered keys k_keys, v_keys for
+    the upstream rows up: adds into the key-space gradients dk_keys and
+    dv_keys and returns the gradient of q.
+
+    Works on the unnormalized weights e, p = e / l, and moves the division
+    onto the thin side, up' = up / l, as FlashAttention-2's backward does:
+    dv += e.T @ up', and dlogits = p * (dp - rowsum(dp * p)) with dp = up @
+    v.T becomes e * (up' @ v.T - c), c = rowsum(up' * (e @ v)) / l. dlogits
+    is formed in e's own buffer, _CHUNK columns at a time, so the block holds
+    one array of its size. Rows with nothing allowed have e = 0, so their
+    gradient is zero."""
+    e, l = _exp_weights(q @ k_keys.T, allow)
+    del allow  # free the mask: the block's peak is below, with e alive
+    up = up / l
+    dv_keys += e.T @ up
+    c = np.einsum("ij,ij->i", up, e @ v_keys)[:, None] / l
+    for j in range(0, e.shape[1], _CHUNK):
+        cols = slice(j, j + _CHUNK)
+        dp = up @ v_keys[cols].T
+        dp -= c
+        e[:, cols] *= dp
+    dk_keys += e.T @ q
+    return e @ k_keys
 
 
 def _usable_cpus() -> int:
@@ -369,7 +400,7 @@ def masked_cross_attention_backward(g, blobs: Sequence[BlobEmbedding],
         raise ShapeError(f"upstream must have shape {g.shape}, got {upstream.shape}")
     dK = np.zeros_like(K)
     dV = np.zeros_like(V)
-    dq = _attend_backward(q, K, V, slice(None), allow, upstream, dK, dV) * scale
+    dq = _attend_backward(q, K, V, allow, upstream, dK, dV) * scale
     dg = dq @ wts.wq.T
     dwq = g.T @ dq
 
@@ -407,10 +438,24 @@ def masked_3d_self_attention_backward(g, mask: AttnMask3D, wts: SelfAttnWeights,
             # dq rows are disjoint across blocks; each part keeps its own dk, dv.
             dk = np.zeros_like(g)
             dv = np.zeros_like(g)
-            for rows, keys, masked in blocks:
-                dq[rows] = _attend_backward(q[rows], k, v, keys,
-                                            _block_allow(mask.field, rows, masked),
-                                            upstream[rows], dk, dv)
+            # Consecutive blocks of one class share its keys array: gather
+            # and scatter the keys once per run. Packed blocks read all keys
+            # and add straight into dk, dv.
+            for _, run in groupby(blocks, key=lambda block: id(block[1])):
+                run = list(run)
+                keys = run[0][1]
+                if isinstance(keys, slice):
+                    k_keys, v_keys, dk_keys, dv_keys = k, v, dk, dv
+                else:
+                    k_keys, v_keys = k[keys], v[keys]
+                    dk_keys, dv_keys = np.zeros_like(k_keys), np.zeros_like(v_keys)
+                for rows, _, masked in run:
+                    dq[rows] = _attend_backward(q[rows], k_keys, v_keys,
+                                                _block_allow(mask.field, rows, masked),
+                                                upstream[rows], dk_keys, dv_keys)
+                if dk_keys is not dk:
+                    dk[keys] += dk_keys
+                    dv[keys] += dv_keys
             return dk, dv
 
         (dk, dv), *rest = _run_parts(part, _label_blocks(mask.field), pinned)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 
@@ -62,10 +63,20 @@ class ParseError(BlobvidError, ValueError):
 
 
 def parse_json(text: str, source: str | None = None):
-    """json.loads; text that is not JSON raises ParseError with the byte offset,
-    naming source when given."""
+    """json.loads, naming source in its errors when given. Text that is not
+    JSON raises ParseError with the byte offset; an object that repeats a key
+    raises SchemaError naming the key, rather than keeping its last value."""
+    prefix = f"{source}: " if source else ""
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise SchemaError(f"{prefix}key {key!r} repeated in one object")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         offset = len(text[:e.pos].encode("utf-8"))
         message = f"{source}: not valid JSON: {e.msg}" if source else e.msg

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from collections import Counter
 
@@ -271,10 +272,29 @@ class TestStreamedSelfAttention:
         assert np.all(sums[empty] == 0.0)
         assert np.all(grads.g[empty] == 0.0)
 
-    def test_no_dense_mask_and_block_sized_memory(self, rng, monkeypatch):
-        # At n = 4096 the dense logits alone take 128 MiB; the streamed op
-        # holds a few _BLOCK x n arrays (8 MiB each) and never asks for the
-        # dense mask.
+    def test_class_runs_over_chunked_keys_and_packed_blocks(self, rng):
+        # Two large classes with overlapping key sets, {0} and {0, 1}, over
+        # five blocks each, so each part holds consecutive blocks of both;
+        # the keys of {0} are wider than one column chunk of the backward;
+        # and 60 small classes fill two packed blocks.
+        big = attention._CHUNK // 2 + 1
+        sets = shuffled(rng, [{0}] * big + [{0, 1}] * big
+                        + [{2 + i % 60, i % 2} for i in range(150)])
+        field = LabelField.from_label_sets(1, 1, len(sets), 62, sets)
+        blocks = attention._label_blocks(field)
+        own = [keys for _, keys, masked in blocks if not masked]
+        assert len(own) >= 6 and len({id(keys) for keys in own}) == 2
+        assert max(keys.size for keys in own) > attention._CHUNK
+        assert [masked for *_, masked in blocks].count(True) == 2
+        for part in (blocks[0::2], blocks[1::2]):
+            assert len({id(a[1]) for a, b in zip(part, part[1:]) if a[1] is b[1]}) == 2
+        assert_matches_dense_references(rng, sets, 62)
+
+    @staticmethod
+    def forward_and_backward_peaks(rng, monkeypatch):
+        """tracemalloc peaks of the forward and of the backward at n = 4096:
+        one class over all keys and 200 tiny classes in packed blocks. Fails
+        if the dense mask is asked for."""
         n = 4096
         sets = [{0}] * (n - 512) + [{0, 1 + i % 200} for i in range(512)]
         field = LabelField.from_label_sets(1, 64, 64, 201, shuffled(rng, sets))
@@ -294,8 +314,23 @@ class TestStreamedSelfAttention:
             _, bwd_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return n, fwd_peak, bwd_peak
+
+    def test_no_dense_mask_and_block_sized_memory(self, rng, monkeypatch):
+        # At n = 4096 the dense logits alone take 128 MiB; the streamed op
+        # holds a few _BLOCK x n arrays (4 MiB each) and never asks for the
+        # dense mask.
+        n, fwd_peak, bwd_peak = self.forward_and_backward_peaks(rng, monkeypatch)
         dense_logits = n * n * 8
         assert fwd_peak < dense_logits // 4 and bwd_peak < dense_logits // 4
+
+    def test_backward_peak_at_most_the_forwards(self, rng, monkeypatch):
+        # On one thread the forward holds a block's logits and its weights;
+        # the backward forms the logit gradients in the weights' own buffer,
+        # so it holds one _BLOCK x n array per block.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _, fwd_peak, bwd_peak = self.forward_and_backward_peaks(rng, monkeypatch)
+        assert bwd_peak <= fwd_peak
 
     def test_reruns_are_bitwise_identical(self, rng):
         sets = shuffled(rng, [{0}] * 40 + [{0, 1}] * 5 + [{1}, {2}, {1, 2}] * 3)

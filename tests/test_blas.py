@@ -131,19 +131,26 @@ class TestOneThreadPin:
 
     def test_count_restored_after_ops_errors_and_concurrent_calls(self, rng, monkeypatch):
         mask, g, upstream, wts = instance(rng)
+        n_blocks = len(attention._label_blocks(mask.field))
         get, put = blas._lookup()
         seen = []
-        real_probs = attention._block_probs
+        real_exp = attention._exp_weights
 
-        def probs(*args):
+        def exp_weights(*args):
+            # Every block of the forward and of the backward computes its
+            # weights here, once.
             seen.append(get())
-            return real_probs(*args)
+            return real_exp(*args)
 
-        monkeypatch.setattr(attention, "_block_probs", probs)
+        monkeypatch.setattr(attention, "_exp_weights", exp_weights)
         caller = get()
         put(2)
         try:
-            serial = run(mask, g, upstream, wts)
+            out, sums = masked_3d_self_attention(g, mask, wts, return_row_sums=True)
+            assert len(seen) == n_blocks
+            grads = masked_3d_self_attention_backward(g, mask, wts, upstream)
+            assert len(seen) == 2 * n_blocks
+            serial = (out, sums, grads.g, grads.wq, grads.wk, grads.wv)
             assert get() == 2
             with pytest.raises(ShapeError):
                 masked_3d_self_attention_backward(g, mask, wts, upstream[:-1])
@@ -153,7 +160,7 @@ class TestOneThreadPin:
             assert get() == 2
         finally:
             put(caller)
-        assert seen and set(seen) == {1}
+        assert set(seen) == {1}
         for got in both:
             for a, b in zip(serial, got):
                 assert np.array_equal(a, b)

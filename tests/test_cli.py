@@ -349,6 +349,18 @@ class TestMalformedInput:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_repeated_json_key_is_one_error_line(self, tmp_path, video_file, capsys):
+        # json.dumps cannot repeat a key, so the text is edited: the first
+        # track's params name frame 0 twice.
+        text = video_file.read_text()
+        bad = text.replace('"params": {', '"params": {"0": [30, 30, 8, 5, 0.2], ', 1)
+        assert bad != text
+        path = tmp_path / "repeated.json"
+        path.write_text(bad)
+        code, out, err = run_cli(capsys, ["validate", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: key '0' repeated in one object\n"
+
     def test_negative_frame_key_is_a_violation(self, tmp_path, video_file, capsys):
         doc = json.loads(video_file.read_text())
         doc["tracks"][0]["params"]["-1"] = doc["tracks"][0]["params"]["0"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blobvid.blobs import FrameGeometry
-from blobvid.errors import EmptyPrompt, ParseError, RangeError, SchemaError
+from blobvid.errors import EmptyPrompt, ParseError, RangeError, SchemaError, parse_json
 from blobvid.exemplars import (
     EXEMPLAR_1_LAYOUT,
     EXEMPLAR_1_PROMPT,
@@ -60,6 +60,13 @@ class TestParseLayout:
         with pytest.raises(ParseError) as exc:
             parse_layout(text)
         assert exc.value.byte_offset == len(text[: text.index("}")].encode("utf-8"))
+
+    def test_parse_json_rejects_a_repeated_key(self):
+        # Nested objects are checked too, and unique keys still parse.
+        assert parse_json('{"a": {"0": 1, "1": 2}, "b": 3}') == {"a": {"0": 1, "1": 2}, "b": 3}
+        with pytest.raises(SchemaError) as exc:
+            parse_json('{"a": {"1": 1, "0": 2, "1": 3}}', "doc.json")
+        assert str(exc.value) == "doc.json: key '1' repeated in one object"
 
     def test_rejects_non_object_top(self):
         with pytest.raises(SchemaError):
