@@ -15,6 +15,13 @@ all tokens. Blocked logits are set to NEG_INF (the most negative finite
 float64), so blocked weights underflow to exactly zero. Backward passes are
 checked against central finite differences in the gradcheck module.
 
+Both kernels keep a block's weights unnormalized, e = exp(s - rowmax) with
+row sums l, formed in the logits' own buffer (_exp_weights), and move the
+division by l onto the thin side, as FlashAttention-2 does. They take the
+values as v1 = [v | 1], a column of ones appended: the forward divides e @
+v1 by l, whose last column gives the row sums the weights were applied
+with, and the backward folds its softmax shift into the same product.
+
 The 3D self-attention never builds its n x n logits (n = T*h*w). Positions
 with the same label set attend to the same keys, so they are grouped into
 classes and evaluated in row blocks (the row-tiled softmax of "Self-attention
@@ -23,11 +30,11 @@ softmax over its gathered keys, and small classes share blocks over all keys
 under a boolean mask. Memory is O(_BLOCK x n) per thread.
 
 The backward pass recomputes each block's weights in the same fixed order,
-as FlashAttention-2's backward does: it keeps them unnormalized and divides
-the thin upstream rows by the row sums instead, and it forms the logit
-gradients in the weights' own buffer, so it holds one _BLOCK x n array per
-thread. Consecutive blocks of one class in a part (below) gather the class's
-keys once and scatter their key and value gradients once.
+as FlashAttention-2's backward does, and forms the logit gradients in the
+weights' own buffer, so each pass holds one _BLOCK x n array per thread.
+Both passes walk the blocks of a part (below) in class runs: consecutive
+blocks of one class gather the class's keys and v1 rows once, and in the
+backward scatter their key and value gradients once.
 
 The blocks are dealt into _PARTS fixed parts (block i goes to part i %
 _PARTS), the split FlashAttention-2 uses across workers: each part writes its
@@ -176,7 +183,8 @@ def masked_softmax(logits: np.ndarray, allow: np.ndarray) -> np.ndarray:
     """Row softmax under a boolean mask.
 
     Blocked entries get exactly zero weight; rows with nothing allowed come
-    back as all-zero rows. Works in one buffer the size of logits.
+    back as all-zero rows. Works in one buffer the size of logits, a copy;
+    the ops themselves work in the logits' own buffer (_exp_weights).
     """
     if logits.shape != allow.shape:
         raise ShapeError(f"logits {logits.shape} vs mask {allow.shape}")
@@ -229,7 +237,7 @@ def masked_cross_attention(g, blobs: Sequence[BlobEmbedding], masks: Sequence[Bi
     softmax weight: 1 up to rounding, 0 for a location covered by no blob.
     """
     _, q, K, V, allow, _ = _stack_cross(g, blobs, masks, wts)
-    out, sums = _attend(q, K, V, slice(None), allow)
+    out, sums = _attend(q, K, _with_ones(V), allow)
     if return_row_sums:
         return out, sums
     return out
@@ -271,46 +279,58 @@ def _block_allow(field: LabelField, rows: np.ndarray, masked: bool):
     return shares_label(field.bits[rows], field.bits) if masked else None
 
 
-def _block_probs(q_rows: np.ndarray, k_keys: np.ndarray, allow) -> np.ndarray:
-    """Softmax weights of one row block (queries already scaled by 1/sqrt(d));
-    a plain row softmax when allow is None."""
-    logits = q_rows @ k_keys.T
-    if allow is not None:
-        return masked_softmax(logits, allow)
-    e, l = _exp_weights(logits, None)
-    e /= l
-    return e
+def _with_ones(v: np.ndarray) -> np.ndarray:
+    """[v | 1]: the values with a column of ones, so that one GEMM with the
+    weights gives both the weighted values and the weights' row sums."""
+    return np.hstack([v, np.ones((v.shape[0], 1))])
 
 
-def _attend(q, k, v, keys, allow):
-    """One block of masked attention for the scaled query rows q over the keys
-    k[keys]: returns (p @ v[keys], the row sums of p), p the block's weights."""
-    p = _block_probs(q, k[keys], allow)
-    return p @ v[keys], p.sum(axis=1)
+def _class_runs(blocks: list, k: np.ndarray, v1: np.ndarray):
+    """Runs of consecutive blocks that share one keys array, as (keys,
+    k[keys], v1[keys], blocks of the run): the keys of a run are gathered
+    once. Packed blocks read all keys, as views of k and v1."""
+    for _, run in groupby(blocks, key=lambda block: id(block[1])):
+        run = list(run)
+        keys = run[0][1]
+        yield keys, k[keys], v1[keys], run
 
 
-def _attend_backward(q, k_keys, v_keys, allow, up, dk_keys, dv_keys):
-    """Backward of one _attend block over the gathered keys k_keys, v_keys for
-    the upstream rows up: adds into the key-space gradients dk_keys and
-    dv_keys and returns the gradient of q.
+def _attend(q, k_keys, v1, allow):
+    """One block of masked attention for the scaled query rows q over the
+    gathered keys k_keys and values-with-ones v1 = [v_keys | 1]: returns
+    (p @ v_keys, the row sums of p), p the block's softmax weights.
+
+    Keeps the weights unnormalized, e = p * l, and divides the thin GEMM
+    output e @ v1 by l instead, as FlashAttention-2 does; its last column is
+    the sum of the weights as the GEMM applied them, so the row sums check
+    that product. Rows with nothing allowed get zero output and sum."""
+    e, l = _exp_weights(q @ k_keys.T, allow)
+    ev = e @ v1
+    ev /= l
+    return ev[:, :-1], ev[:, -1]
+
+
+def _attend_backward(q, k_keys, v1, allow, up, dk_keys, dv_keys):
+    """Backward of one _attend block over the gathered keys k_keys and
+    values-with-ones v1 for the upstream rows up: adds into the key-space
+    gradients dk_keys and dv_keys and returns the gradient of q.
 
     Works on the unnormalized weights e, p = e / l, and moves the division
     onto the thin side, up' = up / l, as FlashAttention-2's backward does:
     dv += e.T @ up', and dlogits = p * (dp - rowsum(dp * p)) with dp = up @
-    v.T becomes e * (up' @ v.T - c), c = rowsum(up' * (e @ v)) / l. dlogits
-    is formed in e's own buffer, _CHUNK columns at a time, so the block holds
-    one array of its size. Rows with nothing allowed have e = 0, so their
-    gradient is zero."""
+    v.T becomes e * ([up', -c] @ v1.T), c = rowsum(up' * (e @ v)) / l, the
+    ones column of v1 taking the shift. dlogits is formed in e's own buffer,
+    _CHUNK columns at a time, so the block holds one array of its size. Rows
+    with nothing allowed have e = 0, so their gradient is zero."""
     e, l = _exp_weights(q @ k_keys.T, allow)
     del allow  # free the mask: the block's peak is below, with e alive
     up = up / l
     dv_keys += e.T @ up
-    c = np.einsum("ij,ij->i", up, e @ v_keys)[:, None] / l
+    c = np.einsum("ij,ij->i", up, e @ v1[:, :-1])[:, None] / l
+    up_c = np.hstack([up, -c])
     for j in range(0, e.shape[1], _CHUNK):
         cols = slice(j, j + _CHUNK)
-        dp = up @ v_keys[cols].T
-        dp -= c
-        e[:, cols] *= dp
+        e[:, cols] *= up_c @ v1[cols].T
     dk_keys += e.T @ q
     return e @ k_keys
 
@@ -353,14 +373,16 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights,
     """
     with blas.one_thread() as pinned:
         g, q, k, v, _ = _self_projections(g, mask, wts)
+        v1 = _with_ones(v)
         out = np.zeros_like(g)
         sums = np.zeros(g.shape[0])
 
         def part(blocks):
             # Blocks own disjoint rows, so the parts never write the same entry.
-            for rows, keys, masked in blocks:
-                out[rows], sums[rows] = _attend(q[rows], k, v, keys,
-                                                _block_allow(mask.field, rows, masked))
+            for _, k_keys, v1_keys, run in _class_runs(blocks, k, v1):
+                for rows, _, masked in run:
+                    out[rows], sums[rows] = _attend(q[rows], k_keys, v1_keys,
+                                                    _block_allow(mask.field, rows, masked))
 
         _run_parts(part, _label_blocks(mask.field), pinned)
     if return_row_sums:
@@ -400,7 +422,7 @@ def masked_cross_attention_backward(g, blobs: Sequence[BlobEmbedding],
         raise ShapeError(f"upstream must have shape {g.shape}, got {upstream.shape}")
     dK = np.zeros_like(K)
     dV = np.zeros_like(V)
-    dq = _attend_backward(q, K, V, allow, upstream, dK, dV) * scale
+    dq = _attend_backward(q, K, _with_ones(V), allow, upstream, dK, dV) * scale
     dg = dq @ wts.wq.T
     dwq = g.T @ dq
 
@@ -432,25 +454,22 @@ def masked_3d_self_attention_backward(g, mask: AttnMask3D, wts: SelfAttnWeights,
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != g.shape:
             raise ShapeError(f"upstream must have shape {g.shape}, got {upstream.shape}")
+        v1 = _with_ones(v)
         dq = np.zeros_like(g)
 
         def part(blocks):
             # dq rows are disjoint across blocks; each part keeps its own dk, dv.
             dk = np.zeros_like(g)
             dv = np.zeros_like(g)
-            # Consecutive blocks of one class share its keys array: gather
-            # and scatter the keys once per run. Packed blocks read all keys
-            # and add straight into dk, dv.
-            for _, run in groupby(blocks, key=lambda block: id(block[1])):
-                run = list(run)
-                keys = run[0][1]
+            # A class run scatters its keys' gradients once; packed blocks
+            # read all keys and add straight into dk, dv.
+            for keys, k_keys, v1_keys, run in _class_runs(blocks, k, v1):
                 if isinstance(keys, slice):
-                    k_keys, v_keys, dk_keys, dv_keys = k, v, dk, dv
+                    dk_keys, dv_keys = dk, dv
                 else:
-                    k_keys, v_keys = k[keys], v[keys]
-                    dk_keys, dv_keys = np.zeros_like(k_keys), np.zeros_like(v_keys)
+                    dk_keys, dv_keys = np.zeros_like(k_keys), np.zeros_like(k_keys)
                 for rows, _, masked in run:
-                    dq[rows] = _attend_backward(q[rows], k_keys, v_keys,
+                    dq[rows] = _attend_backward(q[rows], k_keys, v1_keys,
                                                 _block_allow(mask.field, rows, masked),
                                                 upstream[rows], dk_keys, dv_keys)
                 if dk_keys is not dk:

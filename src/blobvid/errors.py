@@ -32,7 +32,7 @@ class RangeError(BlobvidError, ValueError):
 
 
 class TooLarge(BlobvidError, ValueError):
-    """A requested dense materialization exceeds its size cap."""
+    """An input would need more memory than its size cap or byte budget allows."""
 
 
 class DegenerateVector(BlobvidError, ValueError):

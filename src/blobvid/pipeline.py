@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import attention
 from .attention import (
     CrossAttnWeights,
     SelfAttnWeights,
@@ -31,12 +32,15 @@ from .embedding import (
     interp_linear,
     interp_slerp,
 )
-from .errors import ShapeError
+from .errors import ShapeError, TooLarge
 from .labelfield import AttnMask3D, build_label_field, per_frame_masks
 from .parallel import parallel_map
 from .video import BlobVideo, densify, fill_frames
 
 __all__ = ["AttendStats", "context_embeddings", "run_attend_block"]
+
+# The most bytes run_attend_block may plan for (see _attend_bytes).
+_ATTEND_BUDGET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -80,16 +84,32 @@ def _row_stats(sums: np.ndarray):
     return int(zero.sum()), float(np.abs(sums[~zero] - 1.0).max())
 
 
+def _attend_bytes(num_frames: int, num_tracks: int, h: int, w: int, dim: int) -> int:
+    """The bytes run_attend_block plans for over n = num_frames*h*w
+    positions: the (n, dim) float64 features, the label field's bitsets and
+    the 3D op's _PARTS live _BLOCK x n block arrays."""
+    n = num_frames * h * w
+    label_bytes = n * ((num_tracks + 1 + 7) // 8)
+    return n * dim * 8 + label_bytes + attention._PARTS * attention._BLOCK * n * 8
+
+
 def run_attend_block(v: BlobVideo, cfg: Config, dim: int = 16, n_tokens: int = 4,
                      threads: int = 1):
     """Run cross-attention then 3D self-attention on seeded features.
 
-    Returns (output array of shape (T*h*w, dim), AttendStats).
+    Returns (output array of shape (T*h*w, dim), AttendStats). Raises
+    TooLarge, before allocating, when _attend_bytes exceeds
+    _ATTEND_BUDGET_BYTES.
     """
     if dim < 2 or dim % 2 != 0:
         raise ShapeError(f"feature width must be even and >= 2, got {dim}")
-    v = densify(v)
     h, w = cfg.feature_h, cfg.feature_w
+    need = _attend_bytes(v.num_frames, v.num_tracks, h, w, dim)
+    if need > _ATTEND_BUDGET_BYTES:
+        raise TooLarge(
+            f"attention over {v.num_frames} frames of {h}x{w} features at width {dim} "
+            f"needs {need} bytes, above the budget of {_ATTEND_BUDGET_BYTES}")
+    v = densify(v)
     hw = h * w
     rng = np.random.default_rng(cfg.seed)
     g = rng.standard_normal((v.num_frames * hw, dim))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 from .blobs import BlobParams, FrameGeometry
-from .errors import EmptyTrack, RangeError, SchemaError, parse_json
+from .errors import EmptyTrack, RangeError, SchemaError, TooLarge, parse_json
 from .fitting import interpolate_blob_params
 
 __all__ = ["BlobTrack", "BlobVideo", "Violation", "densify", "fill_frames", "validate",
@@ -24,6 +24,9 @@ V = TypeVar("V")
 _HALF_PI = math.pi / 2.0
 
 SCHEMA_VERSION = 1
+
+# The most (frame, track) entries densify fills: each is a Python object.
+_MAX_DENSE_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,13 @@ def densify(v: BlobVideo) -> BlobVideo:
 
     Annotated params are kept bit-for-bit. Interior gaps interpolate between
     the bracketing annotations; frames before the first or after the last
-    annotation copy the nearest one. Idempotent.
+    annotation copy the nearest one. Idempotent. Raises TooLarge when
+    num_frames x tracks exceeds _MAX_DENSE_ENTRIES.
     """
+    entries = v.num_frames * v.num_tracks
+    if entries > _MAX_DENSE_ENTRIES:
+        raise TooLarge(f"densifying {v.num_frames} frames x {v.num_tracks} tracks = {entries} "
+                       f"blob entries exceeds the cap of {_MAX_DENSE_ENTRIES}")
     new_tracks = []
     for track in v.tracks:
         p = track.params

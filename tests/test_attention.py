@@ -324,13 +324,39 @@ class TestStreamedSelfAttention:
         dense_logits = n * n * 8
         assert fwd_peak < dense_logits // 4 and bwd_peak < dense_logits // 4
 
-    def test_backward_peak_at_most_the_forwards(self, rng, monkeypatch):
-        # On one thread the forward holds a block's logits and its weights;
-        # the backward forms the logit gradients in the weights' own buffer,
-        # so it holds one _BLOCK x n array per block.
+    def test_one_block_array_per_pass(self, rng, monkeypatch):
+        # On one thread both passes form a block's weights in its logits'
+        # own buffer. The forward holds that one _BLOCK x n array, its mask
+        # and the op's (n, d) arrays: under two block arrays in all. The
+        # backward forms the logit gradients in the weights' buffer too: one
+        # block array, one _CHUNK column chunk of them and the block mask,
+        # besides its 13 (n, d) arrays (projections, [v | 1], dq, each part's
+        # dk and dv, a class run's gathers and their gradients; one more
+        # here for the smaller ones).
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        _, fwd_peak, bwd_peak = self.forward_and_backward_peaks(rng, monkeypatch)
-        assert bwd_peak <= fwd_peak
+        n, fwd_peak, bwd_peak = self.forward_and_backward_peaks(rng, monkeypatch)
+        block = attention._BLOCK * n * 8
+        assert fwd_peak < 2 * block
+        chunk = attention._BLOCK * attention._CHUNK * 8
+        n_by_d = n * 8 * 8
+        assert bwd_peak <= block + chunk + attention._BLOCK * n + 14 * n_by_d
+
+    def test_no_op_calls_masked_softmax(self, rng, monkeypatch):
+        # Every block, masked or not, forms its weights in its logits' own
+        # buffer; the public masked_softmax (a copy) is for callers only.
+        def refuse(*args, **kwargs):
+            raise AssertionError("masked_softmax called")
+
+        monkeypatch.setattr(attention, "masked_softmax", refuse)
+        sets = shuffled(rng, [{0}] * 20 + [{lab for lab in range(6) if rng.random() < 0.4}
+                                           for _ in range(40)])
+        field = LabelField.from_label_sets(1, 1, len(sets), 6, sets)
+        assert any(masked for *_, masked in attention._label_blocks(field))
+        assert_matches_dense_references(rng, sets, 6)
+        g, blobs, masks, wts = random_cross_instance(rng, n_blobs=3)
+        assert not all(m.bits.all() for m in masks)
+        masked_cross_attention(g, blobs, masks, wts)
+        attention.masked_cross_attention_backward(g, blobs, masks, wts, g)
 
     def test_reruns_are_bitwise_identical(self, rng):
         sets = shuffled(rng, [{0}] * 40 + [{0, 1}] * 5 + [{1}, {2}, {1, 2}] * 3)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import blobvid
+from blobvid import pipeline, video
 from blobvid.blobs import BlobParams, FrameGeometry, rasterize
 from blobvid.cli import _cfg_from_args, build_parser, main
 from blobvid.config import CHOICES, Config
@@ -149,6 +150,36 @@ class TestAttend:
     def test_odd_dim_rejected(self, video_file, capsys):
         code, _, err = run_cli(capsys, ["attend", str(video_file), "--dim", "7"])
         assert code == 1 and "error:" in err
+
+    def test_huge_feature_grid_is_one_error_line(self, video_file, capsys, monkeypatch):
+        # 9 frames of 100000 x 100000 features: refused by arithmetic alone,
+        # before the video is densified or any feature is drawn.
+        monkeypatch.setattr(pipeline, "densify", None)
+        code, out, err = run_cli(capsys, [
+            "attend", str(video_file), "--feature-h", "100000", "--feature-w", "100000",
+        ])
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: attention over 9 frames of 100000x100000 features")
+
+    @pytest.mark.parametrize("command", [
+        ["mask", "--out-dir", "m"], ["render", "--out-dir", "r"], ["attend"],
+    ], ids=["mask", "render", "attend"])
+    def test_huge_frame_count_is_one_error_line(self, tmp_path, capsys, monkeypatch, command):
+        # A schema-valid video of 10^8 frames: densify (or, on attend, the
+        # byte budget before it) refuses it before filling a single frame.
+        monkeypatch.setattr(video, "fill_frames", None)
+        path = tmp_path / "video.json"
+        path.write_text(json.dumps({
+            "version": 1, "width": 64, "height": 64, "num_frames": 100000000,
+            "anchor_interval": 8,
+            "tracks": [{"id": 0, "params": {"0": [20, 20, 8, 5, 0.2]}}],
+        }))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, [command[0], str(path), *command[1:]])
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "100000000" in err
 
 
 class TestValidate:

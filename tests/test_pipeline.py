@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from blobvid import attention, pipeline
 from blobvid.blobs import BlobParams, FrameGeometry
 from blobvid.config import Config
 from blobvid.embedding import DeterministicStub, interp_linear, interp_slerp
-from blobvid.errors import ShapeError
+from blobvid.errors import ShapeError, TooLarge
 from blobvid.pipeline import AttendStats, context_embeddings, run_attend_block
 from blobvid.video import BlobTrack, BlobVideo
 
@@ -125,6 +126,24 @@ class TestRunAttendBlock:
         v = make_video([track_with_captions({0: "a"})])
         with pytest.raises(ShapeError):
             run_attend_block(v, self.CFG, dim=dim)
+
+    def test_budget_counts_features_label_bytes_and_block_arrays(self):
+        # 9 frames of 6x6 features at width 8, 8 tracks plus the background:
+        # 2-byte bitsets.
+        n = 9 * 36
+        want = n * 8 * 8 + n * 2 + attention._PARTS * attention._BLOCK * n * 8
+        assert pipeline._attend_bytes(9, 8, 6, 6, 8) == want
+        assert pipeline._attend_bytes(9, 7, 6, 6, 8) == want - n
+
+    def test_refuses_above_the_budget_before_densifying(self, monkeypatch):
+        v = make_video([track_with_captions({0: "a"})])
+        need = pipeline._attend_bytes(9, 1, 6, 6, 8)
+        monkeypatch.setattr(pipeline, "_ATTEND_BUDGET_BYTES", need)
+        run_attend_block(v, self.CFG, dim=8)
+        monkeypatch.setattr(pipeline, "_ATTEND_BUDGET_BYTES", need - 1)
+        monkeypatch.setattr(pipeline, "densify", None)
+        with pytest.raises(TooLarge, match=f"needs {need} bytes"):
+            run_attend_block(v, self.CFG, dim=8)
 
     def test_stats_to_dict_keys(self):
         s = AttendStats(rows=3, zero_rows=0, row_sum_max_err=0.0, max_abs_output=1.5)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blobvid.blobs import BlobParams, FrameGeometry
-from blobvid.errors import EmptyTrack, RangeError, SchemaError
+from blobvid import video
+from blobvid.errors import EmptyTrack, RangeError, SchemaError, TooLarge
 from blobvid.video import (
     BlobTrack,
     BlobVideo,
@@ -75,6 +76,18 @@ class TestDensify:
     def test_out_of_range_annotation_rejected(self):
         v = BlobVideo(4, GEOM, 8, (BlobTrack(0, {9: BlobParams(1, 1, 2, 1, 0)}, {}),))
         with pytest.raises(RangeError):
+            densify(v)
+
+    def test_refuses_more_entries_than_its_cap(self, monkeypatch):
+        # Three tracks over five frames fill 15 entries: at the cap they run,
+        # one above it they are refused before any frame is filled.
+        tracks = tuple(BlobTrack(i, {0: BlobParams(5, 5, 3, 2, 0.1)}, {}) for i in range(3))
+        v = BlobVideo(5, GEOM, 8, tracks)
+        monkeypatch.setattr(video, "_MAX_DENSE_ENTRIES", 15)
+        assert densify(v).is_dense()
+        monkeypatch.setattr(video, "_MAX_DENSE_ENTRIES", 14)
+        monkeypatch.setattr(video, "fill_frames", None)
+        with pytest.raises(TooLarge, match="5 frames x 3 tracks = 15 blob entries"):
             densify(v)
 
     def test_ragged_final_interval(self):
