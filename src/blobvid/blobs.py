@@ -52,6 +52,11 @@ class FrameGeometry:
             raise ShapeError(f"frame geometry must be at least 1x1, got {self.width}x{self.height}")
 
 
+def _require_finite(vals: tuple[float, ...]) -> None:
+    if not all(math.isfinite(v) for v in vals):
+        raise InvalidBlob(f"blob parameters must be finite, got {vals}")
+
+
 @dataclass(frozen=True)
 class BlobParams:
     """One tilted ellipse.
@@ -71,8 +76,7 @@ class BlobParams:
 
     def __post_init__(self):
         vals = tuple(float(v) for v in (self.cx, self.cy, self.a, self.b, self.theta))
-        if not all(math.isfinite(v) for v in vals):
-            raise InvalidBlob(f"blob parameters must be finite, got {vals}")
+        _require_finite(vals)
         for name, value in zip(("cx", "cy", "a", "b", "theta"), vals):
             object.__setattr__(self, name, value)
         if self.a <= 0.0 or self.b <= 0.0:
@@ -109,6 +113,15 @@ class BinaryMask:
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> "BinaryMask":
+        # Wrap a fresh C-ordered 2-d bool array that nothing else references,
+        # without the copy __post_init__ makes.
+        arr.setflags(write=False)
+        mask = object.__new__(cls)
+        object.__setattr__(mask, "bits", arr)
+        return mask
+
     @property
     def h(self) -> int:
         return self.bits.shape[0]
@@ -139,26 +152,66 @@ def canonicalize(p: BlobParams) -> BlobParams:
     return BlobParams(p.cx, p.cy, a, b, theta)
 
 
+def _span(center: float, half: float, cell: float, n: int) -> tuple[int, int]:
+    # Indices [i0, i1) of the cells, of side `cell`, whose centers
+    # (i + 0.5) * cell may lie within `half` of `center`. The pad of one cell
+    # plus 2**-30 of the magnitudes covers the rounding of these bounds and of
+    # the cell-in-ellipse test. Bounds are clamped in float before int(), so
+    # centers near +-1e308 and infinite half-sides cannot overflow.
+    pad = cell + (abs(center) + half) * 2.0 ** -30
+    lo = (center - half - pad) / cell - 0.5
+    hi = (center + half + pad) / cell + 0.5
+    return int(min(max(lo, 0.0), n)), int(min(max(hi, 0.0), n))
+
+
+def _cell_centers(geom: FrameGeometry, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    # Source coordinates of an h x w grid's cell centers: x per column, y per row.
+    xs = (np.arange(w, dtype=np.float64) + 0.5) * (geom.width / w)
+    ys = (np.arange(h, dtype=np.float64) + 0.5) * (geom.height / h)
+    return xs, ys
+
+
+def _ellipse_window(cx: float, cy: float, a: float, b: float, theta: float,
+                    geom: FrameGeometry, xs: np.ndarray, ys: np.ndarray,
+                    rho: float) -> tuple[int, int, np.ndarray]:
+    """Cell-in-ellipse test on the blob's window of the grid with cell centers
+    xs, ys (from _cell_centers).
+
+    The window is the bounding square of half-side rho * max(a, b) around the
+    center, padded by at least one cell and clipped to the grid. Every cell
+    outside it fails the test, so only the window's cells are evaluated.
+    Returns the window's offset (r0, c0) and its boolean block.
+    """
+    half = rho * max(a, b)
+    c0, c1 = _span(cx, half, geom.width / xs.size, xs.size)
+    r0, r1 = _span(cy, half, geom.height / ys.size, ys.size)
+    dx = xs[c0:c1] - cx
+    dy = ys[r0:r1, None] - cy
+    ct = math.cos(theta)
+    st = math.sin(theta)
+    u = (dx * ct + dy * st) / (rho * a)
+    v = (-dx * st + dy * ct) / (rho * b)
+    return r0, c0, u * u + v * v <= 1.0
+
+
 def rasterize(p: BlobParams, geom: FrameGeometry, h: int, w: int, rho: float = 1.0) -> BinaryMask:
     """Rasterize a blob onto an h x w grid of cells covering the source frame.
 
     Cell (r, c) is set iff its center, mapped to source coordinates as
     x = (c + 0.5) * W / w and y = (r + 0.5) * H / h, lies inside the ellipse
-    with both semi-axes rescaled by rho.
+    with both semi-axes rescaled by rho. The test runs only on the blob's
+    window, its bounding square of half-side rho * max(a, b) padded by at
+    least one cell; cells outside the window are never set.
     """
     if h < 1 or w < 1:
         raise ShapeError(f"grid must be at least 1x1, got {h}x{w}")
     if not (rho > 0.0 and math.isfinite(rho)):
         raise RangeError(f"rescale factor must be positive and finite, got {rho}")
-    xs = (np.arange(w, dtype=np.float64) + 0.5) * (geom.width / w)
-    ys = (np.arange(h, dtype=np.float64) + 0.5) * (geom.height / h)
-    dx = xs[None, :] - p.cx
-    dy = ys[:, None] - p.cy
-    ct = math.cos(p.theta)
-    st = math.sin(p.theta)
-    u = (dx * ct + dy * st) / (rho * p.a)
-    v = (-dx * st + dy * ct) / (rho * p.b)
-    return BinaryMask(u * u + v * v <= 1.0)
+    xs, ys = _cell_centers(geom, h, w)
+    r0, c0, block = _ellipse_window(p.cx, p.cy, p.a, p.b, p.theta, geom, xs, ys, rho)
+    bits = np.zeros((h, w), dtype=np.bool_)
+    bits[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
+    return BinaryMask._own(bits)
 
 
 def mask_iou(m1: BinaryMask, m2: BinaryMask) -> float:
@@ -166,7 +219,7 @@ def mask_iou(m1: BinaryMask, m2: BinaryMask) -> float:
     if m1.bits.shape != m2.bits.shape:
         raise ShapeError(f"mask shapes differ: {m1.bits.shape} vs {m2.bits.shape}")
     inter = int(np.count_nonzero(m1.bits & m2.bits))
-    union = int(np.count_nonzero(m1.bits | m2.bits))
+    union = int(np.count_nonzero(m1.bits)) + int(np.count_nonzero(m2.bits)) - inter
     if union == 0:
         return 1.0
     return inter / union

@@ -3,6 +3,11 @@
 fit_ellipse maximizes the IOU between a rasterized ellipse and a target mask
 with derivative-free Nelder-Mead, started from image moments. The objective is
 piecewise constant in the parameters, so the simplex steps are sized in cells.
+Each vertex is scored on the candidate's own window, the bounding square of
+half-side max(a, b) padded by at least one cell, with the cell-in-ellipse test
+that rasterize uses: cells outside the window are never set, so the window's
+intersection with the target, its count and the target's count give the same
+IOU as a full-grid rasterization.
 
 _nelder_mead follows scipy's non-adaptive Nelder-Mead
 (scipy.optimize.minimize(method="Nelder-Mead") with an initial simplex and
@@ -21,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blobs import BinaryMask, BlobParams, FrameGeometry, canonicalize, mask_iou, rasterize
+from .blobs import (BinaryMask, BlobParams, FrameGeometry, _cell_centers, _ellipse_window,
+                    _require_finite, canonicalize, mask_iou, rasterize)
 from .errors import EmptyMask, InvalidBlob, RangeError
 
 __all__ = ["FitResult", "moments_init", "fit_ellipse", "interpolate_blob_params"]
@@ -136,14 +142,27 @@ def fit_ellipse(mask: BinaryMask, geom: FrameGeometry,
     iterations is that run's count, scipy's nit: 1 plus the simplex steps taken.
     The result never scores below the moment init.
     """
+    if max_iter < 1:
+        raise RangeError(f"max_iter must be at least 1, got {max_iter}")
     init = moments_init(mask, geom)
     cell_w = geom.width / mask.w
     cell_h = geom.height / mask.h
     floor = 0.5 * max(cell_w, cell_h)
+    xs, ys = _cell_centers(geom, mask.h, mask.w)
+    target = mask.bits
+    target_count = int(np.count_nonzero(target))
 
     def objective(vec: np.ndarray) -> float:
-        cand = _clamped(vec, floor)
-        return -mask_iou(rasterize(cand, geom, mask.h, mask.w, 1.0), mask)
+        # -mask_iou(rasterize(_clamped(vec, floor), ...), mask), scored on the
+        # candidate's window.
+        cx, cy, a, b, theta = vec.tolist()
+        a = max(a, floor)
+        b = max(b, floor)
+        _require_finite((cx, cy, a, b, theta))
+        r0, c0, win = _ellipse_window(cx, cy, a, b, theta, geom, xs, ys, 1.0)
+        rows, cols = win.shape
+        inter = int(np.count_nonzero(win & target[r0:r0 + rows, c0:c0 + cols]))
+        return -(inter / (int(np.count_nonzero(win)) + target_count - inter))
 
     x0 = init.as_array()
     steps = np.array(

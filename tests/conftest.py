@@ -63,6 +63,23 @@ def rasterize_reference(p: BlobParams, geom: FrameGeometry, h: int, w: int,
     return out
 
 
+def rasterize_full_grid(p: BlobParams, geom: FrameGeometry, h: int, w: int,
+                        rho: float = 1.0) -> np.ndarray:
+    """The cell-in-ellipse test evaluated on every cell of the grid: the same
+    float64 operations rasterize applies on the blob's window, so the two
+    must agree bit for bit."""
+    xs = (np.arange(w, dtype=np.float64) + 0.5) * (geom.width / w)
+    ys = (np.arange(h, dtype=np.float64) + 0.5) * (geom.height / h)
+    dx = xs[None, :] - p.cx
+    dy = ys[:, None] - p.cy
+    ct = math.cos(p.theta)
+    st = math.sin(p.theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (dx * ct + dy * st) / (rho * p.a)
+        v = (-dx * st + dy * ct) / (rho * p.b)
+        return u * u + v * v <= 1.0
+
+
 def iou_reference(m1: np.ndarray, m2: np.ndarray) -> float:
     inter = 0
     union = 0

@@ -59,6 +59,17 @@ class TestFit:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("max_iter", ["0", "-5"])
+    def test_max_iter_below_one_is_one_error_line(self, tmp_path, capsys, max_iter):
+        # A fit that may take no step must not report one.
+        mask = rasterize(BlobParams(32, 30, 12, 7, 0.4), FrameGeometry(64, 64), 64, 64)
+        path = write_mask_pgm(tmp_path, 0, 0, mask)
+        code, out, err = run_cli(capsys, ["fit", str(path), "--max-iter", max_iter])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: ") and "max_iter must be at least 1" in err
+
 
 class TestInterp:
     def test_midpoint(self, capsys):

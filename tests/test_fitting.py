@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -90,6 +91,96 @@ class TestFitEllipse:
     def test_empty_mask_rejected(self):
         with pytest.raises(EmptyMask):
             fit_ellipse(BinaryMask(np.zeros((8, 8), dtype=bool)), FrameGeometry(8, 8))
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        mask = rasterize(BlobParams(8, 8, 5, 3, 0.3), FrameGeometry(16, 16), 16, 16)
+        with pytest.raises(RangeError, match="max_iter must be at least 1"):
+            fit_ellipse(mask, FrameGeometry(16, 16), max_iter=max_iter)
+
+
+class TestWindowedObjective:
+    """The objective scores each vertex on the candidate's window; every value
+    must be the full-grid -mask_iou(rasterize(...)) of the clamped vertex."""
+
+    @staticmethod
+    def check_every_vertex(monkeypatch, mask, geom):
+        seen = []
+        port = fitting._nelder_mead
+
+        def spy(func, simplex, *args, **kw):
+            def recorded(vec):
+                value = func(vec)
+                seen.append((np.array(vec, dtype=np.float64), value))
+                return value
+            return port(recorded, simplex, *args, **kw)
+
+        monkeypatch.setattr(fitting, "_nelder_mead", spy)
+        fit_ellipse(mask, geom)
+        monkeypatch.undo()
+        floor = 0.5 * max(geom.width / mask.w, geom.height / mask.h)
+        assert len(seen) > 6
+        for vec, value in seen:
+            cand = fitting._clamped(vec, floor)
+            assert value == -mask_iou(rasterize(cand, geom, mask.h, mask.w), mask), vec
+
+    def test_seeded_masks(self, monkeypatch, rng):
+        geom = FrameGeometry(64, 64)
+        for _ in range(8):
+            p = random_canonical_blob(rng, geom, min_axis=2.0)
+            self.check_every_vertex(monkeypatch, rasterize(p, geom, 64, 64), geom)
+
+    def test_single_cell_mask(self, monkeypatch):
+        bits = np.zeros((64, 64), dtype=bool)
+        bits[40, 17] = True
+        self.check_every_vertex(monkeypatch, BinaryMask(bits), FrameGeometry(64, 64))
+
+    def test_full_mask(self, monkeypatch):
+        self.check_every_vertex(monkeypatch, BinaryMask(np.ones((64, 64), dtype=bool)),
+                                FrameGeometry(64, 64))
+
+    @pytest.mark.parametrize("blob", [
+        BlobParams(2, 30, 14, 6, 0.3), BlobParams(62, 61, 20, 9, -1.1),
+        BlobParams(30, -4, 25, 12, 1.5), BlobParams(-6, 70, 18, 15, 0.0),
+    ], ids=["left", "corner", "top", "off-corner"])
+    def test_masks_clipped_by_the_border(self, monkeypatch, blob):
+        geom = FrameGeometry(64, 64)
+        self.check_every_vertex(monkeypatch, rasterize(blob, geom, 64, 64), geom)
+
+    def test_unequal_cells(self, monkeypatch):
+        geom = FrameGeometry(96, 40)
+        self.check_every_vertex(monkeypatch, rasterize(BlobParams(50, 18, 20, 7, 0.6), geom, 20, 32),
+                                geom)
+
+    def test_fits_pinned(self):
+        # sha256 over params bytes, IOU and iteration count of 32 seeded fits,
+        # recorded with the full-grid objective this one replaced.
+        rng = np.random.default_rng(2026)
+        geom = FrameGeometry(64, 64)
+        digest = hashlib.sha256()
+        for _ in range(32):
+            p = random_canonical_blob(rng, geom, min_axis=2.0, margin=0.0)
+            res = fit_ellipse(rasterize(p, geom, 64, 64), geom)
+            digest.update(res.params.as_array().tobytes())
+            digest.update(np.float64(res.iou).tobytes())
+            digest.update(np.int64(res.iterations).tobytes())
+        assert digest.hexdigest() == (
+            "33ea727be30a303cc402bbd8570e1070b3feb6a4fe6ee0a1b0f3dc4b77a6f323")
+
+    def test_nonfinite_vertex_is_invalid_blob(self, monkeypatch):
+        # The objective keeps BlobParams' rule: a non-finite value raises, after
+        # the radius floor has replaced a -inf axis.
+        funcs = []
+        monkeypatch.setattr(fitting, "_nelder_mead",
+                            lambda func, simplex, *a, **k: funcs.append(func) or (simplex[0], 1))
+        geom = FrameGeometry(16, 16)
+        fit_ellipse(rasterize(BlobParams(8, 8, 5, 3, 0.3), geom, 16, 16), geom)
+        [func] = funcs
+        assert func(np.array([8.0, 8.0, -np.inf, 3.0, 0.3])) == func(np.array([8.0, 8.0, 0.5, 3.0, 0.3]))
+        for bad in ([np.nan, 8, 5, 3, 0.3], [8, np.inf, 5, 3, 0.3], [8, 8, np.inf, 3, 0.3],
+                    [8, 8, 5, 3, -np.inf]):
+            with pytest.raises(InvalidBlob, match="must be finite"):
+                func(np.array(bad, dtype=np.float64))
 
 
 def scipy_nelder_mead(func, simplex, max_iter, xatol, fatol):

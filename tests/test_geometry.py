@@ -15,7 +15,7 @@ from blobvid.blobs import (
 )
 from blobvid.errors import InvalidBlob, RangeError, ShapeError
 
-from conftest import iou_reference, random_canonical_blob, rasterize_reference
+from conftest import iou_reference, random_canonical_blob, rasterize_full_grid, rasterize_reference
 
 finite_theta = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 axis = st.floats(min_value=0.25, max_value=40.0, allow_nan=False)
@@ -145,6 +145,83 @@ class TestRasterize:
     def test_rejects_bad_grid(self):
         with pytest.raises(ShapeError):
             rasterize(BlobParams(1, 1, 1, 1, 0), FrameGeometry(4, 4), 0, 4)
+
+
+def assert_window_matches_full_grid(p, geom, h, w, rho=1.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = rasterize(p, geom, h, w, rho)
+    want = rasterize_full_grid(p, geom, h, w, rho)
+    assert got.bits.shape == want.shape
+    assert got.bits.tobytes() == want.tobytes(), (p, geom, h, w, rho)
+    assert not got.bits.flags.writeable
+
+
+class TestRasterizeWindow:
+    """rasterize evaluates the cell-in-ellipse test on the blob's window only;
+    every cell outside it must be one that the full-grid test leaves unset."""
+
+    @pytest.mark.parametrize("cx, cy", [
+        (-30.0, 20.0), (90.0, 20.0), (20.0, -25.0), (20.0, 70.0), (-3.0, -3.0),
+        (1e300, 20.0), (-1e300, 20.0), (20.0, 1e300), (-1e300, -1e300), (1e300, 1e300),
+        (1.7e308, -1.7e308),
+    ])
+    def test_centers_off_the_grid(self, cx, cy):
+        geom = FrameGeometry(64, 48)
+        for a, b in ((6.0, 3.0), (40.0, 40.0), (1e6, 2.0), (1e300, 1e300), (1.7e308, 1.7e308)):
+            for theta in (0.0, 0.7, -math.pi / 2, math.pi / 2):
+                assert_window_matches_full_grid(BlobParams(cx, cy, a, b, theta), geom, 16, 24)
+
+    def test_axes_from_a_thousandth_to_a_million_cells(self, rng):
+        geom = FrameGeometry(40, 30)
+        for _ in range(300):
+            a, b = 10.0 ** rng.uniform(-3, 6, size=2)
+            p = BlobParams(rng.uniform(-10, 50), rng.uniform(-10, 40), a, b,
+                           rng.uniform(-4, 4))
+            assert_window_matches_full_grid(p, geom, 30, 40)
+
+    def test_rescaled_axes_and_unequal_cells(self, rng):
+        # W/w != H/h: the window's rows and columns have different cell sizes.
+        for _ in range(300):
+            geom = FrameGeometry(int(rng.integers(1, 150)), int(rng.integers(1, 150)))
+            h, w = (int(n) for n in rng.integers(1, 40, size=2))
+            p = BlobParams(rng.uniform(-0.3, 1.3) * geom.width, rng.uniform(-0.3, 1.3) * geom.height,
+                           *rng.uniform(0.2, 0.6, size=2) * max(geom.width, geom.height),
+                           rng.uniform(-2, 2))
+            rho = float(rng.choice([0.5, 1.37, 3.0]))
+            assert_window_matches_full_grid(p, geom, h, w, rho)
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 9), (9, 1), (1, 64)])
+    def test_one_cell_and_one_row_grids(self, rng, h, w):
+        geom = FrameGeometry(32, 20)
+        for _ in range(100):
+            p = BlobParams(rng.uniform(-8, 40), rng.uniform(-8, 28),
+                           *(10.0 ** rng.uniform(-2, 2, size=2)), rng.uniform(-2, 2))
+            assert_window_matches_full_grid(p, geom, h, w, float(rng.choice([1.0, 1.37])))
+
+    @pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2, math.nextafter(math.pi / 2, 0)])
+    def test_theta_at_half_pi(self, rng, theta):
+        geom = FrameGeometry(64, 64)
+        for _ in range(50):
+            p = BlobParams(rng.uniform(0, 64), rng.uniform(0, 64),
+                           rng.uniform(0.3, 30), rng.uniform(0.3, 30), theta)
+            assert_window_matches_full_grid(p, geom, 64, 64)
+
+    def test_huge_disc_whose_edge_crosses_the_grid(self, rng):
+        # The center lies R + k away for R up to 1e20 cells, so the edge of
+        # the disc passes through the grid and rounding decides the cells
+        # next to it.
+        geom = FrameGeometry(32, 24)
+        crossed = 0
+        for _ in range(400):
+            r = 10.0 ** rng.uniform(0, 20)
+            k = rng.uniform(-1.5, 2.5) * 32
+            cx = k + r if rng.random() < 0.5 else k - r
+            p = BlobParams(cx, rng.uniform(0, 24), r, r * rng.uniform(0.5, 1.0),
+                           float(rng.choice([0.0, math.pi / 2, rng.uniform(-2, 2)])))
+            assert_window_matches_full_grid(p, geom, 24, 32)
+            bits = rasterize_full_grid(p, geom, 24, 32)
+            crossed += bits.any() and not bits.all()
+        assert crossed >= 20
 
 
 class TestMaskIou:
