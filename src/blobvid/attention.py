@@ -23,11 +23,11 @@ v1 by l, whose last column gives the row sums the weights were applied
 with, and the backward folds its softmax shift into the same product.
 
 The 3D self-attention never builds its n x n logits (n = T*h*w). Positions
-with the same label set attend to the same keys, so they are grouped into
-classes and evaluated in row blocks (the row-tiled softmax of "Self-attention
-Does Not Need O(n^2) Memory" and FlashAttention): a large class runs a plain
-softmax over its gathered keys, and small classes share blocks over all keys
-under a boolean mask. Memory is O(_BLOCK x n) per thread.
+of one label class (LabelField.classes) attend to the same keys, so the op
+runs in row blocks by class (the row-tiled softmax of "Self-attention Does
+Not Need O(n^2) Memory" and FlashAttention): a large class over its gathered
+keys, small classes packed over all keys under a boolean mask built from
+their class rows. Memory is O(_BLOCK x n) per thread.
 
 The backward pass recomputes each block's weights in the same fixed order,
 as FlashAttention-2's backward does, and forms the logit gradients in the
@@ -252,13 +252,12 @@ def _label_blocks(field: LabelField) -> list:
     to every one. Positions with equal label sets form a class and attend to
     the same keys. A class of at least _SMALL_CLASS positions gets blocks of
     its own over its gathered keys; the smaller classes are packed together,
-    in class order, into masked blocks over all keys. Positions with an empty
-    label set attend to nothing and are in no block. The order depends on the
-    field alone, so results are the same on every run.
+    in class order, into masked blocks over all keys, whose masks come from
+    their classes' rows. Positions with an empty label set attend to nothing
+    and are in no block. The classes are the field's (LabelField.classes), so
+    the order depends on the field alone: the same on every run.
     """
-    bits = field.bits
-    codes, inverse, counts = np.unique(bits, axis=0, return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(-1)
+    codes, inverse, counts = field.classes
     order = np.argsort(inverse, kind="stable")
     starts = np.cumsum(counts) - counts
     nonempty = codes.any(axis=1)
@@ -274,9 +273,10 @@ def _label_blocks(field: LabelField) -> list:
 
 
 def _block_allow(field: LabelField, rows: np.ndarray, masked: bool):
-    """The boolean (len(rows), n) mask of a masked block, else None. Built
-    only when its block runs, so at most one per thread is alive."""
-    return shares_label(field.bits[rows], field.bits) if masked else None
+    """The boolean (len(rows), n) mask of a masked block, from its rows'
+    classes, else None. Built only when its block runs, so one per thread."""
+    codes, inverse, _ = field.classes
+    return shares_label(codes[inverse[rows]], codes)[:, inverse] if masked else None
 
 
 def _with_ones(v: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ Every position of a T x h x w grid carries the set of object labels whose
 rasterized blob covers it; positions covered by no object carry the background
 label. Two positions may attend to each other iff their label sets intersect.
 The pairwise relation is implicit: storage stays at ceil((N+1)/8) bytes per
-position and queries AND two bitsets. The 3D self-attention reads the bits
-directly, grouping positions with equal bitsets and streaming row blocks (see
+position and queries AND two bitsets. Positions with equal bitsets form a
+class; LabelField.classes groups them once per field, and the 3D
+self-attention reads its row blocks and their masks from that grouping (see
 the attention module), so the full Thw x Thw relation is built only by
 allowed_rows(0, Thw) in test oracles.
 """
@@ -13,6 +14,7 @@ allowed_rows(0, Thw) in test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -50,12 +52,27 @@ class LabelField:
     bits: np.ndarray
 
     def __post_init__(self):
+        if self.n_labels < 1:
+            raise RangeError(f"a label field needs at least 1 label, got {self.n_labels}")
         arr = np.array(self.bits, dtype=np.uint8, order="C", copy=True)
         expected = (self.size, (self.n_labels + 7) // 8)
         if arr.shape != expected:
             raise ShapeError(f"label bits must have shape {expected}, got {arr.shape}")
+        if self.n_labels % 8 and (arr[:, -1] >> self.n_labels % 8).any():
+            raise RangeError(f"label bits set at or above label {self.n_labels}")
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
+
+    @cached_property
+    def classes(self):
+        """(codes, inverse, counts): the distinct bitsets in np.unique's order,
+        the class of every position and the positions per class. Computed
+        once per field and shared by every caller, so read-only."""
+        grouping = np.unique(self.bits, axis=0, return_inverse=True, return_counts=True)
+        for arr in grouping:
+            arr.setflags(write=False)
+        codes, inverse, counts = grouping
+        return codes, inverse.reshape(-1), counts
 
     @property
     def size(self) -> int:
@@ -95,21 +112,31 @@ class LabelField:
         return cls(T, h, w, n_labels, bits)
 
 
-def build_label_field(v: BlobVideo, h: int, w: int, rho: float = 1.0) -> LabelField:
+def build_label_field(v: BlobVideo, h: int, w: int, rho: float = 1.0, *,
+                      frames=None) -> LabelField:
     """Rasterize every track of a dense video onto a T x h x w grid of label sets.
 
     Label n is the index of the n-th track; background fills exactly the
-    positions no object covers.
+    positions no object covers. frames, when given, holds each frame's
+    (object masks, background mask) from per_frame_masks, which are packed
+    instead of rasterized again.
     """
     if not v.is_dense():
         raise ShapeError("label field needs a dense video; call densify first")
+    if h < 1 or w < 1:
+        raise ShapeError(f"grid must be at least 1x1, got {h}x{w}")
+    if frames is not None and len(frames) != v.num_frames:
+        raise ShapeError(f"expected masks for {v.num_frames} frames, got {len(frames)}")
     n_labels = v.num_tracks + 1
     nbytes = (n_labels + 7) // 8
     bits = np.zeros((v.num_frames, h * w, nbytes), dtype=np.uint8)
     for t in range(v.num_frames):
-        masks, background = per_frame_masks(v, t, h, w, rho)
+        masks, background = per_frame_masks(v, t, h, w, rho) if frames is None else frames[t]
         # The background mask comes last, so its label is n_labels - 1.
-        for n, m in enumerate(masks + [background]):
+        layers = [*masks, background]
+        if len(layers) != n_labels or any(m.bits.shape != (h, w) for m in layers):
+            raise ShapeError(f"frame {t} needs {n_labels} masks of {h}x{w}")
+        for n, m in enumerate(layers):
             bits[t, :, n >> 3] |= m.bits.ravel().astype(np.uint8) << np.uint8(n & 7)
     return LabelField(v.num_frames, h, w, n_labels, bits.reshape(-1, nbytes))
 

@@ -86,10 +86,11 @@ def _row_stats(sums: np.ndarray):
 
 def _attend_bytes(num_frames: int, num_tracks: int, h: int, w: int, dim: int) -> int:
     """The bytes run_attend_block plans for over n = num_frames*h*w
-    positions: the (n, dim) float64 features, the label field's bitsets and
+    positions: the (n, dim) float64 features, the per-frame masks kept until
+    the label field is packed, its bitsets, its class of every position and
     the 3D op's _PARTS live _BLOCK x n block arrays."""
     n = num_frames * h * w
-    label_bytes = n * ((num_tracks + 1 + 7) // 8)
+    label_bytes = n * (num_tracks + 1) + n * ((num_tracks + 1 + 7) // 8) + n * 8
     return n * dim * 8 + label_bytes + attention._PARTS * attention._BLOCK * n * 8
 
 
@@ -129,21 +130,22 @@ def run_attend_block(v: BlobVideo, cfg: Config, dim: int = 16, n_tokens: int = 4
             )
             for n, track in enumerate(v.tracks)
         ]
-        masks, _ = per_frame_masks(v, t, h, w, cfg.rescale)
+        masks, background = per_frame_masks(v, t, h, w, cfg.rescale)
         g_t = g[t * hw : (t + 1) * hw]
         ca_out, sums = masked_cross_attention(g_t, blobs, masks, ca_w, return_row_sums=True)
-        return gated_fuse(g_t, ca_out, ca_w.gate), sums
+        return gated_fuse(g_t, ca_out, ca_w.gate), sums, (masks, background)
 
     per_frame = parallel_map(frame_cross, range(v.num_frames), threads)
-    x = np.vstack([fused for fused, _ in per_frame])
+    x = np.vstack([fused for fused, _, _ in per_frame])
     ca_zero = 0
     ca_err = 0.0
-    for _, sums in per_frame:
+    for _, sums, _ in per_frame:
         z, e = _row_stats(sums)
         ca_zero += z
         ca_err = max(ca_err, e)
 
-    field = build_label_field(v, h, w, cfg.rescale)
+    field = build_label_field(v, h, w, frames=[frame for _, _, frame in per_frame])
+    del per_frame
     sa_out, sa_sums = masked_3d_self_attention(x, AttnMask3D(field), sa_w, return_row_sums=True)
     y = gated_fuse(x, sa_out, sa_w.gate)
     sa_zero, sa_err = _row_stats(sa_sums)

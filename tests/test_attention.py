@@ -21,7 +21,7 @@ from blobvid.blobs import BinaryMask
 from blobvid.embedding import BlobEmbedding
 from blobvid.errors import ShapeError
 from blobvid.gradcheck import central_difference_grads, relative_error
-from blobvid.labelfield import NEG_INF, AttnMask3D, LabelField
+from blobvid.labelfield import NEG_INF, AttnMask3D, LabelField, shares_label
 
 from conftest import (
     cross_attention_reference,
@@ -357,6 +357,43 @@ class TestStreamedSelfAttention:
         assert not all(m.bits.all() for m in masks)
         masked_cross_attention(g, blobs, masks, wts)
         attention.masked_cross_attention_backward(g, blobs, masks, wts, g)
+
+    def test_one_forward_and_two_backwards_group_the_field_once(self, rng, monkeypatch):
+        calls = []
+        unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(args[0].shape)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        sets = shuffled(rng, [{0}] * 20 + [{0, 1}] * 9 + [{1}, {2}, {1, 2}, set()] * 3)
+        field = LabelField.from_label_sets(1, 1, len(sets), 3, sets)
+        g = rng.standard_normal((len(sets), 4))
+        wts = SelfAttnWeights.seeded(4, seed=3)
+        masked_3d_self_attention(g, AttnMask3D(field), wts)
+        masked_3d_self_attention_backward(g, AttnMask3D(field), wts, g)
+        masked_3d_self_attention_backward(g, AttnMask3D(field), wts, g)
+        assert calls == [field.bits.shape]
+        masked_3d_self_attention(g, AttnMask3D(LabelField(1, 1, len(sets), 3, field.bits)), wts)
+        assert len(calls) == 2
+
+    def test_packed_masks_match_the_bitsets(self, rng):
+        # 12 labels: 2-byte bitsets, over 250 mostly distinct small classes
+        # and two large ones, so several packed blocks run beside own blocks.
+        sets = shuffled(rng, [{lab for lab in range(12) if rng.random() < 0.3} or {11}
+                              for _ in range(2 * attention._BLOCK)] + [{0}] * 30 + [{3, 9}] * 9)
+        field = LabelField.from_label_sets(1, 1, len(sets), 12, sets)
+        assert field.bits.shape[1] == 2
+        blocks = attention._label_blocks(field)
+        packed = [rows for rows, _, masked in blocks if masked]
+        assert len(packed) >= 2 and len(packed) < len(blocks)
+        for rows, _, masked in blocks:
+            allow = attention._block_allow(field, rows, masked)
+            if masked:
+                assert np.array_equal(allow, shares_label(field.bits[rows], field.bits))
+            else:
+                assert allow is None
 
     def test_reruns_are_bitwise_identical(self, rng):
         sets = shuffled(rng, [{0}] * 40 + [{0, 1}] * 5 + [{1}, {2}, {1, 2}] * 3)

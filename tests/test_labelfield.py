@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blobvid.blobs import BlobParams, FrameGeometry, rasterize
+from blobvid.blobs import BinaryMask, BlobParams, FrameGeometry, rasterize
+from blobvid.exemplars import EXEMPLAR_2_LAYOUT
 from blobvid.errors import RangeError, ShapeError, TooLarge
 from blobvid.labelfield import (
     NEG_INF,
@@ -12,6 +15,7 @@ from blobvid.labelfield import (
     build_label_field,
     per_frame_masks,
 )
+from blobvid.layout import densify_layout, parse_layout
 from blobvid.video import BlobTrack, BlobVideo, densify
 
 from conftest import materialize_dense, random_canonical_blob
@@ -83,6 +87,28 @@ class TestLabelField:
         assert field.bits.nbytes == T * h * w * 2
         assert field.bits.nbytes < 40 * 1024
 
+    @pytest.mark.parametrize("n_labels", [0, -3])
+    def test_rejects_fewer_than_one_label(self, n_labels):
+        with pytest.raises(RangeError):
+            LabelField(1, 1, 2, n_labels, np.zeros((2, 0), dtype=np.uint8))
+        with pytest.raises(RangeError):
+            LabelField.from_label_sets(1, 1, 2, n_labels, [set(), set()])
+
+    @pytest.mark.parametrize("n_labels, last_byte", [(3, 0xF8), (3, 0x08), (5, 0x20),
+                                                     (9, 0x02), (15, 0x80)])
+    def test_rejects_bits_at_or_above_n_labels(self, n_labels, last_byte):
+        bits = np.zeros((4, (n_labels + 7) // 8), dtype=np.uint8)
+        bits[1, -1] = last_byte
+        with pytest.raises(RangeError):
+            LabelField(1, 2, 2, n_labels, bits)
+
+    @pytest.mark.parametrize("n_labels", [3, 8, 9, 16])
+    def test_accepts_the_top_label(self, n_labels):
+        bits = np.zeros((4, (n_labels + 7) // 8), dtype=np.uint8)
+        bits[:, -1] = 1 << (n_labels - 1) % 8
+        field = LabelField(1, 2, 2, n_labels, bits)
+        assert field.label_set(3) == {n_labels - 1}
+
     def test_position_indexing(self):
         sets = [{i % 3} for i in range(2 * 2 * 3)]
         field = LabelField.from_label_sets(2, 2, 3, 3, sets)
@@ -126,6 +152,78 @@ class TestBuildLabelField:
         v = BlobVideo(4, GEOM, 8, (track,))
         with pytest.raises(ShapeError):
             build_label_field(v, 4, 4)
+
+    @pytest.mark.parametrize("h, w", [(-2, 5), (5, -2), (0, 5), (5, 0)])
+    def test_rejects_an_empty_grid(self, rng, h, w):
+        with pytest.raises(ShapeError, match="at least 1x1"):
+            build_label_field(random_video(rng), h, w)
+
+    @pytest.mark.parametrize("which", ["exemplar", "ten-tracks"])
+    def test_given_frames_pack_to_the_same_field(self, rng, which):
+        if which == "exemplar":
+            v = densify_layout(parse_layout(EXEMPLAR_2_LAYOUT), 13, FrameGeometry(720, 480))
+            h, w, rho = 12, 18, 1.0
+        else:
+            v = random_video(rng, num_frames=4, num_tracks=10)
+            h, w, rho = 16, 16, 1.3
+        frames = [per_frame_masks(v, t, h, w, rho) for t in range(v.num_frames)]
+        given = build_label_field(v, h, w, frames=frames)
+        drawn = build_label_field(v, h, w, rho)
+        assert given.n_labels == drawn.n_labels == v.num_tracks + 1
+        assert given.bits.shape == drawn.bits.shape
+        assert np.array_equal(given.bits, drawn.bits)
+
+    def test_given_frames_must_cover_the_video_and_grid(self, rng):
+        v = random_video(rng, num_frames=3, num_tracks=2)
+        frames = [per_frame_masks(v, t, 6, 6) for t in range(3)]
+        with pytest.raises(ShapeError, match="3 frames"):
+            build_label_field(v, 6, 6, frames=frames[:2])
+        with pytest.raises(ShapeError, match="3 frames"):
+            build_label_field(v, 6, 6, frames=frames + frames[:1])
+        with pytest.raises(ShapeError, match="6x7"):
+            build_label_field(v, 6, 7, frames=frames)
+        masks, background = frames[1]
+        wrong = frames[:1] + [(masks, BinaryMask(np.ones((6, 5), dtype=bool)))] + frames[2:]
+        with pytest.raises(ShapeError, match="frame 1"):
+            build_label_field(v, 6, 6, frames=wrong)
+        with pytest.raises(ShapeError, match="frame 1"):
+            build_label_field(v, 6, 6, frames=frames[:1] + [(masks[:1], background)] + frames[2:])
+
+
+def decode(code: np.ndarray, n_labels: int) -> frozenset[int]:
+    """The label set of one packed bitset row, LSB-first within a byte."""
+    return frozenset(lab for lab in range(n_labels) if int(code[lab // 8]) >> (lab % 8) & 1)
+
+
+class TestClasses:
+    @pytest.mark.parametrize("n_labels, n", [(1, 1), (3, 1), (3, 40), (9, 60), (65, 1),
+                                             (65, 200), (70, 300)])
+    def test_matches_label_set_oracle(self, rng, n_labels, n):
+        # Sets drawn from a small pool, so classes repeat; about one in five
+        # positions has an empty set.
+        pool = [frozenset(rng.choice(n_labels, size=int(rng.integers(1, min(n_labels, 5) + 1)),
+                                     replace=False).tolist()) for _ in range(12)] + [frozenset()] * 3
+        sets = [pool[i] for i in rng.integers(0, len(pool), size=n)]
+        field = LabelField.from_label_sets(1, 1, n, n_labels, sets)
+        codes, inverse, counts = field.classes
+        assert codes.shape == (len(set(sets)), (n_labels + 7) // 8)
+        assert len({bytes(c) for c in codes}) == len(codes)
+        assert [bytes(c) for c in codes] == sorted(bytes(c) for c in codes)
+        assert inverse.shape == (n,)
+        for i in range(n):
+            assert decode(codes[inverse[i]], n_labels) == field.label_set(i) == sets[i]
+        assert counts.sum() == n
+        by_set = Counter(sets)
+        assert [by_set[decode(c, n_labels)] for c in codes] == counts.tolist()
+
+    def test_is_computed_once_per_field(self):
+        field = LabelField.from_label_sets(1, 1, 4, 3, [{0}, {1}, {0}, {2}])
+        assert field.classes is field.classes
+        assert not any(arr.flags.writeable for arr in field.classes)
+        again = LabelField(1, 1, 4, 3, field.bits)
+        assert again.classes is not field.classes
+        for a, b in zip(again.classes, field.classes):
+            assert np.array_equal(a, b)
 
 
 class TestAttnMask3D:

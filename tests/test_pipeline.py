@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from blobvid import attention, pipeline
+from blobvid import attention, labelfield, pipeline
 from blobvid.blobs import BlobParams, FrameGeometry
 from blobvid.config import Config
 from blobvid.embedding import DeterministicStub, interp_linear, interp_slerp
@@ -129,11 +129,29 @@ class TestRunAttendBlock:
 
     def test_budget_counts_features_label_bytes_and_block_arrays(self):
         # 9 frames of 6x6 features at width 8, 8 tracks plus the background:
-        # 2-byte bitsets.
+        # 9 per-frame masks, 2-byte bitsets and an 8-byte class index.
         n = 9 * 36
-        want = n * 8 * 8 + n * 2 + attention._PARTS * attention._BLOCK * n * 8
+        want = n * 8 * 8 + n * (9 + 2 + 8) + attention._PARTS * attention._BLOCK * n * 8
         assert pipeline._attend_bytes(9, 8, 6, 6, 8) == want
-        assert pipeline._attend_bytes(9, 7, 6, 6, 8) == want - n
+        assert pipeline._attend_bytes(9, 7, 6, 6, 8) == want - 2 * n
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_rasterizes_each_track_once_per_frame(self, monkeypatch, threads):
+        # The cross-attention's masks are packed into the label field, so
+        # each of the 2 tracks is rasterized once in each of the 9 frames.
+        calls = []
+        drawn = labelfield.rasterize
+
+        def counting_rasterize(*args, **kwargs):
+            calls.append(args[0])
+            return drawn(*args, **kwargs)
+
+        monkeypatch.setattr(labelfield, "rasterize", counting_rasterize)
+        v = make_video([track_with_captions({0: "a"}), track_with_captions({8: "b"}, (1, 7))])
+        out, _ = run_attend_block(v, self.CFG, dim=8, threads=threads)
+        assert len(calls) == 9 * 2
+        monkeypatch.setattr(labelfield, "rasterize", drawn)
+        assert np.array_equal(run_attend_block(v, self.CFG, dim=8)[0], out)
 
     def test_refuses_above_the_budget_before_densifying(self, monkeypatch):
         v = make_video([track_with_captions({0: "a"})])
