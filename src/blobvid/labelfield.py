@@ -41,8 +41,9 @@ NEG_INF = float(np.finfo(np.float64).min)
 class LabelField:
     """Packed label bitsets for every position of a T x h x w grid.
 
-    bits has shape (T*h*w, ceil(n_labels/8)), uint8, LSB-first within a byte.
-    Label n_labels - 1 is the background label.
+    bits has shape (T*h*w, ceil(n_labels/8)), uint8, LSB-first within a byte,
+    with no bit at or above n_labels set. Label n_labels - 1 is the
+    background label, so n_labels >= 1.
     """
 
     T: int

@@ -379,8 +379,8 @@ class TestStreamedSelfAttention:
         assert len(calls) == 2
 
     def test_packed_masks_match_the_bitsets(self, rng):
-        # 12 labels: 2-byte bitsets, over 250 mostly distinct small classes
-        # and two large ones, so several packed blocks run beside own blocks.
+        # 12 labels: 2-byte bitsets. 256 positions of mostly distinct small
+        # classes and two large classes, so packed blocks run beside own ones.
         sets = shuffled(rng, [{lab for lab in range(12) if rng.random() < 0.3} or {11}
                               for _ in range(2 * attention._BLOCK)] + [{0}] * 30 + [{3, 9}] * 9)
         field = LabelField.from_label_sets(1, 1, len(sets), 12, sets)

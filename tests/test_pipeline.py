@@ -148,10 +148,8 @@ class TestRunAttendBlock:
 
         monkeypatch.setattr(labelfield, "rasterize", counting_rasterize)
         v = make_video([track_with_captions({0: "a"}), track_with_captions({8: "b"}, (1, 7))])
-        out, _ = run_attend_block(v, self.CFG, dim=8, threads=threads)
+        run_attend_block(v, self.CFG, dim=8, threads=threads)
         assert len(calls) == 9 * 2
-        monkeypatch.setattr(labelfield, "rasterize", drawn)
-        assert np.array_equal(run_attend_block(v, self.CFG, dim=8)[0], out)
 
     def test_refuses_above_the_budget_before_densifying(self, monkeypatch):
         v = make_video([track_with_captions({0: "a"})])
