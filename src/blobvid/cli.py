@@ -14,26 +14,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .blobs import BlobParams, FrameGeometry
-from .config import CHOICES, Config, load_config
-from .errors import BlobvidError, read_text
-from .fitting import fit_ellipse, interpolate_blob_params
-from .gradcheck import DEFAULT_STEP, DEFAULT_TOL, run_gradcheck
-from .labelfield import per_frame_masks
-from .metrics import (
-    COSINE_MODES,
-    load_frame_evals,
-    load_region_embeddings,
-    mean_iou,
-    region_cosine_metrics,
-)
-from .parallel import parallel_map
-from .pipeline import run_attend_block
-from .pnm import read_mask_pgm, write_mask_pgm, write_ppm
-from .video import densify, validate, video_from_json
-from .embedding import write_embedding
+# Each command imports the modules it runs, so that building the parser and
+# running the light commands never loads the attention stack.
+from .config import CHOICES, COSINE_MODES, DEFAULT_STEP, DEFAULT_TOL, Config, load_config
+from .errors import BlobvidError, RangeError, read_text
 
 _PALETTE = (
     (230, 80, 80),
@@ -52,6 +36,8 @@ def _print_json(obj) -> None:
 
 
 def _load_video(path: str):
+    from .video import video_from_json
+
     return video_from_json(read_text(path), path)
 
 
@@ -62,10 +48,15 @@ def _cfg_from_args(args: argparse.Namespace) -> Config:
 
 def _frame_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        frames = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated frame indices, got {text!r}") from None
+    if not frames:
+        raise argparse.ArgumentTypeError(f"expected at least one frame index, got {text!r}")
+    if len(set(frames)) < len(frames):
+        raise argparse.ArgumentTypeError(f"expected each frame index once, got {text!r}")
+    return frames
 
 
 def _thread_count(text: str) -> int:
@@ -79,6 +70,10 @@ def _thread_count(text: str) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .blobs import FrameGeometry
+    from .fitting import fit_ellipse
+    from .pnm import read_mask_pgm
+
     mask = read_mask_pgm(args.mask)
     width = args.width if args.width is not None else mask.w
     height = args.height if args.height is not None else mask.h
@@ -92,6 +87,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_interp(args: argparse.Namespace) -> int:
+    from .blobs import BlobParams
+    from .fitting import interpolate_blob_params
+
     p1 = BlobParams.from_sequence(args.p1)
     p2 = BlobParams.from_sequence(args.p2)
     mid = interpolate_blob_params(p1, p2, args.alpha)
@@ -100,6 +98,11 @@ def _cmd_interp(args: argparse.Namespace) -> int:
 
 
 def _cmd_mask(args: argparse.Namespace) -> int:
+    from .labelfield import per_frame_masks
+    from .parallel import parallel_map
+    from .pnm import write_mask_pgm
+    from .video import densify
+
     cfg = _cfg_from_args(args)
     v = densify(_load_video(args.video))
     frames = args.frames if args.frames is not None else range(v.num_frames)
@@ -118,6 +121,16 @@ def _cmd_mask(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .labelfield import per_frame_masks
+    from .parallel import parallel_map
+    from .pnm import write_ppm
+    from .video import densify
+
+    for flag, size in (("--render-h", args.render_h), ("--render-w", args.render_w)):
+        if size is not None and size < 1:
+            raise RangeError(f"{flag} must be at least 1, got {size}")
     cfg = _cfg_from_args(args)
     v = densify(_load_video(args.video))
     frames = args.frames if args.frames is not None else range(v.num_frames)
@@ -140,6 +153,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_attend(args: argparse.Namespace) -> int:
+    from .embedding import write_embedding
+    from .pipeline import run_attend_block
+
     cfg = _cfg_from_args(args)
     v = _load_video(args.video)
     out, stats = run_attend_block(v, cfg, dim=args.dim, n_tokens=args.tokens,
@@ -151,6 +167,8 @@ def _cmd_attend(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .video import validate
+
     v = _load_video(args.video)
     violations = validate(v)
     for item in violations:
@@ -162,11 +180,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from .metrics import load_frame_evals, load_region_embeddings, mean_iou, region_cosine_metrics
+
     if args.kind == "miou":
         if args.detections is None or args.ground_truth is None:
             raise BlobvidError("miou needs --detections and --ground-truth")
         evals = load_frame_evals(args.detections, args.ground_truth)
-        frames = args.frames or sorted(e.frame for e in evals)
+        frames = args.frames if args.frames is not None else sorted(e.frame for e in evals)
         value = mean_iou(evals, frames, method=args.match)
         _print_json({
             "metric": "miou",
@@ -185,6 +205,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
+    from .gradcheck import run_gradcheck
+
     cfg = _cfg_from_args(args)
     report = run_gradcheck(seed=cfg.seed, instances=args.instances,
                            step=args.step, tolerance=args.tolerance)

@@ -13,7 +13,8 @@ from typing import Any, Mapping
 
 from .errors import RangeError, SchemaError, read_json
 
-__all__ = ["CHOICES", "Config", "ENV_PREFIX", "load_config"]
+__all__ = ["CHOICES", "COSINE_MODES", "Config", "DEFAULT_STEP", "DEFAULT_TOL", "ENV_PREFIX",
+           "load_config"]
 
 ENV_PREFIX = "BLOBVID_"
 
@@ -22,6 +23,13 @@ CHOICES = {
     "interp_method": ("linear", "slerp"),
     "interp_orientation": ("as_printed", "standard"),
 }
+
+# Defaults and choices the CLI parser offers for code it imports only when a
+# command runs: the region cosine metrics (metrics.region_cosine_metrics) and
+# the finite-difference step and tolerance (gradcheck.run_gradcheck).
+COSINE_MODES = ("rclip_t", "rclip_i", "rcfc")
+DEFAULT_STEP = 1e-5
+DEFAULT_TOL = 1e-4
 
 
 @dataclass(frozen=True)

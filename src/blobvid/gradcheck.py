@@ -23,14 +23,12 @@ from .attention import (
     masked_cross_attention_backward,
 )
 from .blobs import BinaryMask
+from .config import DEFAULT_STEP, DEFAULT_TOL
 from .embedding import BlobEmbedding, EmbeddingSeq, MlpWeights, blob_embed, blob_embed_backward
 from .errors import RangeError
 from .labelfield import AttnMask3D, LabelField
 
 __all__ = ["GradCheckReport", "central_difference_grads", "relative_error", "run_gradcheck"]
-
-DEFAULT_STEP = 1e-5
-DEFAULT_TOL = 1e-4
 
 # Entries below this magnitude are compared absolutely, scaled by the floor.
 _REL_FLOOR = 1e-3

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import read_embedding
+from .config import COSINE_MODES
 from .errors import (
     DegenerateVector,
     RangeError,
@@ -39,8 +39,6 @@ __all__ = [
     "load_frame_evals",
     "load_region_embeddings",
 ]
-
-COSINE_MODES = ("rclip_t", "rclip_i", "rcfc")
 
 
 @dataclass(frozen=True)
@@ -364,6 +362,9 @@ def load_region_embeddings(manifest_path) -> list[RegionEmbedding]:
     Each entry holds object, frame, kind, and a path (relative to the manifest)
     to a binary embedding file with its JSON sidecar.
     """
+    # Imported here so that `metrics miou` does not load the embedding module.
+    from .embedding import read_embedding
+
     manifest_file = Path(manifest_path)
     doc = read_json(manifest_file)
     entries = doc.get("embeddings") if isinstance(doc, dict) else None

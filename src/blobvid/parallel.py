@@ -6,7 +6,6 @@ is identical for any thread count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -17,5 +16,8 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> 
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # Imported here: a single-threaded run need not load concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

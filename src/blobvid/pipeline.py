@@ -32,7 +32,7 @@ from .embedding import (
     interp_linear,
     interp_slerp,
 )
-from .errors import ShapeError, TooLarge
+from .errors import RangeError, ShapeError, TooLarge
 from .labelfield import AttnMask3D, build_label_field, per_frame_masks
 from .parallel import parallel_map
 from .video import BlobVideo, densify, fill_frames
@@ -99,11 +99,14 @@ def run_attend_block(v: BlobVideo, cfg: Config, dim: int = 16, n_tokens: int = 4
     """Run cross-attention then 3D self-attention on seeded features.
 
     Returns (output array of shape (T*h*w, dim), AttendStats). Raises
-    TooLarge, before allocating, when _attend_bytes exceeds
+    ShapeError for an odd or too small dim, RangeError for n_tokens below 1,
+    and TooLarge, before allocating, when _attend_bytes exceeds
     _ATTEND_BUDGET_BYTES.
     """
     if dim < 2 or dim % 2 != 0:
         raise ShapeError(f"feature width must be even and >= 2, got {dim}")
+    if n_tokens < 1:
+        raise RangeError(f"caption token count must be at least 1, got {n_tokens}")
     h, w = cfg.feature_h, cfg.feature_w
     need = _attend_bytes(v.num_frames, v.num_tracks, h, w, dim)
     if need > _ATTEND_BUDGET_BYTES:

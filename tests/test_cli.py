@@ -143,6 +143,19 @@ class TestRender:
         assert code == 0
         assert read_ppm(out_dir / "f0000.ppm").shape == (32, 48, 3)
 
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    @pytest.mark.parametrize("flag", ["--render-h", "--render-w"])
+    def test_size_below_one_is_one_error_line(self, tmp_path, video_file, capsys, monkeypatch,
+                                              flag, size):
+        # Refused before the video is densified or any file is written.
+        monkeypatch.setattr(video, "densify", None)
+        code, out, err = run_cli(capsys, [
+            "render", str(video_file), "--out-dir", str(tmp_path / "render"), f"{flag}={size}",
+        ])
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} must be at least 1, got {size}\n"
+        assert not (tmp_path / "render").exists()
+
 
 class TestAttend:
     def test_stats_and_feature_dump(self, tmp_path, video_file, capsys):
@@ -161,6 +174,12 @@ class TestAttend:
     def test_odd_dim_rejected(self, video_file, capsys):
         code, _, err = run_cli(capsys, ["attend", str(video_file), "--dim", "7"])
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize("tokens", ["0", "-1"])
+    def test_tokens_below_one_is_one_error_line(self, video_file, capsys, tokens):
+        code, out, err = run_cli(capsys, ["attend", str(video_file), f"--tokens={tokens}"])
+        assert code == 1 and out == ""
+        assert err == f"error: caption token count must be at least 1, got {tokens}\n"
 
     def test_huge_feature_grid_is_one_error_line(self, video_file, capsys, monkeypatch):
         # 9 frames of 100000 x 100000 features: refused by arithmetic alone,
@@ -474,6 +493,25 @@ class TestBadFramesAndFiles:
         assert exc.value.code == 2
         assert "--frames" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("frames, detail", [
+        (",", "expected at least one frame index, got ','"),
+        ("0,4,0", "expected each frame index once, got '0,4,0'"),
+    ], ids=["empty", "repeated"])
+    @pytest.mark.parametrize("argv", [
+        ["mask", "v.json", "--out-dir", "m"],
+        ["render", "v.json", "--out-dir", "r"],
+        ["metrics", "miou", "--detections", "d.json", "--ground-truth", "g.json"],
+    ], ids=["mask", "render", "metrics"])
+    def test_empty_or_repeated_frames_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                       argv, frames, detail):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--frames", frames])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --frames: {detail}" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("header", [b"P5\nab 3\n255\n", b"P5\n-3 -3\n255\n"],
                              ids=["letters", "negative"])
     def test_fit_bad_pgm_header(self, tmp_path, capsys, header):
@@ -551,46 +589,65 @@ class TestUsageErrors:
         assert build_parser().parse_args(argv + ["--threads", "1"]).threads == 1
 
 
-# Runs each argv through cli.main in a fresh interpreter, then prints which
-# scipy modules that interpreter has loaded.
-_LOADED_SCIPY = """
+# Runs each argv through cli.main in a fresh interpreter, then prints which of
+# the named modules, or modules under them, that interpreter has loaded.
+_LOADED = """
 import json, sys
 import blobvid, blobvid.cli
 for argv in json.loads(sys.argv[1]):
     assert blobvid.cli.main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+names = json.loads(sys.argv[2])
+print(json.dumps(sorted(m for m in sys.modules
+                        if any(m == n or m.startswith(n + ".") for n in names))))
 """
 
 
-def _loaded_scipy(commands, cwd):
+def _loaded(commands, cwd, names):
     # As in acceptance gate 9: the child runs the source this process imported.
     src = str(Path(blobvid.__file__).resolve().parent.parent)
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(commands),
+                           json.dumps(names)],
                           capture_output=True, text=True, cwd=cwd, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# What only attend and gradcheck run.
+_ATTENTION_STACK = ["blobvid.attention", "blobvid.embedding", "blobvid.gradcheck",
+                    "blobvid.pipeline", "concurrent.futures"]
+
+
+def _light_commands(tmp_path, video_file):
+    mask = rasterize(BlobParams(16, 16, 8, 5, 0.3), FrameGeometry(32, 32), 32, 32)
+    (tmp_path / "dets.json").write_text(json.dumps(_DETS))
+    (tmp_path / "gt.json").write_text(json.dumps(_GT))
+    return [
+        ["validate", str(video_file)],
+        ["interp", "--p1", "10", "10", "5", "3", "0", "--p2", "20", "20", "5", "3", "0",
+         "--alpha", "0.5"],
+        ["mask", str(video_file), "--out-dir", "masks", "--frames", "0"],
+        ["render", str(video_file), "--out-dir", "render", "--frames", "0"],
+        ["fit", str(write_mask_pgm(tmp_path, 0, 0, mask))],
+        ["metrics", "miou", "--detections", "dets.json", "--ground-truth", "gt.json"],
+    ]
+
+
+def _attend(video_file):
+    return ["attend", str(video_file), "--dim", "8", "--tokens", "2",
+            "--feature-h", "6", "--feature-w", "6"]
+
+
 class TestStartup:
     def test_commands_without_scipy_do_not_load_it(self, tmp_path, video_file):
-        mask = rasterize(BlobParams(16, 16, 8, 5, 0.3), FrameGeometry(32, 32), 32, 32)
-        (tmp_path / "dets.json").write_text(json.dumps(_DETS))
-        (tmp_path / "gt.json").write_text(json.dumps(_GT))
-        loaded = _loaded_scipy([
-            ["validate", str(video_file)],
-            ["interp", "--p1", "10", "10", "5", "3", "0", "--p2", "20", "20", "5", "3", "0",
-             "--alpha", "0.5"],
-            ["mask", str(video_file), "--out-dir", "masks", "--frames", "0"],
-            ["render", str(video_file), "--out-dir", "render", "--frames", "0"],
-            ["attend", str(video_file), "--dim", "8", "--tokens", "2",
-             "--feature-h", "6", "--feature-w", "6"],
-            ["gradcheck", "--instances", "1"],
-            ["fit", str(write_mask_pgm(tmp_path, 0, 0, mask))],
-            ["metrics", "miou", "--detections", "dets.json", "--ground-truth", "gt.json"],
-        ], tmp_path)
-        assert loaded == []
+        commands = _light_commands(tmp_path, video_file)
+        commands += [_attend(video_file), ["gradcheck", "--instances", "1"]]
+        assert _loaded(commands, tmp_path, ["scipy"]) == []
+
+    def test_light_commands_do_not_load_the_attention_stack(self, tmp_path, video_file):
+        assert _loaded(_light_commands(tmp_path, video_file), tmp_path, _ATTENTION_STACK) == []
+        assert "blobvid.attention" in _loaded([_attend(video_file)], tmp_path, _ATTENTION_STACK)
 
     def test_fit_still_loads_the_optimizer(self, tmp_path, capsys, monkeypatch):
         # fit runs the package's own Nelder-Mead, not a shortcut around it.

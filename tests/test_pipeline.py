@@ -7,7 +7,7 @@ from blobvid import attention, labelfield, pipeline
 from blobvid.blobs import BlobParams, FrameGeometry
 from blobvid.config import Config
 from blobvid.embedding import DeterministicStub, interp_linear, interp_slerp
-from blobvid.errors import ShapeError, TooLarge
+from blobvid.errors import RangeError, ShapeError, TooLarge
 from blobvid.pipeline import AttendStats, context_embeddings, run_attend_block
 from blobvid.video import BlobTrack, BlobVideo
 
@@ -126,6 +126,13 @@ class TestRunAttendBlock:
         v = make_video([track_with_captions({0: "a"})])
         with pytest.raises(ShapeError):
             run_attend_block(v, self.CFG, dim=dim)
+
+    @pytest.mark.parametrize("n_tokens", [0, -1])
+    def test_rejects_fewer_than_one_token_before_densifying(self, monkeypatch, n_tokens):
+        monkeypatch.setattr(pipeline, "densify", None)
+        v = make_video([track_with_captions({0: "a"})])
+        with pytest.raises(RangeError, match=f"token count must be at least 1, got {n_tokens}"):
+            run_attend_block(v, self.CFG, dim=8, n_tokens=n_tokens)
 
     def test_budget_counts_features_label_bytes_and_block_arrays(self):
         # 9 frames of 6x6 features at width 8, 8 tracks plus the background:
