@@ -21,7 +21,6 @@ from .errors import (
     BlobvidError,
     DegenerateVector,
     EmptyMask,
-    EmptyPrompt,
     EmptyTrack,
     InvalidBlob,
     ParseError,
@@ -47,7 +46,6 @@ __all__ = [
     "Config",
     "DegenerateVector",
     "EmptyMask",
-    "EmptyPrompt",
     "EmptyTrack",
     "FitResult",
     "FrameGeometry",

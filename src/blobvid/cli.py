@@ -17,7 +17,10 @@ from pathlib import Path
 # Each command imports the modules it runs, so that building the parser and
 # running the light commands never loads the attention stack.
 from .config import CHOICES, COSINE_MODES, DEFAULT_STEP, DEFAULT_TOL, Config, load_config
-from .errors import BlobvidError, RangeError, read_text
+from .errors import BlobvidError, RangeError, TooLarge, read_text
+
+# The most bytes mask or render may hold in per-frame masks and images.
+_RASTER_BUDGET_BYTES = 1 << 30
 
 _PALETTE = (
     (230, 80, 80),
@@ -57,6 +60,16 @@ def _frame_list(text: str) -> list[int]:
     if len(set(frames)) < len(frames):
         raise argparse.ArgumentTypeError(f"expected each frame index once, got {text!r}")
     return frames
+
+
+def _check_raster_bytes(command: str, frames, num_tracks: int, h: int, w: int,
+                        rgb: bool = False) -> None:
+    """Raise TooLarge, before any frame is drawn, when the frames' masks (and
+    RGB images) of h x w cells would exceed _RASTER_BUDGET_BYTES."""
+    need = len(frames) * (num_tracks + 1 + (3 if rgb else 0)) * h * w
+    if need > _RASTER_BUDGET_BYTES:
+        raise TooLarge(f"{command} of {len(frames)} frames of {h}x{w} cells for {num_tracks} "
+                       f"tracks needs {need} bytes, above the budget of {_RASTER_BUDGET_BYTES}")
 
 
 def _thread_count(text: str) -> int:
@@ -106,6 +119,7 @@ def _cmd_mask(args: argparse.Namespace) -> int:
     cfg = _cfg_from_args(args)
     v = densify(_load_video(args.video))
     frames = args.frames if args.frames is not None else range(v.num_frames)
+    _check_raster_bytes("mask", frames, v.num_tracks, cfg.feature_h, cfg.feature_w)
     per_frame = parallel_map(
         lambda t: per_frame_masks(v, t, cfg.feature_h, cfg.feature_w, cfg.rescale)[0],
         frames, args.threads)
@@ -136,6 +150,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     frames = args.frames if args.frames is not None else range(v.num_frames)
     h = args.render_h if args.render_h is not None else v.geom.height
     w = args.render_w if args.render_w is not None else v.geom.width
+    _check_raster_bytes("render", frames, v.num_tracks, h, w, rgb=True)
 
     def job(t: int):
         img = np.zeros((h, w, 3), dtype=np.uint8)
@@ -182,17 +197,25 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from .metrics import load_frame_evals, load_region_embeddings, mean_iou, region_cosine_metrics
 
-    if args.kind == "miou":
+    miou = args.kind == "miou"
+    other_kinds = ({"--embeddings": args.embeddings} if miou else
+                   {"--frames": args.frames, "--detections": args.detections,
+                    "--ground-truth": args.ground_truth, "--match": args.match})
+    for flag, value in other_kinds.items():
+        if value is not None:
+            raise BlobvidError(f"{args.kind} does not take {flag}")
+    if miou:
         if args.detections is None or args.ground_truth is None:
             raise BlobvidError("miou needs --detections and --ground-truth")
         evals = load_frame_evals(args.detections, args.ground_truth)
         frames = args.frames if args.frames is not None else sorted(e.frame for e in evals)
-        value = mean_iou(evals, frames, method=args.match)
+        match = args.match or "hungarian"
+        value = mean_iou(evals, frames, method=match)
         _print_json({
             "metric": "miou",
             "value": value,
             "averaging": "pooled",
-            "match": args.match,
+            "match": match,
             "frames": frames,
         })
     else:
@@ -281,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections", default=None)
     p.add_argument("--ground-truth", default=None)
     p.add_argument("--frames", type=_frame_list, default=None)
-    p.add_argument("--match", choices=("hungarian", "greedy"), default="hungarian")
+    p.add_argument("--match", choices=("hungarian", "greedy"), default=None,
+                   help="miou box matching (default: hungarian)")
     p.add_argument("--embeddings", default=None)
     p.set_defaults(fn=_cmd_metrics)
 

@@ -1,8 +1,7 @@
 """Blob token embeddings: Fourier-encoded geometry, caption sequences, and the
 per-frame context interpolators that bridge captioned anchor frames.
 
-Caption embeddings come from a pluggable provider: a deterministic stub for
-tests and demos, or precomputed vectors read from disk.
+Caption embeddings come from a deterministic stub seeded by the caption text.
 """
 
 from __future__ import annotations
@@ -11,9 +10,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
-from typing import Protocol
 
 import numpy as np
 
@@ -33,10 +31,7 @@ __all__ = [
     "interp_weights",
     "interp_linear",
     "interp_slerp",
-    "TextEmbedProvider",
     "DeterministicStub",
-    "FileProvider",
-    "caption_hash",
     "write_embedding",
     "read_embedding",
 ]
@@ -172,16 +167,12 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MlpWeights:
-    """Two-layer token MLP, width d in, d hidden, d out.
-
-    activation "linear" exists so tests can configure an exact identity map.
-    """
+    """Two-layer token MLP with a GELU, width d in, d hidden, d out."""
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    activation: str = "gelu"
 
     def __post_init__(self):
         w1 = np.asarray(self.w1, dtype=np.float64)
@@ -193,8 +184,6 @@ class MlpWeights:
             raise ShapeError(
                 f"MLP weights must be (d,d)/(d,) with one width, got {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}"
             )
-        if self.activation not in ("gelu", "linear"):
-            raise RangeError(f"unknown activation {self.activation!r}")
         for name, arr in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)):
             object.__setattr__(self, name, arr)
 
@@ -203,7 +192,7 @@ class MlpWeights:
         return self.w1.shape[0]
 
     @classmethod
-    def seeded(cls, d: int, seed: int, activation: str = "gelu") -> "MlpWeights":
+    def seeded(cls, d: int, seed: int) -> "MlpWeights":
         rng = np.random.default_rng(seed)
         scale = 1.0 / math.sqrt(d)
         return cls(
@@ -211,20 +200,7 @@ class MlpWeights:
             b1=np.zeros(d),
             w2=rng.standard_normal((d, d)) * scale,
             b2=np.zeros(d),
-            activation=activation,
         )
-
-    @classmethod
-    def identity(cls, d: int) -> "MlpWeights":
-        return cls(np.eye(d), np.zeros(d), np.eye(d), np.zeros(d), activation="linear")
-
-
-def _act(x: np.ndarray, kind: str) -> np.ndarray:
-    return x if kind == "linear" else _gelu(x)
-
-
-def _act_grad(x: np.ndarray, kind: str) -> np.ndarray:
-    return np.ones_like(x) if kind == "linear" else _gelu_grad(x)
 
 
 def blob_embed(e_tau: np.ndarray, e_s: EmbeddingSeq, mlp: MlpWeights) -> BlobEmbedding:
@@ -244,7 +220,7 @@ def blob_embed(e_tau: np.ndarray, e_s: EmbeddingSeq, mlp: MlpWeights) -> BlobEmb
     if mlp.width != d:
         raise ShapeError(f"MLP width {mlp.width} does not match token width {d}")
     x = np.concatenate([np.tile(e_tau, (e_s.L, 1)), e_s.data], axis=1)
-    h = _act(x @ mlp.w1 + mlp.b1, mlp.activation)
+    h = _gelu(x @ mlp.w1 + mlp.b1)
     return BlobEmbedding(h @ mlp.w2 + mlp.b2)
 
 
@@ -266,13 +242,13 @@ def blob_embed_backward(e_tau: np.ndarray, e_s: EmbeddingSeq, mlp: MlpWeights,
     half = e_s.dim
     x = np.concatenate([np.tile(e_tau, (e_s.L, 1)), e_s.data], axis=1)
     pre = x @ mlp.w1 + mlp.b1
-    h = _act(pre, mlp.activation)
+    h = _gelu(pre)
     if upstream.shape != (e_s.L, 2 * half):
         raise ShapeError(f"upstream must have shape {(e_s.L, 2 * half)}, got {upstream.shape}")
     dw2 = h.T @ upstream
     db2 = upstream.sum(axis=0)
     dh = upstream @ mlp.w2.T
-    dpre = dh * _act_grad(pre, mlp.activation)
+    dpre = dh * _gelu_grad(pre)
     dw1 = x.T @ dpre
     db1 = dpre.sum(axis=0)
     dx = dpre @ mlp.w1.T
@@ -362,15 +338,7 @@ def interp_slerp(e1: EmbeddingSeq, e2: EmbeddingSeq, alpha: float) -> EmbeddingS
 
 
 # ---------------------------------------------------------------------------
-# Caption embedding providers and on-disk format
-
-
-def caption_hash(caption: str) -> str:
-    return hashlib.sha256(caption.encode("utf-8")).hexdigest()
-
-
-class TextEmbedProvider(Protocol):
-    def embed(self, caption: str) -> EmbeddingSeq: ...
+# Caption embeddings and their on-disk format
 
 
 @dataclass(frozen=True)
@@ -416,27 +384,3 @@ def read_embedding(path) -> np.ndarray:
     if raw.size != shape[0] * shape[1]:
         raise ShapeError(f"embedding file holds {raw.size} values, sidecar says {shape}")
     return raw.reshape(shape).astype(np.float64)
-
-
-@dataclass(frozen=True)
-class FileProvider:
-    """Reads precomputed caption embeddings via a manifest mapping
-    sha256(caption) to a data file path relative to the manifest."""
-
-    manifest_path: str
-
-    @cached_property
-    def _manifest(self) -> dict:
-        """The parsed manifest, read on the first embed call only."""
-        manifest_file = Path(self.manifest_path)
-        manifest = read_json(manifest_file)
-        if not isinstance(manifest, dict):
-            raise SchemaError(f"{manifest_file}: must be a JSON object")
-        return manifest
-
-    def embed(self, caption: str) -> EmbeddingSeq:
-        manifest_file = Path(self.manifest_path)
-        key = caption_hash(caption)
-        if not isinstance(self._manifest.get(key), str):
-            raise SchemaError(f"{manifest_file}: no embedding path for caption hash {key}")
-        return EmbeddingSeq(read_embedding(manifest_file.parent / self._manifest[key]))

@@ -39,10 +39,6 @@ class DegenerateVector(BlobvidError, ValueError):
     """A vector with zero norm reached an operation that needs a direction."""
 
 
-class EmptyPrompt(BlobvidError, ValueError):
-    """An empty prompt string was given."""
-
-
 class UndefinedMetric(BlobvidError, ValueError):
     """The metric has no defined value on the given inputs (nothing to average)."""
 

@@ -1,27 +1,9 @@
-"""Fixed instruction text and the two bundled layout exemplars.
+"""The two bundled layout exemplar documents.
 
-The exemplar layout documents double as parse fixtures in the tests. Caption
+They double as parse fixtures in the tests. Caption
 strings keep their original leading and trailing spaces; they are data, not
 prose to tidy up.
 """
-
-INSTRUCTION = (
-    "Generate a video layout using ellipses for the given user prompt. Each ellipse "
-    "should be represented with five parameters and a paired object caption. The "
-    "parameters are [cx, cy, a, b, theta] where cx and cy are the center coordinates, "
-    "a and b are the major and minor axes length, and theta is the rotation angle. "
-    "Assume there are 13 frames in the video, and you should generate layouts for "
-    "Frame0,2,4,...,12. The video resolution is 720 width and 480 height. Try to "
-    "cover all objects mentioned in the prompt. You should follow the format of the "
-    "following examples:"
-)
-
-EXEMPLAR_1_PROMPT = (
-    "The video shows a small owl perched on a branch, looking around. It appears to "
-    "be in a natural habitat, surrounded by greenery. The owl is alert and focused, "
-    "possibly observing its surroundings or looking for prey. The camera angle is "
-    "from below, giving a clear view of the owl's feathers and features."
-)
 
 EXEMPLAR_1_LAYOUT = """\
 {"Frame0": {"Object2": {"blob": [443, 252, 102, 72, -2.353],
@@ -30,13 +12,6 @@ EXEMPLAR_1_LAYOUT = """\
    "caption": " The bird in the close-up image is a small, brown and white bird with a prominent beak, perched on a tree branch. The bird turns its head to the side."}},
  "Frame12": {"Object2": {"blob": [445, 249, 119, 57, -2.023],
    "caption": " The bird in the close-up image is a small owl perched on a tree branch. The bird is looking upwards, turning its face away from the camera. "}}}"""
-
-EXEMPLAR_2_PROMPT = (
-    "The video shows a woman leading a horse while a young girl rides on its back. "
-    "The girl is wearing a helmet and a riding jacket, and the woman is holding the "
-    "reins. They are in a stable or a similar outdoor area with several parked cars "
-    "in the background."
-)
 
 EXEMPLAR_2_LAYOUT = """\
 {"Frame0": {"Object2": {"blob": [365, 277, 93, 64, 1.749],

@@ -168,7 +168,7 @@ def _check_blob_embed(rng: np.random.Generator, step: float) -> float:
     arrays = [e_tau, e_s.data.copy(), mlp.w1.copy(), mlp.b1.copy(), mlp.w2.copy(), mlp.b2.copy()]
 
     def loss(vals):
-        mlp_ = MlpWeights(vals[2], vals[3], vals[4], vals[5], activation=mlp.activation)
+        mlp_ = MlpWeights(vals[2], vals[3], vals[4], vals[5])
         out = blob_embed(vals[0], EmbeddingSeq(vals[1]), mlp_)
         return float((upstream * out.data).sum())
 

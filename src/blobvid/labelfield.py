@@ -79,23 +79,6 @@ class LabelField:
     def size(self) -> int:
         return self.T * self.h * self.w
 
-    @property
-    def background_label(self) -> int:
-        return self.n_labels - 1
-
-    def position(self, t: int, r: int, c: int) -> int:
-        if not (0 <= t < self.T and 0 <= r < self.h and 0 <= c < self.w):
-            raise RangeError(f"position ({t}, {r}, {c}) outside {self.T}x{self.h}x{self.w}")
-        return (t * self.h + r) * self.w + c
-
-    def label_set(self, i: int) -> frozenset[int]:
-        if not (0 <= i < self.size):
-            raise RangeError(f"position {i} outside [0, {self.size})")
-        row = self.bits[i]
-        return frozenset(
-            lab for lab in range(self.n_labels) if row[lab >> 3] & (1 << (lab & 7))
-        )
-
     @classmethod
     def from_label_sets(cls, T: int, h: int, w: int, n_labels: int,
                         sets: Iterable[Iterable[int]]) -> "LabelField":

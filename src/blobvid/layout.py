@@ -15,17 +15,9 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 from .blobs import BlobParams, FrameGeometry, canonicalize
-from .errors import EmptyPrompt, RangeError, SchemaError, parse_json
-from .exemplars import (
-    EXEMPLAR_1_LAYOUT,
-    EXEMPLAR_1_PROMPT,
-    EXEMPLAR_2_LAYOUT,
-    EXEMPLAR_2_PROMPT,
-    INSTRUCTION,
-)
+from .errors import RangeError, SchemaError, parse_json
 from .video import BlobTrack, BlobVideo, densify
 
 __all__ = [
@@ -35,11 +27,6 @@ __all__ = [
     "densify_layout",
     "serialize_layout",
     "serialize_layout_doc",
-    "PromptExemplar",
-    "PromptBundle",
-    "default_prompt_bundle",
-    "build_icl_prompt",
-    "FileReplayProvider",
 ]
 
 _FRAME_KEY = re.compile(r"^Frame(\d+)$")
@@ -220,57 +207,3 @@ def serialize_layout(v: BlobVideo, frame_stride: int = 1) -> str:
                 frames[t][str(track.object_id)] = LayoutEntry(
                     (p.cx, p.cy, p.a, p.b, p.theta), track.captions.get(t))
     return serialize_layout_doc(LayoutDoc(frames))
-
-
-# ---------------------------------------------------------------------------
-# Prompt assembly and layout providers
-
-
-@dataclass(frozen=True)
-class PromptExemplar:
-    prompt: str
-    layout_json: str
-
-
-@dataclass(frozen=True)
-class PromptBundle:
-    instruction: str
-    exemplars: tuple[PromptExemplar, ...]
-
-
-def default_prompt_bundle() -> PromptBundle:
-    return PromptBundle(
-        instruction=INSTRUCTION,
-        exemplars=(
-            PromptExemplar(EXEMPLAR_1_PROMPT, EXEMPLAR_1_LAYOUT),
-            PromptExemplar(EXEMPLAR_2_PROMPT, EXEMPLAR_2_LAYOUT),
-        ),
-    )
-
-
-def build_icl_prompt(user_prompt: str, bundle: PromptBundle | None = None) -> str:
-    """Instruction, the fixed exemplars, then the user's prompt on the last line."""
-    if not user_prompt:
-        raise EmptyPrompt("user prompt must be a non-empty string")
-    if bundle is None:
-        bundle = default_prompt_bundle()
-    parts = [bundle.instruction, ""]
-    for i, ex in enumerate(bundle.exemplars, start=1):
-        parts.append(f"Example {i}:")
-        parts.append(f"Prompt: {ex.prompt}")
-        parts.append("```json")
-        parts.append(ex.layout_json)
-        parts.append("```")
-        parts.append("")
-    parts.append(f"Prompt: {user_prompt}")
-    return "\n".join(parts)
-
-
-@dataclass(frozen=True)
-class FileReplayProvider:
-    """Returns a stored response; the offline stand-in for a live model."""
-
-    path: str
-
-    def generate(self, prompt: str) -> str:
-        return Path(self.path).read_text(encoding="utf-8")

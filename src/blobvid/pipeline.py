@@ -26,7 +26,6 @@ from .embedding import (
     DeterministicStub,
     EmbeddingSeq,
     MlpWeights,
-    TextEmbedProvider,
     blob_embed,
     fourier_encode,
     interp_linear,
@@ -51,7 +50,7 @@ class AttendStats:
     max_abs_output: float
 
 
-def context_embeddings(v: BlobVideo, provider: TextEmbedProvider,
+def context_embeddings(v: BlobVideo, provider: DeterministicStub,
                        method: str = "linear",
                        orientation: str = "as_printed") -> dict[tuple[int, int], EmbeddingSeq]:
     """Caption embedding for every (track index, frame).

@@ -1,4 +1,4 @@
-"""Binary PGM (P5) and PPM (P6) readers and writers.
+"""Binary PGM (P5) reader and writer, and a PPM (P6) writer.
 
 Masks are stored as 8-bit PGM, 0 = outside and 255 = inside, one file per
 frame per object, named f{frame:04}_o{object}.pgm. Renders are 8-bit PPM.
@@ -6,7 +6,6 @@ frame per object, named f{frame:04}_o{object}.pgm. Renders are 8-bit PPM.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +13,12 @@ import numpy as np
 from .blobs import BinaryMask
 from .errors import ParseError, ShapeError
 
-_MASK_NAME = re.compile(r"^f(\d{4,})_o(.+)\.pgm$")
 
-
-def _read_header(data: bytes, magic: bytes):
-    # Returns (width, height, maxval, offset of first data byte).
-    if not data.startswith(magic):
-        raise ParseError(f"expected {magic.decode()} header", byte_offset=0)
-    pos = len(magic)
+def _read_header(data: bytes):
+    # Returns (width, height, offset of first data byte) of a PGM.
+    if not data.startswith(b"P5"):
+        raise ParseError("expected P5 header", byte_offset=0)
+    pos = 2
     fields = []
     while len(fields) < 3:
         while pos < len(data) and data[pos : pos + 1].isspace():
@@ -47,7 +44,7 @@ def _read_header(data: bytes, magic: bytes):
     w, h, maxval = fields
     if maxval != 255:
         raise ParseError(f"only maxval 255 is supported, got {maxval}", byte_offset=pos)
-    return w, h, maxval, pos
+    return w, h, pos
 
 
 def write_pgm(path, gray: np.ndarray) -> None:
@@ -62,7 +59,7 @@ def write_pgm(path, gray: np.ndarray) -> None:
 
 def read_pgm(path) -> np.ndarray:
     data = Path(path).read_bytes()
-    w, h, _, pos = _read_header(data, b"P5")
+    w, h, pos = _read_header(data)
     body = data[pos : pos + w * h]
     if len(body) != w * h:
         raise ParseError(f"expected {w * h} data bytes, got {len(body)}", byte_offset=pos)
@@ -79,25 +76,8 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         f.write(arr.tobytes())
 
 
-def read_ppm(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    w, h, _, pos = _read_header(data, b"P6")
-    body = data[pos : pos + w * h * 3]
-    if len(body) != w * h * 3:
-        raise ParseError(f"expected {w * h * 3} data bytes, got {len(body)}", byte_offset=pos)
-    return np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3)
-
-
 def mask_filename(frame: int, object_id) -> str:
     return f"f{frame:04d}_o{object_id}.pgm"
-
-
-def parse_mask_filename(name: str):
-    """Return (frame, object id string) for a mask filename, or None."""
-    m = _MASK_NAME.match(name)
-    if m is None:
-        return None
-    return int(m.group(1)), m.group(2)
 
 
 def write_mask_pgm(directory, frame: int, object_id, mask: BinaryMask) -> Path:

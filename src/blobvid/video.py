@@ -56,9 +56,6 @@ class BlobVideo:
     def num_tracks(self) -> int:
         return len(self.tracks)
 
-    def anchor_frames(self) -> list[int]:
-        return list(range(0, self.num_frames, self.anchor_interval))
-
     def is_dense(self) -> bool:
         full = set(range(self.num_frames))
         return all(set(t.params) == full for t in self.tracks)

@@ -9,6 +9,8 @@ Python set intersections) so that agreement is evidence, not tautology.
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +215,37 @@ def materialize_dense(m: AttnMask3D, cap: int = _DENSE_CAP_DEFAULT) -> np.ndarra
         e = min(s + step, n)
         out[s:e] = np.where(m.allowed_rows(s, e), 0.0, NEG_INF)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Label bitsets and image files, decoded without the package's readers
+
+
+def decode(code: np.ndarray, n_labels: int) -> frozenset[int]:
+    """The label set of one packed bitset row, LSB-first within a byte."""
+    return frozenset(lab for lab in range(n_labels) if int(code[lab // 8]) >> (lab % 8) & 1)
+
+
+def label_set(field, i: int) -> frozenset[int]:
+    """The label set of position i of a LabelField."""
+    return decode(field.bits[i], field.n_labels)
+
+
+def read_ppm(path) -> np.ndarray:
+    """An (h, w, 3) uint8 image from a PPM whose header is the three lines
+    P6, "<w> <h>" and 255, as write_ppm emits it."""
+    data = Path(path).read_bytes()
+    magic, size, maxval, body = data.split(b"\n", 3)
+    assert magic == b"P6" and maxval == b"255"
+    w, h = (int(x) for x in size.split())
+    assert len(body) == h * w * 3
+    return np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3)
+
+
+def parse_mask_filename(name: str):
+    """(frame, object id string) for a name f<frame, 4+ digits>_o<id>.pgm, else None."""
+    m = re.fullmatch(r"f(\d{4,})_o(.+)\.pgm", name)
+    return (int(m.group(1)), m.group(2)) if m else None
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 import blobvid
-from blobvid import pipeline, video
+from blobvid import cli, labelfield, pipeline, video
 from blobvid.blobs import BlobParams, FrameGeometry, rasterize
 from blobvid.cli import _cfg_from_args, build_parser, main
 from blobvid.config import CHOICES, Config
 from blobvid.embedding import read_embedding, write_embedding
-from blobvid.pnm import read_mask_pgm, read_ppm, write_mask_pgm
+from blobvid.pnm import read_mask_pgm, write_mask_pgm
 from blobvid.video import BlobTrack, BlobVideo, video_to_json
+
+from conftest import read_ppm
 
 
 @pytest.fixture
@@ -211,6 +213,39 @@ class TestAttend:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "100000000" in err
 
+    @pytest.mark.parametrize("command, size_flags, need", [
+        ("mask", ["--feature-h", "100000", "--feature-w", "100000"], 3 * 10**10),
+        ("render", ["--render-h", "100000", "--render-w", "100000"], 6 * 10**10),
+    ], ids=["mask", "render"])
+    def test_huge_raster_grid_is_one_error_line(self, tmp_path, video_file, capsys, monkeypatch,
+                                                command, size_flags, need):
+        # Frame 0 of 100000 x 100000 cells: two track masks and the
+        # background (and, on render, 3 RGB bytes) per cell, refused by
+        # arithmetic alone before any frame is rasterized or allocated.
+        monkeypatch.setattr(labelfield, "per_frame_masks", None)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, [
+            command, str(video_file), "--out-dir", str(out_dir), "--frames", "0", *size_flags,
+        ])
+        assert code == 1 and out == ""
+        assert err == (f"error: {command} of 1 frames of 100000x100000 cells for 2 tracks needs "
+                       f"{need} bytes, above the budget of {cli._RASTER_BUDGET_BYTES}\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command, need", [
+        ("mask", 9 * 3 * 16 * 16), ("render", 9 * 6 * 64 * 64),
+    ], ids=["mask", "render"])
+    def test_raster_budget_is_inclusive(self, tmp_path, video_file, capsys, monkeypatch,
+                                        command, need):
+        # All 9 frames: 16 x 16 features on mask, the native 64 x 64 on render.
+        argv = [command, str(video_file), "--out-dir", str(tmp_path / "out"),
+                "--feature-h", "16", "--feature-w", "16"]
+        monkeypatch.setattr(cli, "_RASTER_BUDGET_BYTES", need)
+        assert run_cli(capsys, argv)[0] == 0
+        monkeypatch.setattr(cli, "_RASTER_BUDGET_BYTES", need - 1)
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1 and f"needs {need} bytes" in err
+
 
 class TestValidate:
     def test_clean_video(self, video_file, capsys):
@@ -271,6 +306,35 @@ class TestMetrics:
     def test_miou_without_inputs_is_error(self, capsys):
         code, _, err = run_cli(capsys, ["metrics", "miou"])
         assert code == 1 and "detections" in err
+
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("rclip_t", "--frames", "7"),
+        ("rclip_t", "--detections", "dets.json"),
+        ("rclip_t", "--ground-truth", "gt.json"),
+        ("rclip_t", "--match", "greedy"),
+        ("miou", "--embeddings", "manifest.json"),
+    ], ids=["cosine-frames", "cosine-detections", "cosine-ground-truth", "cosine-match",
+            "miou-embeddings"])
+    def test_other_kinds_flag_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                kind, flag, value):
+        # Every input file is valid, so the misplaced flag is the only fault.
+        write_embedding(tmp_path / "cap.bin", np.array([[1.0, 0.0]]))
+        (tmp_path / "manifest.json").write_text(json.dumps({"embeddings": [
+            {"object": 0, "frame": 0, "kind": "caption", "path": "cap.bin"},
+            {"object": 0, "frame": 0, "kind": "generated", "path": "cap.bin"},
+        ]}))
+        (tmp_path / "dets.json").write_text(json.dumps({"frames": [
+            {"frame": 0, "detections": [{"bbox": [0, 0, 10, 10], "confidence": 0.9}]}]}))
+        (tmp_path / "gt.json").write_text(json.dumps({"frames": [
+            {"frame": 0, "objects": [{"id": 0, "bbox": [0, 0, 10, 10]}]}]}))
+        monkeypatch.chdir(tmp_path)
+        inputs = (["--embeddings", "manifest.json"] if kind != "miou"
+                  else ["--detections", "dets.json", "--ground-truth", "gt.json"])
+        code, out, err = run_cli(capsys, ["metrics", kind, *inputs, flag, value])
+        assert code == 1 and out == ""
+        assert err == f"error: {kind} does not take {flag}\n"
+        code, out, _ = run_cli(capsys, ["metrics", kind, *inputs])
+        assert code == 0 and out
 
 
 class TestGradcheck:

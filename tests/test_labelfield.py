@@ -18,7 +18,7 @@ from blobvid.labelfield import (
 from blobvid.layout import densify_layout, parse_layout
 from blobvid.video import BlobTrack, BlobVideo, densify
 
-from conftest import materialize_dense, random_canonical_blob
+from conftest import decode, label_set, materialize_dense, random_canonical_blob
 
 GEOM = FrameGeometry(64, 64)
 
@@ -63,7 +63,7 @@ class TestLabelField:
         sets = [{0}, {1}, {0, 1}, {2}, {0, 2}, {1, 2}, {0, 1, 2}, {2}]
         field = LabelField.from_label_sets(2, 2, 2, 3, sets)
         for i, labs in enumerate(sets):
-            assert field.label_set(i) == labs
+            assert label_set(field, i) == labs
 
     def test_rejects_out_of_range_label(self):
         with pytest.raises(RangeError):
@@ -77,7 +77,7 @@ class TestLabelField:
         sets = [{8}] * 4
         field = LabelField.from_label_sets(1, 2, 2, 9, sets)
         assert field.bits.shape == (4, 2)
-        assert field.label_set(0) == {8}
+        assert label_set(field, 0) == {8}
 
     def test_bitset_memory_bound(self):
         # 10 objects + background at T=16, h=w=32: two bytes per position.
@@ -107,13 +107,7 @@ class TestLabelField:
         bits = np.zeros((4, (n_labels + 7) // 8), dtype=np.uint8)
         bits[:, -1] = 1 << (n_labels - 1) % 8
         field = LabelField(1, 2, 2, n_labels, bits)
-        assert field.label_set(3) == {n_labels - 1}
-
-    def test_position_indexing(self):
-        sets = [{i % 3} for i in range(2 * 2 * 3)]
-        field = LabelField.from_label_sets(2, 2, 3, 3, sets)
-        assert field.position(1, 1, 2) == 2 * 2 * 3 - 1
-        assert field.label_set(field.position(0, 1, 0)) == {3 % 3}
+        assert label_set(field, 3) == {n_labels - 1}
 
 
 class TestBuildLabelField:
@@ -122,20 +116,20 @@ class TestBuildLabelField:
         field = build_label_field(v, 6, 6)
         want = label_sets_reference(v, 6, 6)
         for i in range(field.size):
-            assert field.label_set(i) == want[i]
+            assert label_set(field, i) == want[i]
 
     def test_background_exactly_complement(self, rng):
         v = random_video(rng, num_frames=2)
         h = w = 8
         field = build_label_field(v, h, w)
-        bg = field.background_label
+        bg = field.n_labels - 1
         for t in range(v.num_frames):
             union = np.zeros((h, w), dtype=bool)
             for tr in v.tracks:
                 union |= rasterize(tr.params[t], v.geom, h, w).bits
             for r in range(h):
                 for c in range(w):
-                    labs = field.label_set(field.position(t, r, c))
+                    labs = label_set(field, (t * h + r) * w + c)
                     assert (bg in labs) == (not union[r, c])
                     assert labs, "label sets are never empty"
 
@@ -143,8 +137,8 @@ class TestBuildLabelField:
         v = random_video(rng, num_frames=1)
         f1 = build_label_field(v, 8, 8, rho=1.0)
         f2 = build_label_field(v, 8, 8, rho=1.5)
-        grown = sum(len(f2.label_set(i) - {f2.background_label}) for i in range(f2.size))
-        base = sum(len(f1.label_set(i) - {f1.background_label}) for i in range(f1.size))
+        grown = sum(len(label_set(f2, i) - {f2.n_labels - 1}) for i in range(f2.size))
+        base = sum(len(label_set(f1, i) - {f1.n_labels - 1}) for i in range(f1.size))
         assert grown >= base
 
     def test_rejects_sparse_video(self):
@@ -190,11 +184,6 @@ class TestBuildLabelField:
             build_label_field(v, 6, 6, frames=frames[:1] + [(masks[:1], background)] + frames[2:])
 
 
-def decode(code: np.ndarray, n_labels: int) -> frozenset[int]:
-    """The label set of one packed bitset row, LSB-first within a byte."""
-    return frozenset(lab for lab in range(n_labels) if int(code[lab // 8]) >> (lab % 8) & 1)
-
-
 class TestClasses:
     @pytest.mark.parametrize("n_labels, n", [(1, 1), (3, 1), (3, 40), (9, 60), (65, 1),
                                              (65, 200), (70, 300)])
@@ -211,7 +200,7 @@ class TestClasses:
         assert [bytes(c) for c in codes] == sorted(bytes(c) for c in codes)
         assert inverse.shape == (n,)
         for i in range(n):
-            assert decode(codes[inverse[i]], n_labels) == field.label_set(i) == sets[i]
+            assert decode(codes[inverse[i]], n_labels) == label_set(field, i) == sets[i]
         assert counts.sum() == n
         by_set = Counter(sets)
         assert [by_set[decode(c, n_labels)] for c in codes] == counts.tolist()
@@ -235,7 +224,7 @@ class TestAttnMask3D:
         v = random_video(rng, num_frames=2)
         field = build_label_field(v, 5, 5)
         m = AttnMask3D(field)
-        sets = [field.label_set(i) for i in range(field.size)]
+        sets = [label_set(field, i) for i in range(field.size)]
         idx = rng.integers(0, field.size, size=200)
         for i, j in zip(idx[::2].tolist(), idx[1::2].tolist()):
             want = 0.0 if (sets[i] & sets[j]) else NEG_INF

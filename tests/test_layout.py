@@ -1,29 +1,17 @@
 import json
 import math
-import warnings
 
-import numpy as np
 import pytest
 
 from blobvid.blobs import FrameGeometry
-from blobvid.errors import EmptyPrompt, ParseError, RangeError, SchemaError, parse_json
-from blobvid.exemplars import (
-    EXEMPLAR_1_LAYOUT,
-    EXEMPLAR_1_PROMPT,
-    EXEMPLAR_2_LAYOUT,
-    EXEMPLAR_2_PROMPT,
-    INSTRUCTION,
-)
+from blobvid.errors import ParseError, RangeError, SchemaError, parse_json
+from blobvid.exemplars import EXEMPLAR_1_LAYOUT, EXEMPLAR_2_LAYOUT
 from blobvid.layout import (
-    FileReplayProvider,
-    build_icl_prompt,
-    default_prompt_bundle,
     densify_layout,
     parse_layout,
     serialize_layout,
     serialize_layout_doc,
 )
-from blobvid.video import video_to_json
 
 GEOM = FrameGeometry(720, 480)
 
@@ -141,10 +129,6 @@ class TestExemplars:
         assert cap2.startswith(" ")
         assert "bird's" in cap0
 
-    def test_prompts_nonempty(self):
-        assert EXEMPLAR_1_PROMPT and EXEMPLAR_2_PROMPT
-        assert "[cx, cy, a, b, theta]" in INSTRUCTION
-
 
 class TestDensifyLayout:
     def test_basic(self):
@@ -255,35 +239,3 @@ class TestSerializeLayout:
         once = serialize_layout_doc(parse_layout(EXEMPLAR_2_LAYOUT))
         twice = serialize_layout_doc(parse_layout(once))
         assert once == twice
-
-
-class TestPromptAssembly:
-    def test_structure(self):
-        prompt = build_icl_prompt("two cats boxing")
-        assert prompt.startswith(INSTRUCTION)
-        assert prompt.count("Example 1:") == 1
-        assert prompt.count("Example 2:") == 1
-        assert prompt.count("```json") == 2
-        assert prompt.rstrip().endswith("Prompt: two cats boxing")
-        assert prompt.index(EXEMPLAR_1_PROMPT) < prompt.index(EXEMPLAR_2_PROMPT)
-
-    def test_exemplar_layouts_embedded_verbatim(self):
-        prompt = build_icl_prompt("x")
-        assert EXEMPLAR_1_LAYOUT in prompt
-        assert EXEMPLAR_2_LAYOUT in prompt
-
-    def test_empty_prompt_rejected(self):
-        with pytest.raises(EmptyPrompt):
-            build_icl_prompt("")
-
-    def test_default_bundle(self):
-        bundle = default_prompt_bundle()
-        assert len(bundle.exemplars) == 2
-        assert bundle.instruction == INSTRUCTION
-
-
-class TestProviders:
-    def test_file_replay(self, tmp_path):
-        (tmp_path / "resp.txt").write_text(SIMPLE, encoding="utf-8")
-        provider = FileReplayProvider(str(tmp_path / "resp.txt"))
-        assert parse_layout(provider.generate("ignored")).max_frame() == 4

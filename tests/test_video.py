@@ -250,7 +250,3 @@ class TestBlobVideoConstruction:
     def test_rejects_bad_anchor_interval(self):
         with pytest.raises(RangeError):
             BlobVideo(4, GEOM, 0, ())
-
-    def test_anchor_frames(self):
-        v = BlobVideo(10, GEOM, 4, ())
-        assert v.anchor_frames() == [0, 4, 8]
