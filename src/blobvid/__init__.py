@@ -8,69 +8,33 @@ shared-label positions, gated residual merges, all with analytic gradients),
 the LLM layout JSON interchange, and layout-control metrics.
 """
 
-from .blobs import (
-    BinaryMask,
-    BlobParams,
-    FrameGeometry,
-    canonicalize,
-    mask_iou,
-    rasterize,
-)
-from .config import Config, load_config
-from .errors import (
-    BlobvidError,
-    DegenerateVector,
-    EmptyMask,
-    EmptyTrack,
-    InvalidBlob,
-    ParseError,
-    RangeError,
-    SchemaError,
-    ShapeError,
-    TooLarge,
-    UndefinedMetric,
-)
-from .fitting import FitResult, fit_ellipse, interpolate_blob_params, moments_init
-from .labelfield import NEG_INF, AttnMask3D, LabelField, build_label_field, per_frame_masks
-from .video import BlobTrack, BlobVideo, Violation, densify, validate, video_from_json, video_to_json
+import importlib
+
+# Each exported name and the module that defines it. A name's module loads on
+# first access (PEP 562), so `import blobvid` alone loads no numpy.
+_HOMES = {
+    "blobs": ("BinaryMask", "mask_iou", "rasterize"),
+    "config": ("Config", "load_config"),
+    "errors": ("BlobvidError", "DegenerateVector", "EmptyMask", "EmptyTrack", "InvalidBlob",
+               "ParseError", "RangeError", "SchemaError", "ShapeError", "TooLarge",
+               "UndefinedMetric"),
+    "fitting": ("FitResult", "fit_ellipse", "moments_init"),
+    "geometry": ("BlobParams", "FrameGeometry", "canonicalize", "interpolate_blob_params"),
+    "labelfield": ("NEG_INF", "AttnMask3D", "LabelField", "build_label_field", "per_frame_masks"),
+    "video": ("BlobTrack", "BlobVideo", "Violation", "densify", "validate", "video_from_json",
+              "video_to_json"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttnMask3D",
-    "BinaryMask",
-    "BlobParams",
-    "BlobTrack",
-    "BlobVideo",
-    "BlobvidError",
-    "Config",
-    "DegenerateVector",
-    "EmptyMask",
-    "EmptyTrack",
-    "FitResult",
-    "FrameGeometry",
-    "InvalidBlob",
-    "LabelField",
-    "NEG_INF",
-    "ParseError",
-    "RangeError",
-    "SchemaError",
-    "ShapeError",
-    "TooLarge",
-    "UndefinedMetric",
-    "Violation",
-    "__version__",
-    "build_label_field",
-    "canonicalize",
-    "densify",
-    "fit_ellipse",
-    "interpolate_blob_params",
-    "load_config",
-    "mask_iou",
-    "moments_init",
-    "per_frame_masks",
-    "rasterize",
-    "validate",
-    "video_from_json",
-    "video_to_json",
-]
+__all__ = sorted([*_HOME, "__version__"])
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -1,8 +1,9 @@
-"""Tilted-ellipse blob primitives: parameters, canonical form, rasterization, mask IOU.
+"""Blob rasterization and mask IOU on grids of cells.
 
-A blob is an ellipse [cx, cy, a, b, theta] in source-pixel coordinates plus,
-elsewhere in the package, a free-form caption. Rasterization samples cell
-centers of an arbitrary grid, so the same blob can be drawn at any resolution.
+Rasterization samples cell centers of an arbitrary grid, so the same blob can
+be drawn at any resolution. The blob params, frame geometry and canonical form
+live in geometry, which needs no numpy; BlobParams, FrameGeometry and
+canonicalize stay bound here for callers that import them from blobs.
 """
 
 from __future__ import annotations
@@ -12,92 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBlob, RangeError, ShapeError
+from .errors import RangeError, ShapeError
+from .geometry import BlobParams, FrameGeometry, canonicalize
 
-__all__ = [
-    "BlobParams",
-    "FrameGeometry",
-    "BinaryMask",
-    "canonicalize",
-    "rasterize",
-    "mask_iou",
-]
-
-_HALF_PI = math.pi / 2.0
-
-
-def _wrap_half_pi(theta: float) -> float:
-    # Reduce an angle modulo pi into (-pi/2, pi/2].
-    t = math.fmod(theta, math.pi)
-    if t <= -_HALF_PI:
-        t += math.pi
-    elif t > _HALF_PI:
-        t -= math.pi
-    return t
-
-
-@dataclass(frozen=True)
-class FrameGeometry:
-    """Source frame size in pixels. Grid cells map into this coordinate space."""
-
-    width: int
-    height: int
-
-    def __post_init__(self):
-        if int(self.width) != self.width or int(self.height) != self.height:
-            raise ShapeError(f"frame geometry must be integral, got {self.width}x{self.height}")
-        object.__setattr__(self, "width", int(self.width))
-        object.__setattr__(self, "height", int(self.height))
-        if self.width < 1 or self.height < 1:
-            raise ShapeError(f"frame geometry must be at least 1x1, got {self.width}x{self.height}")
-
-
-def _require_finite(vals: tuple[float, ...]) -> None:
-    if not all(math.isfinite(v) for v in vals):
-        raise InvalidBlob(f"blob parameters must be finite, got {vals}")
-
-
-@dataclass(frozen=True)
-class BlobParams:
-    """One tilted ellipse.
-
-    cx, cy: center in source-pixel coordinates.
-    a, b: semi-axis lengths, a along the theta direction.
-    theta: rotation in radians. Canonical form keeps theta in (-pi/2, pi/2]
-    with a >= b; raw values outside that range are legal input for
-    :func:`canonicalize` and for validation reporting.
-    """
-
-    cx: float
-    cy: float
-    a: float
-    b: float
-    theta: float
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in (self.cx, self.cy, self.a, self.b, self.theta))
-        _require_finite(vals)
-        for name, value in zip(("cx", "cy", "a", "b", "theta"), vals):
-            object.__setattr__(self, name, value)
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise InvalidBlob(f"semi-axes must be positive, got a={self.a}, b={self.b}")
-
-    @classmethod
-    def from_sequence(cls, seq) -> "BlobParams":
-        vals = list(seq)
-        if len(vals) != 5:
-            raise InvalidBlob(f"blob needs exactly 5 parameters, got {len(vals)}")
-        return cls(*vals)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.a, self.b, self.theta], dtype=np.float64)
-
-    def is_canonical(self) -> bool:
-        if self.a < self.b:
-            return False
-        if self.a == self.b:
-            return self.theta == 0.0
-        return -_HALF_PI < self.theta <= _HALF_PI
+__all__ = ["BinaryMask", "rasterize", "mask_iou"]
 
 
 @dataclass(frozen=True)
@@ -133,23 +52,6 @@ class BinaryMask:
     @property
     def count(self) -> int:
         return int(self.bits.sum())
-
-
-def canonicalize(p: BlobParams) -> BlobParams:
-    """Return the canonical form of a blob: a >= b, theta in (-pi/2, pi/2].
-
-    Circles get theta = 0. The returned ellipse covers exactly the same point
-    set as the input; the map is idempotent.
-    """
-    a, b, theta = p.a, p.b, p.theta
-    if a < b:
-        a, b = b, a
-        theta = theta + _HALF_PI
-    if a == b:
-        theta = 0.0
-    else:
-        theta = _wrap_half_pi(theta)
-    return BlobParams(p.cx, p.cy, a, b, theta)
 
 
 def _span(center: float, half: float, cell: float, n: int) -> tuple[int, int]:

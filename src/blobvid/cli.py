@@ -83,8 +83,8 @@ def _thread_count(text: str) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    from .blobs import FrameGeometry
     from .fitting import fit_ellipse
+    from .geometry import FrameGeometry
     from .pnm import read_mask_pgm
 
     mask = read_mask_pgm(args.mask)
@@ -100,13 +100,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_interp(args: argparse.Namespace) -> int:
-    from .blobs import BlobParams
-    from .fitting import interpolate_blob_params
+    from .geometry import BlobParams, interpolate_blob_params
 
     p1 = BlobParams.from_sequence(args.p1)
     p2 = BlobParams.from_sequence(args.p2)
     mid = interpolate_blob_params(p1, p2, args.alpha)
-    _print_json({"params": list(mid.as_array())})
+    _print_json({"params": [mid.cx, mid.cy, mid.a, mid.b, mid.theta]})
     return 0
 
 

@@ -49,6 +49,8 @@ class Config:
             raise RangeError(f"rescale must be positive, got {self.rescale}")
         if self.fourier_freqs < 1:
             raise RangeError(f"need at least one Fourier frequency, got {self.fourier_freqs}")
+        if self.seed < 0:
+            raise RangeError(f"seed must be non-negative, got {self.seed}")
         for name, allowed in CHOICES.items():
             value = getattr(self, name)
             if value not in allowed:

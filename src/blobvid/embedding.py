@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .blobs import BlobParams, FrameGeometry, canonicalize
 from .config import CHOICES
 from .errors import DegenerateVector, RangeError, SchemaError, ShapeError, read_json
+from .geometry import BlobParams, FrameGeometry, canonicalize
 
 __all__ = [
     "EmbeddingSeq",

@@ -1,4 +1,4 @@
-"""Ellipse fitting and blob parameter interpolation.
+"""Ellipse fitting to a mask by rasterized IOU.
 
 fit_ellipse maximizes the IOU between a rasterized ellipse and a target mask
 with derivative-free Nelder-Mead, started from image moments. The objective is
@@ -17,6 +17,9 @@ objective ties often, and which tied vertex is best decides the next step,
 so the simplex is reordered exactly as scipy reorders it: np.argsort of the
 default kind, applied twice to the initial simplex. The same masks therefore
 give the same parameters, bit for bit, and the same iteration count.
+
+Blob parameter interpolation needs no numpy and lives in
+geometry.interpolate_blob_params.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blobs import (BinaryMask, BlobParams, FrameGeometry, _cell_centers, _ellipse_window,
-                    _require_finite, canonicalize, mask_iou, rasterize)
-from .errors import EmptyMask, InvalidBlob, RangeError
+from .blobs import BinaryMask, _cell_centers, _ellipse_window, mask_iou, rasterize
+from .errors import EmptyMask, RangeError
+from .geometry import BlobParams, FrameGeometry, _require_finite, canonicalize
 
-__all__ = ["FitResult", "moments_init", "fit_ellipse", "interpolate_blob_params"]
+__all__ = ["FitResult", "moments_init", "fit_ellipse"]
 
 
 @dataclass(frozen=True)
@@ -183,30 +186,3 @@ def fit_ellipse(mask: BinaryMask, geom: FrameGeometry,
         best, iou = init, init_iou
     return FitResult(params=best, iou=iou, iterations=iterations)
 
-
-def interpolate_blob_params(p1: BlobParams, p2: BlobParams, alpha: float) -> BlobParams:
-    """Interpolate two canonical blobs: linear in center and radii, shortest
-    arc modulo pi in orientation. alpha = 0 and 1 return the endpoints exactly.
-
-    When the orientations are exactly perpendicular both arcs are pi/2 long.
-    That tie goes to the raw difference p2.theta - p1.theta: round(+-0.5) is
-    0, so the orientation rotates the way that difference points.
-    """
-    alpha = float(alpha)
-    if not (0.0 <= alpha <= 1.0) or not math.isfinite(alpha):
-        raise RangeError(f"alpha must lie in [0, 1], got {alpha}")
-    if not p1.is_canonical() or not p2.is_canonical():
-        raise InvalidBlob("interpolation expects canonical blob parameters")
-    if alpha == 0.0:
-        return p1
-    if alpha == 1.0:
-        return p2
-    w0 = 1.0 - alpha
-    cx = w0 * p1.cx + alpha * p2.cx
-    cy = w0 * p1.cy + alpha * p2.cy
-    a = w0 * p1.a + alpha * p2.a
-    b = w0 * p1.b + alpha * p2.b
-    d = p2.theta - p1.theta
-    d -= math.pi * round(d / math.pi)  # shortest arc; orientation is mod pi
-    theta = p1.theta + alpha * d
-    return canonicalize(BlobParams(cx, cy, a, b, theta))

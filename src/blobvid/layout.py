@@ -16,8 +16,8 @@ import re
 import warnings
 from dataclasses import dataclass
 
-from .blobs import BlobParams, FrameGeometry, canonicalize
 from .errors import RangeError, SchemaError, parse_json
+from .geometry import BlobParams, FrameGeometry, canonicalize
 from .video import BlobTrack, BlobVideo, densify
 
 __all__ = [

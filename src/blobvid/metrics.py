@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .config import COSINE_MODES
 from .errors import (
@@ -25,6 +23,9 @@ from .errors import (
     UndefinedMetric,
     read_json,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BBox",
@@ -171,26 +172,26 @@ def match_detections(dets: Sequence[BBox], gts: Sequence[BBox],
     kept = _truncate_by_confidence(dets, len(gts))
     if not kept:
         return MatchResult(pairs=(), per_gt_iou=(0.0,) * len(gts), kept=())
-    iou = np.array([[bbox_iou(dets[i], g) for g in gts] for i in kept])
+    iou = [[bbox_iou(dets[i], g) for g in gts] for i in kept]
     per_gt = [0.0] * len(gts)
     pairs = []
     if method == "hungarian":
-        for r, c in enumerate(_min_cost_assignment((-iou).tolist())):
+        for r, c in enumerate(_min_cost_assignment([[-x for x in row] for row in iou])):
             pairs.append((kept[r], c))
-            per_gt[c] = float(iou[r, c])
+            per_gt[c] = float(iou[r][c])
     else:
         free_rows = set(range(len(kept)))
         free_cols = set(range(len(gts)))
         while free_rows and free_cols:
             best = max(
-                ((iou[r, c], -r, -c) for r in free_rows for c in free_cols)
+                ((iou[r][c], -r, -c) for r in free_rows for c in free_cols)
             )
             _, nr, nc = best
             r, c = -nr, -nc
             free_rows.remove(r)
             free_cols.remove(c)
             pairs.append((kept[r], c))
-            per_gt[c] = float(iou[r, c])
+            per_gt[c] = float(iou[r][c])
     pairs.sort(key=lambda rc: rc[1])
     return MatchResult(pairs=tuple(pairs), per_gt_iou=tuple(per_gt), kept=tuple(kept))
 
@@ -212,7 +213,36 @@ def mean_iou(evals: Iterable[FrameEval], eval_frames: Iterable[int],
         scores.extend(result.per_gt_iou)
     if not scores:
         raise UndefinedMetric("no ground-truth objects on the evaluation frames")
-    return float(np.mean(scores))
+    return _mean(scores)
+
+
+def _mean(xs: Sequence[float]) -> float:
+    """np.mean of a non-empty sequence of floats, bit for bit: numpy's float64
+    pairwise sum, added to the reduction's initial 0.0, over the count."""
+    return (0.0 + _pairwise_sum(xs, 0, len(xs))) / len(xs)
+
+
+def _pairwise_sum(xs: Sequence[float], lo: int, n: int) -> float:
+    # numpy's pairwise_sum step for step on xs[lo:lo + n]: a plain loop below
+    # 8 items, 8 interleaved accumulators up to 128, and above that two
+    # halves split at a multiple of 8.
+    if n < 8:
+        total = 0.0
+        for x in xs[lo:lo + n]:
+            total += x
+        return total
+    if n <= 128:
+        r = list(xs[lo:lo + 8])
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += xs[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[end:lo + n]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
 
 
 @dataclass(frozen=True)
@@ -226,6 +256,8 @@ class RegionEmbedding:
     vector: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         vec = np.array(self.vector, dtype=np.float64, copy=True).reshape(-1)
         if vec.size == 0 or not np.all(np.isfinite(vec)):
             raise ShapeError(f"embedding vector must be finite and non-empty, got size {vec.size}")
@@ -245,6 +277,8 @@ class MetricReport:
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+    import numpy as np
+
     return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
@@ -292,7 +326,7 @@ def region_cosine_metrics(embs: Iterable[RegionEmbedding], mode: str) -> MetricR
         raise UndefinedMetric(f"no scorable pairs for {mode} ({skipped} skipped)")
     return MetricReport(
         metric=mode,
-        value=float(np.mean(cosines)),
+        value=_mean(cosines),
         num_pairs=len(cosines),
         skipped=skipped,
     )

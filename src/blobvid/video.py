@@ -8,20 +8,16 @@ interpolation and copies the nearest annotation outside the annotated span.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
-from .blobs import BlobParams, FrameGeometry
 from .errors import EmptyTrack, RangeError, SchemaError, TooLarge, parse_json
-from .fitting import interpolate_blob_params
+from .geometry import _HALF_PI, BlobParams, FrameGeometry, interpolate_blob_params
 
 __all__ = ["BlobTrack", "BlobVideo", "Violation", "densify", "fill_frames", "validate",
            "video_to_json", "video_from_json"]
 
 V = TypeVar("V")
-
-_HALF_PI = math.pi / 2.0
 
 SCHEMA_VERSION = 1
 

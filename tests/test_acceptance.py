@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import blobvid
 from blobvid.attention import (

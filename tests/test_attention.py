@@ -21,7 +21,7 @@ from blobvid.blobs import BinaryMask
 from blobvid.embedding import BlobEmbedding
 from blobvid.errors import ShapeError
 from blobvid.gradcheck import central_difference_grads, relative_error
-from blobvid.labelfield import NEG_INF, AttnMask3D, LabelField, shares_label
+from blobvid.labelfield import AttnMask3D, LabelField, shares_label
 
 from conftest import (
     cross_attention_reference,

@@ -391,6 +391,27 @@ class TestConfigPlumbing:
         m = read_mask_pgm(out_dir / "f0000_o0.pgm")
         assert (m.h, m.w) == (4, 12)
 
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_negative_seed_is_one_error_line(self, tmp_path, video_file, capsys, monkeypatch,
+                                             source):
+        # Each source once; numpy's seeding would refuse a negative seed with
+        # a traceback.
+        argv = _attend(video_file)
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -3}))
+            argv += ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv("BLOBVID_SEED", "-2")
+            argv = ["gradcheck", "--instances", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: seed must be non-negative")
+
 
 class TestConfigSurface:
     def test_every_field_is_set_by_file_env_and_flag(self, tmp_path, monkeypatch):
@@ -712,6 +733,16 @@ class TestStartup:
     def test_light_commands_do_not_load_the_attention_stack(self, tmp_path, video_file):
         assert _loaded(_light_commands(tmp_path, video_file), tmp_path, _ATTENTION_STACK) == []
         assert "blobvid.attention" in _loaded([_attend(video_file)], tmp_path, _ATTENTION_STACK)
+
+    def test_layout_commands_do_not_load_numpy(self, tmp_path, video_file):
+        # validate, interp and metrics miou do no array math; a bare import of
+        # the package and the CLI module loads nothing of it either.
+        commands = [argv for argv in _light_commands(tmp_path, video_file)
+                    if argv[0] in ("validate", "interp", "metrics")]
+        assert len(commands) == 3
+        assert _loaded([], tmp_path, ["numpy"]) == []
+        assert _loaded(commands, tmp_path, ["numpy"]) == []
+        assert "numpy" in _loaded([_attend(video_file)], tmp_path, ["numpy"])
 
     def test_fit_still_loads_the_optimizer(self, tmp_path, capsys, monkeypatch):
         # fit runs the package's own Nelder-Mead, not a shortcut around it.

@@ -18,6 +18,7 @@ class TestConfigValidation:
         {"rescale": 0.0},
         {"rescale": -1.0},
         {"fourier_freqs": 0},
+        {"seed": -1},
         {"interp_method": "cubic"},
         {"interp_orientation": "upside_down"},
     ])

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from blobvid import fitting
-from blobvid.blobs import BinaryMask, BlobParams, FrameGeometry, canonicalize, mask_iou, rasterize
+from blobvid.blobs import BinaryMask, BlobParams, FrameGeometry, mask_iou, rasterize
 from blobvid.errors import EmptyMask, InvalidBlob, RangeError
-from blobvid.fitting import fit_ellipse, interpolate_blob_params, moments_init
+from blobvid.fitting import fit_ellipse, moments_init
+from blobvid.geometry import interpolate_blob_params
 
 from conftest import angle_mean_reference, random_canonical_blob
 

@@ -2,8 +2,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from blobvid.blobs import BinaryMask, BlobParams, FrameGeometry, rasterize
 from blobvid.exemplars import EXEMPLAR_2_LAYOUT

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -17,6 +17,7 @@ from blobvid.errors import (
     UndefinedMetric,
 )
 from blobvid.metrics import (
+    _mean,
     _min_cost_assignment,
     BBox,
     FrameEval,
@@ -229,6 +230,16 @@ class TestMeanIou:
         evals = [self.make_eval(0, [BBox(0, 0, 1, 1)], [])]
         with pytest.raises(UndefinedMetric):
             mean_iou(evals, [0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mean_is_numpys_bit_for_bit(self, data):
+        # Lengths 1-600 reach every branch of numpy's pairwise sum: a plain
+        # loop below 8 items, 8 accumulators up to 128, halving above that.
+        # Magnitudes up to 1e300 keep 600 terms from overflowing.
+        n = data.draw(st.integers(1, 600))
+        xs = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n))
+        assert _mean(xs).hex() == float(np.mean(xs)).hex()
 
 
 def unit2(angle: float) -> np.ndarray:

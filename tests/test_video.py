@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 from hypothesis import given, settings
