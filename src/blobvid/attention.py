@@ -246,16 +246,18 @@ def masked_cross_attention(g, blobs: Sequence[BlobEmbedding], masks: Sequence[Bi
 def _label_blocks(field: LabelField) -> list:
     """Row blocks of the 3D self-attention, grouped by label set.
 
-    Returns (rows, keys, masked) triples: the query positions of a block, the
-    key positions it reads (an index array or slice(None) for all), and
-    whether its rows need a mask over those keys (_block_allow) or may attend
-    to every one. Positions with equal label sets form a class and attend to
-    the same keys. A class of at least _SMALL_CLASS positions gets blocks of
-    its own over its gathered keys; the smaller classes are packed together,
-    in class order, into masked blocks over all keys, whose masks come from
-    their classes' rows. Positions with an empty label set attend to nothing
-    and are in no block. The classes are the field's (LabelField.classes), so
-    the order depends on the field alone: the same on every run.
+    Returns (rows, cls, masked) triples: the query positions of a block, its
+    label class (an index into LabelField.classes, or -1 for a packed block,
+    which reads all keys) and whether its rows need a mask over those keys
+    (_block_allow) or may attend to every one. Positions with equal label
+    sets form a class and attend to the same keys, which _class_runs builds
+    when a run of the class's blocks starts. A class of at least
+    _SMALL_CLASS positions gets blocks of its own over its gathered keys; the
+    smaller classes are packed together, in class order, into masked blocks
+    over all keys, whose masks come from their classes' rows. Positions with
+    an empty label set attend to nothing and are in no block. The classes
+    are the field's (LabelField.classes), so the order depends on the field
+    alone: the same on every run.
     """
     codes, inverse, counts = field.classes
     order = np.argsort(inverse, kind="stable")
@@ -265,10 +267,9 @@ def _label_blocks(field: LabelField) -> list:
     blocks = []
     for c in np.flatnonzero(large):
         rows = order[starts[c]:starts[c] + counts[c]]
-        keys = np.flatnonzero(shares_label(codes[c:c + 1], codes)[0][inverse])
-        blocks += [(rows[s:s + _BLOCK], keys, False) for s in range(0, rows.size, _BLOCK)]
+        blocks += [(rows[s:s + _BLOCK], int(c), False) for s in range(0, rows.size, _BLOCK)]
     packed = order[(nonempty & ~large)[inverse[order]]]
-    blocks += [(packed[s:s + _BLOCK], slice(None), True) for s in range(0, packed.size, _BLOCK)]
+    blocks += [(packed[s:s + _BLOCK], -1, True) for s in range(0, packed.size, _BLOCK)]
     return blocks
 
 
@@ -285,14 +286,18 @@ def _with_ones(v: np.ndarray) -> np.ndarray:
     return np.hstack([v, np.ones((v.shape[0], 1))])
 
 
-def _class_runs(blocks: list, k: np.ndarray, v1: np.ndarray):
-    """Runs of consecutive blocks that share one keys array, as (keys,
-    k[keys], v1[keys], blocks of the run): the keys of a run are gathered
-    once. Packed blocks read all keys, as views of k and v1."""
-    for _, run in groupby(blocks, key=lambda block: id(block[1])):
-        run = list(run)
-        keys = run[0][1]
-        yield keys, k[keys], v1[keys], run
+def _class_runs(blocks: list, field: LabelField, k: np.ndarray, v1: np.ndarray):
+    """Runs of consecutive blocks of one class, as (keys, k[keys], v1[keys],
+    blocks of the run). A run's keys, the positions its class may attend
+    to, are built when the run starts and gathered once, and dropped here
+    when it ends, so a part holds the keys of at most two classes at a time.
+    Packed blocks read all keys, as views of k and v1."""
+    codes, inverse, _ = field.classes
+    for c, run in groupby(blocks, key=lambda block: block[1]):
+        keys = (slice(None) if c < 0 else
+                np.flatnonzero(shares_label(codes[c:c + 1], codes)[0][inverse]))
+        yield keys, k[keys], v1[keys], list(run)
+        del keys
 
 
 def _attend(q, k_keys, v1, allow):
@@ -379,7 +384,7 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights,
 
         def part(blocks):
             # Blocks own disjoint rows, so the parts never write the same entry.
-            for _, k_keys, v1_keys, run in _class_runs(blocks, k, v1):
+            for _, k_keys, v1_keys, run in _class_runs(blocks, mask.field, k, v1):
                 for rows, _, masked in run:
                     out[rows], sums[rows] = _attend(q[rows], k_keys, v1_keys,
                                                     _block_allow(mask.field, rows, masked))
@@ -463,7 +468,7 @@ def masked_3d_self_attention_backward(g, mask: AttnMask3D, wts: SelfAttnWeights,
             dv = np.zeros_like(g)
             # A class run scatters its keys' gradients once; packed blocks
             # read all keys and add straight into dk, dv.
-            for keys, k_keys, v1_keys, run in _class_runs(blocks, k, v1):
+            for keys, k_keys, v1_keys, run in _class_runs(blocks, mask.field, k, v1):
                 if isinstance(keys, slice):
                     dk_keys, dv_keys = dk, dv
                 else:

@@ -1,8 +1,9 @@
 """Blob rasterization and mask IOU on grids of cells.
 
 Rasterization samples cell centers of an arbitrary grid, so the same blob can
-be drawn at any resolution. The blob params, frame geometry and canonical form
-live in geometry, which needs no numpy; BlobParams, FrameGeometry and
+be drawn at any resolution. The blob params, frame geometry, canonical form
+and a blob's window live in geometry, which needs no numpy, as does the
+plain-float twin of _ellipse_window; BlobParams, FrameGeometry and
 canonicalize stay bound here for callers that import them from blobs.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError, ShapeError
-from .geometry import BlobParams, FrameGeometry, canonicalize
+from .geometry import BlobParams, FrameGeometry, _ellipse_bounds, canonicalize
 
 __all__ = ["BinaryMask", "rasterize", "mask_iou"]
 
@@ -54,18 +55,6 @@ class BinaryMask:
         return int(self.bits.sum())
 
 
-def _span(center: float, half: float, cell: float, n: int) -> tuple[int, int]:
-    # Indices [i0, i1) of the cells, of side `cell`, whose centers
-    # (i + 0.5) * cell may lie within `half` of `center`. The pad of one cell
-    # plus 2**-30 of the magnitudes covers the rounding of these bounds and of
-    # the cell-in-ellipse test. Bounds are clamped in float before int(), so
-    # centers near +-1e308 and infinite half-sides cannot overflow.
-    pad = cell + (abs(center) + half) * 2.0 ** -30
-    lo = (center - half - pad) / cell - 0.5
-    hi = (center + half + pad) / cell + 0.5
-    return int(min(max(lo, 0.0), n)), int(min(max(hi, 0.0), n))
-
-
 def _cell_centers(geom: FrameGeometry, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     # Source coordinates of an h x w grid's cell centers: x per column, y per row.
     xs = (np.arange(w, dtype=np.float64) + 0.5) * (geom.width / w)
@@ -79,14 +68,13 @@ def _ellipse_window(cx: float, cy: float, a: float, b: float, theta: float,
     """Cell-in-ellipse test on the blob's window of the grid with cell centers
     xs, ys (from _cell_centers).
 
-    The window is the bounding square of half-side rho * max(a, b) around the
-    center, padded by at least one cell and clipped to the grid. Every cell
-    outside it fails the test, so only the window's cells are evaluated.
-    Returns the window's offset (r0, c0) and its boolean block.
+    The window (geometry._ellipse_bounds) is the bounding square of half-side
+    rho * max(a, b) around the center, padded by at least one cell and
+    clipped to the grid. Every cell outside it fails the test, so only the
+    window's cells are evaluated. Returns the window's offset (r0, c0) and
+    its boolean block.
     """
-    half = rho * max(a, b)
-    c0, c1 = _span(cx, half, geom.width / xs.size, xs.size)
-    r0, r1 = _span(cy, half, geom.height / ys.size, ys.size)
+    r0, r1, c0, c1 = _ellipse_bounds(cx, cy, a, b, geom, ys.size, xs.size, rho)
     dx = xs[c0:c1] - cx
     dy = ys[r0:r1, None] - cy
     ct = math.cos(theta)

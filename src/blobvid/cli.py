@@ -22,6 +22,11 @@ from .errors import BlobvidError, RangeError, TooLarge, read_text
 # The most bytes mask or render may hold in per-frame masks and images.
 _RASTER_BUDGET_BYTES = 1 << 30
 
+# The most window cells (geometry._ellipse_bounds) mask tests in plain floats
+# instead of loading numpy. At 0.2-0.6 us a cell that costs less than the
+# >= 70 ms of `import numpy`; far above it, numpy's vector test is faster.
+_PLAIN_MASK_CELLS = 1 << 16
+
 _PALETTE = (
     (230, 80, 80),
     (80, 180, 90),
@@ -66,9 +71,11 @@ def _check_raster_bytes(command: str, frames, num_tracks: int, h: int, w: int,
                         rgb: bool = False) -> None:
     """Raise TooLarge, before any frame is drawn, when the frames' masks (and
     RGB images) of h x w cells would exceed _RASTER_BUDGET_BYTES."""
-    need = len(frames) * (num_tracks + 1 + (3 if rgb else 0)) * h * w
+    # len() of a range longer than sys.maxsize raises OverflowError.
+    count = frames.stop if isinstance(frames, range) else len(frames)
+    need = count * (num_tracks + 1 + (3 if rgb else 0)) * h * w
     if need > _RASTER_BUDGET_BYTES:
-        raise TooLarge(f"{command} of {len(frames)} frames of {h}x{w} cells for {num_tracks} "
+        raise TooLarge(f"{command} of {count} frames of {h}x{w} cells for {num_tracks} "
                        f"tracks needs {need} bytes, above the budget of {_RASTER_BUDGET_BYTES}")
 
 
@@ -110,26 +117,38 @@ def _cmd_interp(args: argparse.Namespace) -> int:
 
 
 def _cmd_mask(args: argparse.Namespace) -> int:
-    from .labelfield import per_frame_masks
-    from .parallel import parallel_map
-    from .pnm import write_mask_pgm
+    from .geometry import _ellipse_bounds, _ellipse_rows
+    from .pnm import mask_filename, write_mask_window
     from .video import densify
 
     cfg = _cfg_from_args(args)
     v = densify(_load_video(args.video))
     frames = args.frames if args.frames is not None else range(v.num_frames)
-    _check_raster_bytes("mask", frames, v.num_tracks, cfg.feature_h, cfg.feature_w)
-    per_frame = parallel_map(
-        lambda t: per_frame_masks(v, t, cfg.feature_h, cfg.feature_w, cfg.rescale)[0],
-        frames, args.threads)
+    h, w, rho = cfg.feature_h, cfg.feature_w, cfg.rescale
+    _check_raster_bytes("mask", frames, v.num_tracks, h, w)
+    for t in frames:
+        if not 0 <= t < v.num_frames:
+            raise RangeError(f"frame {t} outside [0, {v.num_frames})")
+    blobs = [(t, track.object_id, track.params[t]) for t in frames for track in v.tracks]
+    windows = [_ellipse_bounds(p.cx, p.cy, p.a, p.b, v.geom, h, w, rho) for _, _, p in blobs]
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for t, masks in zip(frames, per_frame):
-        for track, m in zip(v.tracks, masks):
-            write_mask_pgm(out_dir, t, track.object_id, m)
-            count += 1
-    _print_json({"written": count, "dir": str(out_dir)})
+    if sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in windows) <= _PLAIN_MASK_CELLS:
+        drawn = [_ellipse_rows(p, v.geom, h, w, rho) for _, _, p in blobs]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for (t, object_id, _), (r0, c0, rows) in zip(blobs, drawn):
+            write_mask_window(out_dir / mask_filename(t, object_id), h, w, r0, c0, rows)
+    else:
+        from .labelfield import per_frame_masks
+        from .parallel import parallel_map
+        from .pnm import write_mask_pgm
+
+        per_frame = parallel_map(lambda t: per_frame_masks(v, t, h, w, rho)[0],
+                                 frames, args.threads)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for t, masks in zip(frames, per_frame):
+            for track, m in zip(v.tracks, masks):
+                write_mask_pgm(out_dir, t, track.object_id, m)
+    _print_json({"written": len(blobs), "dir": str(out_dir)})
     return 0
 
 

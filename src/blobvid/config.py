@@ -7,6 +7,7 @@ from them, each field's type from its default.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import Any, Mapping
@@ -45,8 +46,8 @@ class Config:
     def __post_init__(self):
         if self.feature_h < 1 or self.feature_w < 1:
             raise RangeError(f"feature grid must be at least 1x1, got {self.feature_h}x{self.feature_w}")
-        if not self.rescale > 0:
-            raise RangeError(f"rescale must be positive, got {self.rescale}")
+        if not 0 < self.rescale < math.inf:
+            raise RangeError(f"rescale must be positive and finite, got {self.rescale}")
         if self.fourier_freqs < 1:
             raise RangeError(f"need at least one Fourier frequency, got {self.fourier_freqs}")
         if self.seed < 0:

@@ -71,8 +71,15 @@ def parse_json(text: str, source: str | None = None):
             raise SchemaError(f"{prefix}key {key!r} repeated in one object")
         return obj
 
+    def bounded_int(token):
+        # int() refuses more digits than sys.get_int_max_str_digits().
+        try:
+            return int(token)
+        except ValueError:
+            raise ParseError(f"{prefix}integer of {len(token)} digits is too long") from None
+
     try:
-        return json.loads(text, object_pairs_hook=unique_keys)
+        return json.loads(text, object_pairs_hook=unique_keys, parse_int=bounded_int)
     except json.JSONDecodeError as e:
         offset = len(text[:e.pos].encode("utf-8"))
         message = f"{source}: not valid JSON: {e.msg}" if source else e.msg

@@ -154,6 +154,22 @@ def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
     return col4row
 
 
+def _greedy_assignment(iou: list[list[float]]) -> list[int]:
+    """Column of each row, for rows <= columns, when the best free pair is
+    taken again and again, ties to the lower row, then column: every
+    (iou, -row, -col) key is sorted once and taken if its row and column
+    are both free."""
+    keys = sorted(((x, -r, -c) for r, row in enumerate(iou) for c, x in enumerate(row)),
+                  reverse=True)
+    col4row = [-1] * len(iou)
+    taken = [False] * len(iou[0])
+    for _, nr, nc in keys:
+        if col4row[-nr] == -1 and not taken[-nc]:
+            col4row[-nr] = -nc
+            taken[-nc] = True
+    return col4row
+
+
 def match_detections(dets: Sequence[BBox], gts: Sequence[BBox],
                      method: str = "hungarian") -> MatchResult:
     """One-to-one assignment of detections to ground truth maximizing total IOU.
@@ -173,25 +189,15 @@ def match_detections(dets: Sequence[BBox], gts: Sequence[BBox],
     if not kept:
         return MatchResult(pairs=(), per_gt_iou=(0.0,) * len(gts), kept=())
     iou = [[bbox_iou(dets[i], g) for g in gts] for i in kept]
+    if method == "hungarian":
+        cols = _min_cost_assignment([[-x for x in row] for row in iou])
+    else:
+        cols = _greedy_assignment(iou)
     per_gt = [0.0] * len(gts)
     pairs = []
-    if method == "hungarian":
-        for r, c in enumerate(_min_cost_assignment([[-x for x in row] for row in iou])):
-            pairs.append((kept[r], c))
-            per_gt[c] = float(iou[r][c])
-    else:
-        free_rows = set(range(len(kept)))
-        free_cols = set(range(len(gts)))
-        while free_rows and free_cols:
-            best = max(
-                ((iou[r][c], -r, -c) for r in free_rows for c in free_cols)
-            )
-            _, nr, nc = best
-            r, c = -nr, -nc
-            free_rows.remove(r)
-            free_cols.remove(c)
-            pairs.append((kept[r], c))
-            per_gt[c] = float(iou[r][c])
+    for r, c in enumerate(cols):
+        pairs.append((kept[r], c))
+        per_gt[c] = float(iou[r][c])
     pairs.sort(key=lambda rc: rc[1])
     return MatchResult(pairs=tuple(pairs), per_gt_iou=tuple(per_gt), kept=tuple(kept))
 

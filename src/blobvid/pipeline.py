@@ -86,11 +86,12 @@ def _row_stats(sums: np.ndarray):
 def _attend_bytes(num_frames: int, num_tracks: int, h: int, w: int, dim: int) -> int:
     """The bytes run_attend_block plans for over n = num_frames*h*w
     positions: the (n, dim) float64 features, the per-frame masks kept until
-    the label field is packed, its bitsets, its class of every position and
-    the 3D op's _PARTS live _BLOCK x n block arrays."""
+    the label field is packed, its bitsets, its class of every position and,
+    for each of the 3D op's _PARTS, its live _BLOCK x n block array and the
+    key indices of its current class run."""
     n = num_frames * h * w
     label_bytes = n * (num_tracks + 1) + n * ((num_tracks + 1 + 7) // 8) + n * 8
-    return n * dim * 8 + label_bytes + attention._PARTS * attention._BLOCK * n * 8
+    return n * dim * 8 + label_bytes + attention._PARTS * (attention._BLOCK + 1) * n * 8
 
 
 def run_attend_block(v: BlobVideo, cfg: Config, dim: int = 16, n_tokens: int = 4,

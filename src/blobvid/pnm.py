@@ -2,16 +2,24 @@
 
 Masks are stored as 8-bit PGM, 0 = outside and 255 = inside, one file per
 frame per object, named f{frame:04}_o{object}.pgm. Renders are 8-bit PPM.
+numpy and BinaryMask are imported by the functions that use them, so
+write_mask_window, which writes a mask from rows of bools, runs without numpy.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .blobs import BinaryMask
 from .errors import ParseError, ShapeError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .blobs import BinaryMask
+
+# Maps mask cell bytes 0/1 to their gray levels 0/255 (bytes.translate).
+_GRAY = bytes([0, 255]) + bytes(254)
 
 
 def _read_header(data: bytes):
@@ -47,17 +55,26 @@ def _read_header(data: bytes):
     return w, h, pos
 
 
+def _write_pnm(path, magic: str, w: int, h: int, payload: bytes) -> None:
+    # The one place a P5 or P6 header is written: maxval 255, then the payload.
+    with open(path, "wb") as f:
+        f.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
+        f.write(payload)
+
+
 def write_pgm(path, gray: np.ndarray) -> None:
+    import numpy as np
+
     arr = np.ascontiguousarray(gray, dtype=np.uint8)
     if arr.ndim != 2:
         raise ShapeError(f"PGM payload must be 2-d, got shape {arr.shape}")
     h, w = arr.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(arr.tobytes())
+    _write_pnm(path, "P5", w, h, arr.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
+    import numpy as np
+
     data = Path(path).read_bytes()
     w, h, pos = _read_header(data)
     body = data[pos : pos + w * h]
@@ -67,13 +84,13 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
+    import numpy as np
+
     arr = np.ascontiguousarray(rgb, dtype=np.uint8)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ShapeError(f"PPM payload must be h x w x 3, got shape {arr.shape}")
     h, w, _ = arr.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(arr.tobytes())
+    _write_pnm(path, "P6", w, h, arr.tobytes())
 
 
 def mask_filename(frame: int, object_id) -> str:
@@ -82,9 +99,21 @@ def mask_filename(frame: int, object_id) -> str:
 
 def write_mask_pgm(directory, frame: int, object_id, mask: BinaryMask) -> Path:
     path = Path(directory) / mask_filename(frame, object_id)
-    write_pgm(path, np.where(mask.bits, 255, 0).astype(np.uint8))
+    _write_pnm(path, "P5", mask.w, mask.h, mask.bits.tobytes().translate(_GRAY))
     return path
 
 
+def write_mask_window(path, h: int, w: int, r0: int, c0: int, rows) -> None:
+    """Write the PGM of an h x w mask whose set cells all lie in a window at
+    offset (r0, c0), given as one sequence of bools per window row: the same
+    bytes write_mask_pgm writes for that mask."""
+    cells = bytearray(h * w)
+    for r, row in enumerate(rows, r0):
+        cells[r * w + c0:r * w + c0 + len(row)] = bytes(row)
+    _write_pnm(path, "P5", w, h, cells.translate(_GRAY))
+
+
 def read_mask_pgm(path) -> BinaryMask:
+    from .blobs import BinaryMask
+
     return BinaryMask(read_pgm(path) > 127)

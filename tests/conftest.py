@@ -19,6 +19,7 @@ from blobvid import blas
 from blobvid.blobs import BinaryMask, BlobParams, FrameGeometry
 from blobvid.errors import TooLarge
 from blobvid.labelfield import NEG_INF, AttnMask3D
+from blobvid.metrics import MatchResult
 
 
 @pytest.fixture
@@ -246,6 +247,34 @@ def parse_mask_filename(name: str):
     """(frame, object id string) for a name f<frame, 4+ digits>_o<id>.pgm, else None."""
     m = re.fullmatch(r"f(\d{4,})_o(.+)\.pgm", name)
     return (int(m.group(1)), m.group(2)) if m else None
+
+
+# ---------------------------------------------------------------------------
+# Metrics references
+
+
+def greedy_match_reference(dets, gts, iou_of) -> MatchResult:
+    """match_detections(dets, gts, "greedy") by its first implementation,
+    O(n^3): at every step, search all free (kept detection, ground truth)
+    pairs for the largest (iou, -row, -col). iou_of(det, gt) gives a pair's
+    IOU."""
+    if not gts:
+        return MatchResult(pairs=(), per_gt_iou=(), kept=())
+    kept = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)[:len(gts)]
+    iou = [[iou_of(dets[i], g) for g in gts] for i in kept]
+    per_gt = [0.0] * len(gts)
+    pairs = []
+    free_rows = set(range(len(kept)))
+    free_cols = set(range(len(gts)))
+    while free_rows and free_cols:
+        _, nr, nc = max((iou[r][c], -r, -c) for r in free_rows for c in free_cols)
+        r, c = -nr, -nc
+        free_rows.remove(r)
+        free_cols.remove(c)
+        pairs.append((kept[r], c))
+        per_gt[c] = float(iou[r][c])
+    pairs.sort(key=lambda rc: rc[1])
+    return MatchResult(pairs=tuple(pairs), per_gt_iou=tuple(per_gt), kept=tuple(kept))
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,12 @@ from blobvid.attention import (
     masked_softmax,
 )
 from blobvid.blobs import BinaryMask
+from blobvid.geometry import BlobParams, FrameGeometry, canonicalize
 from blobvid.embedding import BlobEmbedding
 from blobvid.errors import ShapeError
 from blobvid.gradcheck import central_difference_grads, relative_error
-from blobvid.labelfield import AttnMask3D, LabelField, shares_label
+from blobvid.labelfield import AttnMask3D, LabelField, build_label_field, shares_label
+from blobvid.video import BlobTrack, BlobVideo, densify
 
 from conftest import (
     cross_attention_reference,
@@ -282,13 +284,47 @@ class TestStreamedSelfAttention:
                         + [{2 + i % 60, i % 2} for i in range(150)])
         field = LabelField.from_label_sets(1, 1, len(sets), 62, sets)
         blocks = attention._label_blocks(field)
-        own = [keys for _, keys, masked in blocks if not masked]
-        assert len(own) >= 6 and len({id(keys) for keys in own}) == 2
-        assert max(keys.size for keys in own) > attention._CHUNK
+        own = [cls for _, cls, masked in blocks if not masked]
+        assert len(own) >= 6 and len(set(own)) == 2
         assert [masked for *_, masked in blocks].count(True) == 2
+        k = np.arange(field.size, dtype=np.float64)[:, None]
         for part in (blocks[0::2], blocks[1::2]):
-            assert len({id(a[1]) for a, b in zip(part, part[1:]) if a[1] is b[1]}) == 2
+            assert len({a[1] for a, b in zip(part, part[1:]) if a[1] == b[1] >= 0}) == 2
+            runs = list(attention._class_runs(part, field, k, k))
+            assert [block for *_, run in runs for block in run] == part
+            widths = [keys.size for keys, *_, run in runs if run[0][1] >= 0]
+            assert len(widths) == 2 and max(widths) > attention._CHUNK
         assert_matches_dense_references(rng, sets, 62)
+
+    def test_class_runs_hold_one_runs_keys_at_a_time(self):
+        # One frame-wide blob and 20 moving ones over 13 frames of 96x96
+        # cells: every class shares the wide blob's label, so the keys of
+        # each large class are all n positions. Building every class's keys
+        # up front held hundreds of n-long index arrays; walking the runs of
+        # each part in turn holds a few.
+        rng = np.random.default_rng(0)
+        tracks = [BlobTrack(0, {0: BlobParams(48, 48, 80, 80, 0.0)})]
+        for i in range(1, 21):
+            tracks.append(BlobTrack(i, {t: canonicalize(BlobParams(
+                *rng.uniform(0, 96, 2), *rng.uniform(6, 24, 2), rng.uniform(-1.5, 1.5)))
+                for t in (0, 12)}))
+        field = build_label_field(densify(BlobVideo(13, FrameGeometry(96, 96), tracks=tracks)),
+                                  96, 96)
+        n = field.size
+        assert field.classes[2].size > 500  # grouped before tracing: the field's own cost
+        k = v1 = np.zeros((n, 1))
+        tracemalloc.start()
+        try:
+            blocks = attention._label_blocks(field)
+            widths = [keys.size for part in (blocks[i::attention._PARTS]
+                                             for i in range(attention._PARTS))
+                      for keys, *_, run in attention._class_runs(part, field, k, v1)
+                      if run[0][1] >= 0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(widths) > 400 and min(widths) == n
+        assert peak < 8 * n * 8
 
     @staticmethod
     def forward_and_backward_peaks(rng, monkeypatch):

@@ -1,14 +1,19 @@
 import ast
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blobvid
 from blobvid import cli, labelfield, pipeline, video
@@ -16,6 +21,7 @@ from blobvid.blobs import BlobParams, FrameGeometry, rasterize
 from blobvid.cli import _cfg_from_args, build_parser, main
 from blobvid.config import CHOICES, Config
 from blobvid.embedding import read_embedding, write_embedding
+from blobvid.geometry import _ellipse_bounds
 from blobvid.pnm import read_mask_pgm, write_mask_pgm
 from blobvid.video import BlobTrack, BlobVideo, video_to_json
 
@@ -113,6 +119,35 @@ class TestMask:
         got = read_mask_pgm(out_dir / "f0000_o0.pgm")
         want = rasterize(BlobParams(20, 20, 8, 5, 0.2), FrameGeometry(64, 64), 16, 16)
         assert np.array_equal(got.bits, want.bits)
+
+    @pytest.mark.parametrize("grid, numpy_path", [(16, False), (256, True)],
+                             ids=["plain-floats", "numpy"])
+    def test_both_paths_write_the_bytes_of_write_mask_pgm(self, tmp_path, video_file, capsys,
+                                                          monkeypatch, grid, numpy_path):
+        # The blobs' windows hold fewer than cli._PLAIN_MASK_CELLS cells at
+        # 16x16 and more at 256x256; only the numpy path calls per_frame_masks.
+        v = video.densify(video.video_from_json(video_file.read_text()))
+        cells = sum((r1 - r0) * (c1 - c0) for track in v.tracks for p in track.params.values()
+                    for r0, r1, c0, c1 in [_ellipse_bounds(p.cx, p.cy, p.a, p.b, v.geom,
+                                                           grid, grid, 1.3)])
+        assert (cells > cli._PLAIN_MASK_CELLS) == numpy_path
+        frames = []
+        drawn = labelfield.per_frame_masks
+        monkeypatch.setattr(labelfield, "per_frame_masks",
+                            lambda v, t, *args: frames.append(t) or drawn(v, t, *args))
+        out_dir = tmp_path / "masks"
+        code, _, err = run_cli(capsys, ["mask", str(video_file), "--out-dir", str(out_dir),
+                                        "--feature-h", str(grid), "--feature-w", str(grid),
+                                        "--rescale", "1.3"])
+        assert code == 0, err
+        assert frames == (list(range(9)) if numpy_path else [])
+        assert len(list(out_dir.iterdir())) == 18
+        for t in range(9):
+            for track, m in zip(v.tracks, drawn(v, t, grid, grid, 1.3)[0]):
+                want = write_mask_pgm(tmp_path, t, track.object_id, m)
+                assert (out_dir / want.name).read_bytes() == want.read_bytes()
+                gray = np.where(m.bits, 255, 0).astype(np.uint8).tobytes()
+                assert want.read_bytes() == f"P5\n{grid} {grid}\n255\n".encode() + gray
 
     def test_frame_subset(self, tmp_path, video_file, capsys):
         out_dir = tmp_path / "masks"
@@ -554,6 +589,100 @@ class TestMalformedInput:
             assert "byte offset 1" in err
 
 
+# JSON values a mutation writes: every JSON type, non-finite and huge
+# numbers, and an integer with more digits than int() reads (_HUGE_INT).
+_HUGE_INT = "1" + "0" * 5000
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+                | st.sampled_from([0, -1, 10**6, 10**30, 10**400, -10**400, 1e308, -0.0,
+                                   math.inf, -math.inf, math.nan, _HUGE_INT]))
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=5)
+                            | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                            max_leaves=6)
+# Feature grids: plain floats, numpy, and over the raster budget for any video.
+_MASK_GRIDS = [16, 512, 1 << 15]
+
+
+def _json_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw, doc):
+    """doc after 1-3 mutations, each replacing, deleting or renaming one node
+    of it or adding a member, as JSON text."""
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, last = draw(st.sampled_from(list(_json_paths(doc))[1:]))
+        node = doc
+        for key in parents:
+            node = node[key]
+        action = draw(st.sampled_from(["replace", "delete", "rename", "add"]))
+        if action == "replace":
+            node[last] = draw(_JSON_VALUES)
+        elif action == "delete":
+            del node[last]
+        elif action == "rename":
+            if isinstance(node, dict):
+                node[draw(st.text(max_size=3) | st.sampled_from(["01", "-1", "999", "1e3"]))] = (
+                    node.pop(last))
+        elif isinstance(node[last], dict):
+            node[last][draw(st.text(max_size=3) | st.sampled_from(["0", "8", "12"]))] = (
+                draw(_JSON_VALUES))
+        elif isinstance(node[last], list):
+            node[last].append(draw(_JSON_VALUES))
+    return json.dumps(doc).replace(json.dumps(_HUGE_INT), _HUGE_INT)
+
+
+class TestMaskRobustness:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_video_is_written_or_one_error_line(self, data):
+        doc = json.loads(video_to_json(BlobVideo(9, FrameGeometry(64, 64), tracks=(
+            BlobTrack(0, {0: BlobParams(20, 20, 8, 5, 0.2), 8: BlobParams(40, 28, 8, 5, 0.2)},
+                      {0: "a red ball"}),
+            BlobTrack(1, {4: BlobParams(48, 44, 6, 6, 0.0)})))))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "video.json"
+            path.write_text(data.draw(mutated_documents(doc)))
+            for grid in _MASK_GRIDS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["mask", str(path), "--out-dir", str(Path(tmp) / "masks"),
+                                 "--feature-h", str(grid), "--feature-w", str(grid)])
+                if code == 0:
+                    assert err.getvalue() == "" and "written" in json.loads(out.getvalue())
+                else:
+                    assert code == 1 and out.getvalue() == ""
+                    assert len(err.getvalue().splitlines()) == 1
+                    assert err.getvalue().startswith("error:")
+
+    @pytest.mark.parametrize("key, value", [
+        ("width", 10**400), ("cx", 10**400), ("num_frames", 10**30), ("a", _HUGE_INT),
+    ], ids=["width-beyond-floats", "cx-beyond-floats", "frames-beyond-len", "digits-beyond-int"])
+    def test_out_of_range_integers_are_one_error_line(self, tmp_path, capsys, key, value):
+        # Each once escaped as OverflowError or ValueError. num_frames needs
+        # no tracks, so that densify lets it through to the raster budget.
+        doc = {"version": 1, "width": 64, "height": 64, "num_frames": 3, "anchor_interval": 4,
+               "tracks": [{"id": 0, "params": {"0": [20, 20, 8, 5, 0.2]}}]}
+        if key in ("cx", "a"):
+            doc["tracks"][0]["params"]["0"][{"cx": 0, "a": 2}[key]] = value
+        else:
+            doc[key] = value
+        if key == "num_frames":
+            doc["tracks"] = []
+        path = tmp_path / "video.json"
+        path.write_text(json.dumps(doc).replace(json.dumps(_HUGE_INT), _HUGE_INT))
+        for grid in ("16", "256"):
+            code, out, err = run_cli(capsys, ["mask", str(path), "--out-dir",
+                                              str(tmp_path / "m"), "--feature-h", grid,
+                                              "--feature-w", grid])
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 class TestBadFramesAndFiles:
     @pytest.mark.parametrize("command, frames", [("mask", "999"), ("render", "-1"),
                                                  ("render", "0,9")],
@@ -743,6 +872,14 @@ class TestStartup:
         assert _loaded([], tmp_path, ["numpy"]) == []
         assert _loaded(commands, tmp_path, ["numpy"]) == []
         assert "numpy" in _loaded([_attend(video_file)], tmp_path, ["numpy"])
+
+    @pytest.mark.parametrize("grid, loads_numpy", [(24, False), (512, True)],
+                             ids=["below-the-window-cell-limit", "above-it"])
+    def test_mask_loads_numpy_only_for_large_windows(self, tmp_path, video_file, grid,
+                                                     loads_numpy):
+        argv = ["mask", str(video_file), "--out-dir", "masks",
+                "--feature-h", str(grid), "--feature-w", str(grid)]
+        assert ("numpy" in _loaded([argv], tmp_path, ["numpy"])) == loads_numpy
 
     def test_fit_still_loads_the_optimizer(self, tmp_path, capsys, monkeypatch):
         # fit runs the package's own Nelder-Mead, not a shortcut around it.

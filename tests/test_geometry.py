@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blobvid.blobs import (
     BinaryMask,
     BlobParams,
     FrameGeometry,
+    _cell_centers,
+    _ellipse_window,
     canonicalize,
     mask_iou,
     rasterize,
 )
 from blobvid.errors import InvalidBlob, RangeError, ShapeError
+from blobvid.geometry import _ellipse_rows
 
 from conftest import iou_reference, random_canonical_blob, rasterize_full_grid, rasterize_reference
 
@@ -222,6 +225,75 @@ class TestRasterizeWindow:
             bits = rasterize_full_grid(p, geom, 24, 32)
             crossed += bits.any() and not bits.all()
         assert crossed >= 20
+
+
+@st.composite
+def window_cases(draw):
+    # Canonical blobs, circles and b << a among them, on frames of 1-2000 px
+    # and grids of 1-64 cells a side; centers reach two frame sizes outside
+    # the frame, where the window is empty.
+    geom = FrameGeometry(draw(st.integers(1, 2000)), draw(st.integers(1, 2000)))
+    size = max(geom.width, geom.height)
+    cx = draw(st.floats(-2.0 * size, geom.width + 2.0 * size))
+    cy = draw(st.floats(-2.0 * size, geom.height + 2.0 * size))
+    a = draw(st.floats(1e-3, 2.0 * size))
+    b = a * draw(st.one_of(st.just(1.0), st.just(1e-4), st.floats(1e-6, 1.0)))
+    theta = draw(st.one_of(st.just(math.pi / 2), st.just(0.0),
+                           st.floats(-math.pi / 2, math.pi / 2, exclude_min=True)))
+    p = canonicalize(BlobParams(cx, cy, a, b, theta))
+    return p, geom, draw(st.integers(1, 64)), draw(st.integers(1, 64)), draw(st.floats(0.25, 2.0))
+
+
+@st.composite
+def edge_cases(draw):
+    # A window case whose semi-axis a is then set, to within a few ulps, so
+    # that one drawn cell center lies on the ellipse's edge: there the
+    # rounding of each operation decides the cell.
+    p, geom, h, w, rho = draw(window_cases())
+    r, c = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    dx = (c + 0.5) * (geom.width / w) - p.cx
+    dy = (r + 0.5) * (geom.height / h) - p.cy
+    along = dx * math.cos(p.theta) + dy * math.sin(p.theta)
+    across = -dx * math.sin(p.theta) + dy * math.cos(p.theta)
+    b = max(p.b, 2.0 * abs(across) / rho)
+    a = abs(along) / (rho * math.sqrt(1.0 - (across / (rho * b)) ** 2))
+    for _ in range(draw(st.integers(0, 3))):
+        a = math.nextafter(a, draw(st.sampled_from([0.0, math.inf])))
+    assume(0.0 < a < math.inf)
+    return BlobParams(p.cx, p.cy, a, b, p.theta), geom, h, w, rho
+
+
+def assert_rows_equal_array_window(p, geom, h, w, rho):
+    xs, ys = _cell_centers(geom, h, w)
+    with np.errstate(all="ignore"):
+        r0, c0, block = _ellipse_window(p.cx, p.cy, p.a, p.b, p.theta, geom, xs, ys, rho)
+    got_r0, got_c0, rows = _ellipse_rows(p, geom, h, w, rho)
+    assert (got_r0, got_c0) == (r0, c0)
+    assert len(rows) == block.shape[0] and all(len(row) == block.shape[1] for row in rows)
+    assert rows == block.tolist()
+
+
+class TestEllipseRows:
+    """geometry._ellipse_rows, the plain-float cell test that mask draws
+    small grids with, equals blobs._ellipse_window bit for bit."""
+
+    @given(window_cases())
+    def test_equals_the_array_window(self, case):
+        assert_rows_equal_array_window(*case)
+
+    @settings(max_examples=500)
+    @given(edge_cases())
+    def test_equals_the_array_window_on_the_edge(self, case):
+        assert_rows_equal_array_window(*case)
+
+    @pytest.mark.parametrize("a, b, rho", [(5e-324, 5e-324, 0.25), (3.0, 5e-324, 0.3),
+                                           (1e-320, 1e-320, 1.0)])
+    def test_axes_that_vanish_when_rescaled(self, a, b, rho):
+        # rho * b rounds to zero: the array test divides by zero and sets no
+        # cell; the plain one must neither raise nor set a cell.
+        geom = FrameGeometry(40, 30)
+        for cx in (0.0, 10.25, 20.0):
+            assert_rows_equal_array_window(BlobParams(cx, 15.0, a, b, 0.3), geom, 30, 40, rho)
 
 
 class TestMaskIou:

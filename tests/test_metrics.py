@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from blobvid import metrics
 from blobvid.embedding import write_embedding
 from blobvid.errors import (
     DegenerateVector,
@@ -29,6 +30,8 @@ from blobvid.metrics import (
     mean_iou,
     region_cosine_metrics,
 )
+
+from conftest import greedy_match_reference
 
 
 def best_total_by_permutation(dets, gts):
@@ -111,6 +114,35 @@ class TestMatchDetections:
         assert sum(h.per_gt_iou) == pytest.approx(0.6)
         assert sum(g.per_gt_iou) == pytest.approx(3.0 / 7.0)
         assert sum(h.per_gt_iou) > sum(g.per_gt_iou)
+
+    @given(st.data())
+    def test_greedy_matches_the_searching_loop(self, data):
+        # IOUs from a few values, so tied pairs are common; confidences too,
+        # so truncation ties. Detection i and ground truth j are told apart
+        # by x0, which indexes the drawn IOU table.
+        n_det = data.draw(st.integers(0, 7))
+        n_gt = data.draw(st.integers(0, 7))
+        values = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+        table = data.draw(st.lists(st.lists(values, min_size=n_gt, max_size=n_gt),
+                                   min_size=n_det, max_size=n_det))
+        confidence = st.sampled_from([0.2, 0.5, 0.9])
+        dets = [BBox(i, 0, i + 1, 1, confidence=data.draw(confidence)) for i in range(n_det)]
+        gts = [BBox(j, 2, j + 1, 3) for j in range(n_gt)]
+
+        def iou_of(det, gt):
+            return table[int(det.x0)][int(gt.x0)]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "bbox_iou", iou_of)
+            got = match_detections(dets, gts, method="greedy")
+        assert got == greedy_match_reference(dets, gts, iou_of)
+
+    def test_greedy_on_random_boxes_matches_the_searching_loop(self, rng):
+        for _ in range(20):
+            dets = random_boxes(rng, int(rng.integers(1, 60)))
+            gts = random_boxes(rng, int(rng.integers(1, 60)))
+            got = match_detections(dets, gts, method="greedy")
+            assert got == greedy_match_reference(dets, gts, bbox_iou)
 
     def test_extra_detections_dropped_by_confidence(self):
         gt = [BBox(0, 0, 10, 10)]

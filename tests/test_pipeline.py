@@ -136,9 +136,10 @@ class TestRunAttendBlock:
 
     def test_budget_counts_features_label_bytes_and_block_arrays(self):
         # 9 frames of 6x6 features at width 8, 8 tracks plus the background:
-        # 9 per-frame masks, 2-byte bitsets and an 8-byte class index.
+        # 9 per-frame masks, 2-byte bitsets and an 8-byte class index; each
+        # part's block array and the key indices of its current class run.
         n = 9 * 36
-        want = n * 8 * 8 + n * (9 + 2 + 8) + attention._PARTS * attention._BLOCK * n * 8
+        want = n * 8 * 8 + n * (9 + 2 + 8) + attention._PARTS * (attention._BLOCK + 1) * n * 8
         assert pipeline._attend_bytes(9, 8, 6, 6, 8) == want
         assert pipeline._attend_bytes(9, 7, 6, 6, 8) == want - 2 * n
 
