@@ -15,26 +15,31 @@ all tokens. Blocked logits are set to NEG_INF (the most negative finite
 float64), so blocked weights underflow to exactly zero. Backward passes are
 checked against central finite differences in the gradcheck module.
 
-Both kernels keep a block's weights unnormalized, e = exp(s - rowmax) with
-row sums l, formed in the logits' own buffer (_exp_weights), and move the
-division by l onto the thin side, as FlashAttention-2 does. They take the
-values as v1 = [v | 1], a column of ones appended: the forward divides e @
-v1 by l, whose last column gives the row sums the weights were applied
-with, and the backward folds its softmax shift into the same product.
+Both kernels keep a block's weights unnormalized, e = exp(s - rowmax),
+formed in the logits' own buffer (_exp_weights), and move the division by
+their row sums l onto the thin side, as FlashAttention-2 does. They take
+the values as v1 = [v | 1], a column of ones appended, so e @ v1 holds e @ v
+and, in its last column, the row sums of the weights as the product applied
+them. The forward divides it by l = rowsum(e), and that last column over l
+gives the row sums it reports; the backward takes l from that column and
+folds its softmax shift into a product with v1 too.
 
 The 3D self-attention never builds its n x n logits (n = T*h*w). Positions
 of one label class (LabelField.classes) attend to the same keys, so the op
 runs in row blocks by class (the row-tiled softmax of "Self-attention Does
 Not Need O(n^2) Memory" and FlashAttention): a large class over its gathered
 keys, small classes packed over all keys under a boolean mask built from
-their class rows. Memory is O(_BLOCK x n) per thread.
+their class rows. A block over |keys| keys takes at most _BLOCK rows and at
+most _BLOCK_BYTES // (8 |keys|), at least one, so its (rows, |keys|)
+float64 array is at most _BLOCK_BYTES whatever n is.
 
 The backward pass recomputes each block's weights in the same fixed order,
 as FlashAttention-2's backward does, and forms the logit gradients in the
-weights' own buffer, so each pass holds one _BLOCK x n array per thread.
-Both passes walk the blocks of a part (below) in class runs: consecutive
-blocks of one class gather the class's keys and v1 rows once, and in the
-backward scatter their key and value gradients once.
+weights' own buffer, _ROW_CHUNK rows at a time, so each pass holds about one
+block array per thread. Both passes walk the blocks of a part (below) in
+class runs: the blocks of one class gather the class's keys and v1 rows
+once, and in the backward accumulate their key and value gradients in
+(d, |keys|) buffers that are scattered once.
 
 The blocks are dealt into _PARTS fixed parts (block i goes to part i %
 _PARTS), the split FlashAttention-2 uses across workers: each part writes its
@@ -42,7 +47,9 @@ own rows, and in the backward keeps its own partial key and value gradients,
 which are added in part order at the end. The parts run on up to _PARTS
 threads while OpenBLAS is pinned to one thread (see the blas module), else
 one after another. The split never depends on the thread or CPU count, so
-results are bitwise the same either way.
+while the pin holds results are bitwise the same at one or two CPUs. Without
+the pin, OpenBLAS may split a product across its own threads, which can move
+the low bits.
 """
 
 from __future__ import annotations
@@ -50,8 +57,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,16 +82,18 @@ __all__ = [
     "gated_fuse_backward",
 ]
 
-# Rows per block of the 3D self-attention; no intermediate is larger than
-# _BLOCK x n.
+# The most rows of a block of the 3D self-attention, and the most bytes of
+# its (rows, keys) float64 array: 2 MiB, the L2 cache per core of the Xeon
+# the block size was measured on.
 _BLOCK = 128
+_BLOCK_BYTES = 2 << 20
 # Fixed parts the blocks are dealt into, and the most threads that run them.
 _PARTS = 2
 # Label classes with fewer positions than this share packed, masked blocks,
 # so thousands of tiny classes do not become thousands of tiny GEMMs.
 _SMALL_CLASS = 8
-# Columns of a backward block whose logit gradients are formed at a time.
-_CHUNK = 1024
+# Rows of a backward block whose logit gradients are formed at a time.
+_ROW_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -157,11 +165,10 @@ class SelfAttnWeights:
 
 
 def _exp_weights(logits: np.ndarray, allow):
-    """Unnormalized softmax weights, in logits' own buffer: returns (e, l) with
-    e = exp(logits - rowmax) and l its (m, 1) row sums, so e / l is the
-    softmax. With a boolean mask allow, blocked entries become NEG_INF before
-    the shift and end up with exactly zero weight, and rows with nothing
-    allowed get l = 1."""
+    """Unnormalized softmax weights e = exp(logits - rowmax), in logits' own
+    buffer, so e / rowsum(e) is the softmax. With a boolean mask allow,
+    blocked entries become NEG_INF before the shift and end up with exactly
+    zero weight."""
     if allow is not None:
         np.putmask(logits, ~allow, NEG_INF)
     if logits.shape[1]:
@@ -174,9 +181,14 @@ def _exp_weights(logits: np.ndarray, allow):
         logits *= allow
     else:
         np.exp(logits, out=logits)
-    l = logits.sum(axis=1, keepdims=True)
+    return logits
+
+
+def _nonzero(l: np.ndarray) -> np.ndarray:
+    """Row sums l with 1 on the rows that have nothing allowed (l = 0), whose
+    weights are all zero, so that dividing by l leaves them zero."""
     l[l == 0.0] = 1.0
-    return logits, l
+    return l
 
 
 def masked_softmax(logits: np.ndarray, allow: np.ndarray) -> np.ndarray:
@@ -188,8 +200,8 @@ def masked_softmax(logits: np.ndarray, allow: np.ndarray) -> np.ndarray:
     """
     if logits.shape != allow.shape:
         raise ShapeError(f"logits {logits.shape} vs mask {allow.shape}")
-    e, l = _exp_weights(np.array(logits, dtype=np.float64), allow)
-    e /= l
+    e = _exp_weights(np.array(logits, dtype=np.float64), allow)
+    e /= _nonzero(e.sum(axis=1, keepdims=True))
     return e
 
 
@@ -243,34 +255,56 @@ def masked_cross_attention(g, blobs: Sequence[BlobEmbedding], masks: Sequence[Bi
     return out
 
 
-def _label_blocks(field: LabelField) -> list:
-    """Row blocks of the 3D self-attention, grouped by label set.
+class _ClassBlocks(NamedTuple):
+    """One entry of the block plan (_label_blocks): the rows of one label
+    class, or of all the packed small classes, and how they are blocked."""
 
-    Returns (rows, cls, masked) triples: the query positions of a block, its
-    label class (an index into LabelField.classes, or -1 for a packed block,
-    which reads all keys) and whether its rows need a mask over those keys
-    (_block_allow) or may attend to every one. Positions with equal label
-    sets form a class and attend to the same keys, which _class_runs builds
-    when a run of the class's blocks starts. A class of at least
-    _SMALL_CLASS positions gets blocks of its own over its gathered keys; the
-    smaller classes are packed together, in class order, into masked blocks
-    over all keys, whose masks come from their classes' rows. Positions with
-    an empty label set attend to nothing and are in no block. The classes
-    are the field's (LabelField.classes), so the order depends on the field
-    alone: the same on every run.
+    cls: int          # index into LabelField.classes; -1 for the packed classes
+    rows: np.ndarray  # the query positions, in class order
+    n_keys: int       # the keys each row may read: its class's, or all n if packed
+    step: int         # rows per block
+
+    @property
+    def blocks(self) -> int:
+        return -(-self.rows.size // self.step)
+
+
+def _rows_per_block(n_keys: int) -> int:
+    """Rows of a block over n_keys keys: at most _BLOCK, and few enough that
+    its float64 array fits in _BLOCK_BYTES, but at least one."""
+    return min(_BLOCK, max(1, _BLOCK_BYTES // (8 * n_keys)))
+
+
+def _label_blocks(field: LabelField) -> list:
+    """The plan of the 3D self-attention's row blocks, grouped by label set:
+    one _ClassBlocks per class run, in run order.
+
+    Positions with equal label sets form a class and attend to the same
+    keys, the positions of every class their set meets; the key count adds
+    those classes' counts, one class at a time, so no class x class matrix
+    is built. A class of at least _SMALL_CLASS positions gets blocks of its
+    own over its gathered keys; the smaller classes are packed together, in
+    class order, into masked blocks over all n keys, whose masks
+    (_block_allow) come from their classes' rows. Positions with an empty
+    label set attend to nothing and are in no block. The plan holds no
+    block: each part cuts its own from it as it runs (_class_runs). The
+    classes are the field's (LabelField.classes), so the order depends on
+    the field alone: the same on every run.
     """
     codes, inverse, counts = field.classes
     order = np.argsort(inverse, kind="stable")
     starts = np.cumsum(counts) - counts
     nonempty = codes.any(axis=1)
     large = nonempty & (counts >= _SMALL_CLASS)
-    blocks = []
+    plan = []
     for c in np.flatnonzero(large):
-        rows = order[starts[c]:starts[c] + counts[c]]
-        blocks += [(rows[s:s + _BLOCK], int(c), False) for s in range(0, rows.size, _BLOCK)]
+        n_keys = int(counts[shares_label(codes[c:c + 1], codes)[0]].sum())
+        plan.append(_ClassBlocks(int(c), order[starts[c]:starts[c] + counts[c]], n_keys,
+                                 _rows_per_block(n_keys)))
     packed = order[(nonempty & ~large)[inverse[order]]]
-    blocks += [(packed[s:s + _BLOCK], -1, True) for s in range(0, packed.size, _BLOCK)]
-    return blocks
+    if packed.size:
+        plan.append(_ClassBlocks(-1, packed, field.size, _rows_per_block(field.size)))
+    return plan
 
 
 def _block_allow(field: LabelField, rows: np.ndarray, masked: bool):
@@ -286,17 +320,26 @@ def _with_ones(v: np.ndarray) -> np.ndarray:
     return np.hstack([v, np.ones((v.shape[0], 1))])
 
 
-def _class_runs(blocks: list, field: LabelField, k: np.ndarray, v1: np.ndarray):
-    """Runs of consecutive blocks of one class, as (keys, k[keys], v1[keys],
-    blocks of the run). A run's keys, the positions its class may attend
-    to, are built when the run starts and gathered once, and dropped here
-    when it ends, so a part holds the keys of at most two classes at a time.
-    Packed blocks read all keys, as views of k and v1."""
+def _class_runs(plan: list, part: int, field: LabelField):
+    """The class runs of one part: block i of the plan, in plan order, goes
+    to part i % _PARTS. Yields (masked, keys, blocks) per run, blocks an
+    iterator over the row arrays of the part's blocks of that class, cut
+    from the plan as they run. A run's keys, the positions its class may
+    attend to, are built when it starts, for the caller to gather once, and
+    dropped here when it ends, so a part holds the keys of at most two
+    classes at a time. Packed blocks are masked and read all keys:
+    slice(None)."""
     codes, inverse, _ = field.classes
-    for c, run in groupby(blocks, key=lambda block: block[1]):
+    first = 0
+    for entry in plan:
+        mine = range((part - first) % _PARTS, entry.blocks, _PARTS)
+        first += entry.blocks
+        if not mine:
+            continue
+        c, rows, _, step = entry
         keys = (slice(None) if c < 0 else
                 np.flatnonzero(shares_label(codes[c:c + 1], codes)[0][inverse]))
-        yield keys, k[keys], v1[keys], list(run)
+        yield c < 0, keys, (rows[j * step:(j + 1) * step] for j in mine)
         del keys
 
 
@@ -306,37 +349,43 @@ def _attend(q, k_keys, v1, allow):
     (p @ v_keys, the row sums of p), p the block's softmax weights.
 
     Keeps the weights unnormalized, e = p * l, and divides the thin GEMM
-    output e @ v1 by l instead, as FlashAttention-2 does; its last column is
-    the sum of the weights as the GEMM applied them, so the row sums check
-    that product. Rows with nothing allowed get zero output and sum."""
-    e, l = _exp_weights(q @ k_keys.T, allow)
+    output e @ v1 by l = rowsum(e) instead, as FlashAttention-2 does; its
+    last column is the sum of the weights as the GEMM applied them, so the
+    row sums check that product. Rows with nothing allowed get zero output
+    and sum."""
+    e = _exp_weights(q @ k_keys.T, allow)
+    l = _nonzero(e.sum(axis=1, keepdims=True))
     ev = e @ v1
     ev /= l
     return ev[:, :-1], ev[:, -1]
 
 
-def _attend_backward(q, k_keys, v1, allow, up, dk_keys, dv_keys):
-    """Backward of one _attend block over the gathered keys k_keys and
-    values-with-ones v1 for the upstream rows up: adds into the key-space
-    gradients dk_keys and dv_keys and returns the gradient of q.
+def _attend_backward(q, k_keys, v1T, allow, up, dkT, dvT):
+    """Backward of one _attend block over the gathered keys k_keys and the
+    transposed values-with-ones v1T = [v_keys | 1].T, (d + 1, |keys|), for
+    the upstream rows up: adds the key-space gradients, transposed, into the
+    (d, |keys|) buffers dkT and dvT and returns the gradient of q.
 
     Works on the unnormalized weights e, p = e / l, and moves the division
-    onto the thin side, up' = up / l, as FlashAttention-2's backward does:
-    dv += e.T @ up', and dlogits = p * (dp - rowsum(dp * p)) with dp = up @
-    v.T becomes e * ([up', -c] @ v1.T), c = rowsum(up' * (e @ v)) / l, the
-    ones column of v1 taking the shift. dlogits is formed in e's own buffer,
-    _CHUNK columns at a time, so the block holds one array of its size. Rows
-    with nothing allowed have e = 0, so their gradient is zero."""
-    e, l = _exp_weights(q @ k_keys.T, allow)
+    onto the thin side, up' = up / l, as FlashAttention-2's backward does.
+    One GEMM, ev = e @ v1, gives both e @ v and the row sums l (its ones
+    column). Then dvT += up'.T @ e, and dlogits = p * (dp - rowsum(dp * p))
+    with dp = up @ v.T becomes e * ([up', -c] @ v1.T), c = rowsum(up' * (e @
+    v)) / l, the ones column of v1 taking the shift. dlogits is formed in e's
+    own buffer, _ROW_CHUNK rows at a time, so the block holds one array of
+    its size and a chunk of it. Rows with nothing allowed have e = 0, so
+    their gradient is zero."""
+    e = _exp_weights(q @ k_keys.T, allow)
     del allow  # free the mask: the block's peak is below, with e alive
+    ev = e @ v1T.T
+    l = _nonzero(ev[:, -1:])
     up = up / l
-    dv_keys += e.T @ up
-    c = np.einsum("ij,ij->i", up, e @ v1[:, :-1])[:, None] / l
+    dvT += up.T @ e
+    c = np.einsum("ij,ij->i", up, ev[:, :-1])[:, None] / l
     up_c = np.hstack([up, -c])
-    for j in range(0, e.shape[1], _CHUNK):
-        cols = slice(j, j + _CHUNK)
-        e[:, cols] *= up_c @ v1[cols].T
-    dk_keys += e.T @ q
+    for i in range(0, e.shape[0], _ROW_CHUNK):
+        e[i:i + _ROW_CHUNK] *= up_c[i:i + _ROW_CHUNK] @ v1T
+    dkT += q.T @ e
     return e @ k_keys
 
 
@@ -346,13 +395,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_parts(fn, blocks: list, pinned: bool) -> list:
-    """fn over the _PARTS fixed parts of blocks, results in part order. The
+def _run_parts(fn, plan: list, pinned: bool) -> list:
+    """fn over the _PARTS fixed part indices, results in part order. The
     parts run on up to _PARTS threads when OpenBLAS is pinned to one thread
-    and there is more than one block, else one after another in this thread;
-    either way every part does the same arithmetic in the same order."""
-    threads = min(_PARTS, _usable_cpus()) if pinned and len(blocks) > 1 else 1
-    return parallel_map(fn, [blocks[i::_PARTS] for i in range(_PARTS)], threads)
+    and the plan has more than one block, else one after another in this
+    thread; either way every part does the same arithmetic in the same
+    order."""
+    blocks = sum(entry.blocks for entry in plan)
+    threads = min(_PARTS, _usable_cpus()) if pinned and blocks > 1 else 1
+    return parallel_map(fn, range(_PARTS), threads)
 
 
 def _self_projections(g, mask: AttnMask3D, wts: SelfAttnWeights):
@@ -372,8 +423,9 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights,
                              return_row_sums: bool = False):
     """Self-attention over all T*h*w locations under the pairwise label mask.
 
-    Evaluated block by block over _label_blocks, so no array is larger than
-    _BLOCK x n. With return_row_sums, also returns each row's total softmax
+    Evaluated block by block over the plan of _label_blocks, so no
+    intermediate is larger than a block's _BLOCK_BYTES or the (n, d) arrays.
+    With return_row_sums, also returns each row's total softmax
     weight: 1 up to rounding, 0 for a position with an empty label set.
     """
     with blas.one_thread() as pinned:
@@ -382,14 +434,18 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights,
         out = np.zeros_like(g)
         sums = np.zeros(g.shape[0])
 
-        def part(blocks):
+        plan = _label_blocks(mask.field)
+
+        def part(p):
             # Blocks own disjoint rows, so the parts never write the same entry.
-            for _, k_keys, v1_keys, run in _class_runs(blocks, mask.field, k, v1):
-                for rows, _, masked in run:
+            for masked, keys, blocks in _class_runs(plan, p, mask.field):
+                k_keys, v1_keys = k[keys], v1[keys]
+                for rows in blocks:
                     out[rows], sums[rows] = _attend(q[rows], k_keys, v1_keys,
                                                     _block_allow(mask.field, rows, masked))
+                del k_keys, v1_keys  # before the next run's keys
 
-        _run_parts(part, _label_blocks(mask.field), pinned)
+        _run_parts(part, plan, pinned)
     if return_row_sums:
         return out, sums
     return out
@@ -425,9 +481,10 @@ def masked_cross_attention_backward(g, blobs: Sequence[BlobEmbedding],
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != g.shape:
         raise ShapeError(f"upstream must have shape {g.shape}, got {upstream.shape}")
-    dK = np.zeros_like(K)
-    dV = np.zeros_like(V)
-    dq = _attend_backward(q, K, _with_ones(V), allow, upstream, dK, dV) * scale
+    dKT = np.zeros(K.shape[::-1])
+    dVT = np.zeros(V.shape[::-1])
+    dq = _attend_backward(q, K, _with_ones(V).T.copy(), allow, upstream, dKT, dVT) * scale
+    dK, dV = dKT.T, dVT.T
     dg = dq @ wts.wq.T
     dwq = g.T @ dq
 
@@ -453,36 +510,38 @@ class SelfAttnGrads:
 def masked_3d_self_attention_backward(g, mask: AttnMask3D, wts: SelfAttnWeights,
                                       upstream: np.ndarray) -> SelfAttnGrads:
     """Recomputes each block's softmax, FlashAttention-style, in the forward's
-    block order, so no array is larger than _BLOCK x n."""
+    block order, so no intermediate is larger than a block's _BLOCK_BYTES or
+    the (n, d) arrays."""
     with blas.one_thread() as pinned:
         g, q, k, v, scale = _self_projections(g, mask, wts)
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != g.shape:
             raise ShapeError(f"upstream must have shape {g.shape}, got {upstream.shape}")
-        v1 = _with_ones(v)
+        v1T = _with_ones(v).T.copy()
         dq = np.zeros_like(g)
 
-        def part(blocks):
+        plan = _label_blocks(mask.field)
+
+        def part(p):
             # dq rows are disjoint across blocks; each part keeps its own dk, dv.
             dk = np.zeros_like(g)
             dv = np.zeros_like(g)
-            # A class run scatters its keys' gradients once; packed blocks
-            # read all keys and add straight into dk, dv.
-            for keys, k_keys, v1_keys, run in _class_runs(blocks, mask.field, k, v1):
-                if isinstance(keys, slice):
-                    dk_keys, dv_keys = dk, dv
-                else:
-                    dk_keys, dv_keys = np.zeros_like(k_keys), np.zeros_like(k_keys)
-                for rows, _, masked in run:
-                    dq[rows] = _attend_backward(q[rows], k_keys, v1_keys,
+            # A class run accumulates its keys' gradients transposed, in
+            # (d, |keys|) buffers, and scatters them once.
+            for masked, keys, blocks in _class_runs(plan, p, mask.field):
+                k_keys, v1T_keys = k[keys], v1T[:, keys]
+                dkT = np.zeros(k_keys.shape[::-1])
+                dvT = np.zeros(k_keys.shape[::-1])
+                for rows in blocks:
+                    dq[rows] = _attend_backward(q[rows], k_keys, v1T_keys,
                                                 _block_allow(mask.field, rows, masked),
-                                                upstream[rows], dk_keys, dv_keys)
-                if dk_keys is not dk:
-                    dk[keys] += dk_keys
-                    dv[keys] += dv_keys
+                                                upstream[rows], dkT, dvT)
+                dk[keys] += dkT.T
+                dv[keys] += dvT.T
+                del k_keys, v1T_keys, dkT, dvT  # before the next run's keys
             return dk, dv
 
-        (dk, dv), *rest = _run_parts(part, _label_blocks(mask.field), pinned)
+        (dk, dv), *rest = _run_parts(part, plan, pinned)
         for part_dk, part_dv in rest:
             dk += part_dk
             dv += part_dv

@@ -40,6 +40,11 @@ __all__ = ["AttendStats", "context_embeddings", "run_attend_block"]
 
 # The most bytes run_attend_block may plan for (see _attend_bytes).
 _ATTEND_BUDGET_BYTES = 1 << 30
+# The (n, d) float64 arrays the attend block and its 3D op hold at once: the
+# features and their fused copy; the op's projections, [v | 1] and out (dq
+# in the backward); and, per part, dk and dv, a class run's two gathers and
+# their two gradients.
+_OP_ARRAYS = 2 + 5 + 6 * attention._PARTS
 
 
 @dataclass(frozen=True)
@@ -85,13 +90,14 @@ def _row_stats(sums: np.ndarray):
 
 def _attend_bytes(num_frames: int, num_tracks: int, h: int, w: int, dim: int) -> int:
     """The bytes run_attend_block plans for over n = num_frames*h*w
-    positions: the (n, dim) float64 features, the per-frame masks kept until
-    the label field is packed, its bitsets, its class of every position and,
-    for each of the 3D op's _PARTS, its live _BLOCK x n block array and the
-    key indices of its current class run."""
+    positions: the per-frame masks kept until the label field is packed, its
+    bitsets and its class of every position; _OP_ARRAYS float64 arrays of
+    (n, dim + 1); and, for each of the 3D op's _PARTS, its live block array
+    of at most _BLOCK_BYTES and the key indices of its current class run."""
     n = num_frames * h * w
     label_bytes = n * (num_tracks + 1) + n * ((num_tracks + 1 + 7) // 8) + n * 8
-    return n * dim * 8 + label_bytes + attention._PARTS * (attention._BLOCK + 1) * n * 8
+    work_bytes = _OP_ARRAYS * n * (dim + 1) * 8
+    return label_bytes + work_bytes + attention._PARTS * (attention._BLOCK_BYTES + n * 8)
 
 
 def run_attend_block(v: BlobVideo, cfg: Config, dim: int = 16, n_tokens: int = 4,

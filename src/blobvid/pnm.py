@@ -44,6 +44,9 @@ def _read_header(data: bytes):
         if not token.isdigit():
             raise ParseError(f"header field {token.decode('latin-1')!r} is not a decimal integer",
                              byte_offset=start)
+        if len(token) > 18:  # no file holds 10**18 bytes, and int() refuses 4,301 digits
+            raise ParseError(f"header field of {len(token)} digits is too large",
+                             byte_offset=start)
         if len(fields) < 2 and int(token) < 1:
             raise ParseError(f"width and height must be at least 1, got {int(token)}",
                              byte_offset=start)

@@ -66,11 +66,10 @@ def rasterize_reference(p: BlobParams, geom: FrameGeometry, h: int, w: int,
     return out
 
 
-def rasterize_full_grid(p: BlobParams, geom: FrameGeometry, h: int, w: int,
-                        rho: float = 1.0) -> np.ndarray:
-    """The cell-in-ellipse test evaluated on every cell of the grid: the same
-    float64 operations rasterize applies on the blob's window, so the two
-    must agree bit for bit."""
+def ellipse_form_full_grid(p: BlobParams, geom: FrameGeometry, h: int, w: int,
+                           rho: float = 1.0) -> np.ndarray:
+    """u*u + v*v at every cell centre of the grid, in the blob's own axes
+    scaled by rho*a and rho*b: at most 1 inside the ellipse, 1 on its edge."""
     xs = (np.arange(w, dtype=np.float64) + 0.5) * (geom.width / w)
     ys = (np.arange(h, dtype=np.float64) + 0.5) * (geom.height / h)
     dx = xs[None, :] - p.cx
@@ -80,7 +79,15 @@ def rasterize_full_grid(p: BlobParams, geom: FrameGeometry, h: int, w: int,
     with np.errstate(over="ignore", invalid="ignore"):
         u = (dx * ct + dy * st) / (rho * p.a)
         v = (-dx * st + dy * ct) / (rho * p.b)
-        return u * u + v * v <= 1.0
+        return u * u + v * v
+
+
+def rasterize_full_grid(p: BlobParams, geom: FrameGeometry, h: int, w: int,
+                        rho: float = 1.0) -> np.ndarray:
+    """The cell-in-ellipse test evaluated on every cell of the grid: the same
+    float64 operations rasterize applies on the blob's window, so the two
+    must agree bit for bit."""
+    return ellipse_form_full_grid(p, geom, h, w, rho) <= 1.0
 
 
 def iou_reference(m1: np.ndarray, m2: np.ndarray) -> float:
@@ -196,6 +203,43 @@ def self_attention_backward_reference(g, label_sets, wq, wk, wv, upstream):
     dk = dlogits.T @ q * scale
     dv = probs.T @ upstream
     return (dq @ wq.T + dk @ wk.T + dv @ wv.T, g.T @ dq, g.T @ dk, g.T @ dv)
+
+
+def self_attention_oracle(g, bits, wq, wk, wv, upstream, chunk=128):
+    """The 3D self-attention at the sizes the dense references cannot reach:
+    (output, row sums, (g, wq, wk, wv) gradients) of <upstream, output> over
+    n positions whose raw label bitsets are the rows of bits, LSB-first.
+
+    Positions i and j may attend iff they share a label, counted here from
+    the unpacked label bits as a float product, not by the package's bitset
+    AND or its label classes. Runs in row chunks of the explicit logits with
+    literal -inf entries, each chunk's softmax and the chain rule of
+    self_attention_backward_reference, so it takes O(chunk x n) memory and
+    one O(n^2 d) pass, which also sums the key and value gradients in full.
+    Rows with nothing allowed get zero weights."""
+    n, d = g.shape
+    scale = 1.0 / math.sqrt(d)
+    q, k, v = g @ wq, g @ wk, g @ wv
+    labels = np.unpackbits(bits, axis=1, bitorder="little").astype(np.float64)
+    out, sums = np.zeros((n, d)), np.zeros(n)
+    dq, dk, dv = np.zeros((n, d)), np.zeros((n, d)), np.zeros((n, d))
+    for s in range(0, n, chunk):
+        r = slice(s, s + chunk)
+        allowed = labels[r] @ labels.T > 0
+        logits = np.where(allowed, (q[r] @ k.T) * scale, -np.inf)
+        top = logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits - np.where(allowed.any(axis=1, keepdims=True), top, 0.0))
+        total = probs.sum(axis=1, keepdims=True)
+        probs /= np.where(total > 0, total, 1.0)
+        out[r] = probs @ v
+        sums[r] = probs.sum(axis=1)
+        dprobs = upstream[r] @ v.T
+        dlogits = probs * (dprobs - (probs * dprobs).sum(axis=1, keepdims=True))
+        dq[r] = dlogits @ k * scale
+        dk += dlogits.T @ q[r] * scale
+        dv += probs.T @ upstream[r]
+    grads = (dq @ wq.T + dk @ wk.T + dv @ wv.T, g.T @ dq, g.T @ dk, g.T @ dv)
+    return out, sums, grads
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from blobvid.attention import (
 from blobvid.blobs import BinaryMask
 from blobvid.geometry import BlobParams, FrameGeometry, canonicalize
 from blobvid.embedding import BlobEmbedding
+from blobvid.exemplars import EXEMPLAR_2_LAYOUT
+from blobvid.layout import densify_layout, parse_layout
 from blobvid.errors import ShapeError
 from blobvid.gradcheck import central_difference_grads, relative_error
 from blobvid.labelfield import AttnMask3D, LabelField, build_label_field, shares_label
@@ -28,6 +30,7 @@ from blobvid.video import BlobTrack, BlobVideo, densify
 from conftest import (
     cross_attention_reference,
     self_attention_backward_reference,
+    self_attention_oracle,
     self_attention_reference,
     softmax_reference,
 )
@@ -210,12 +213,19 @@ def assert_matches_dense_references(rng, sets, n_labels, d=5):
     return out, sums, grads
 
 
+def plan_blocks(plan):
+    """Every row block of a plan (attention._label_blocks), in plan order, as
+    (rows, cls); cls is -1 for a packed block."""
+    return [(entry.rows[s:s + entry.step], entry.cls)
+            for entry in plan for s in range(0, entry.rows.size, entry.step)]
+
+
 def blocks_by_class(sets, n_labels):
     """The op's row blocks as (own, classes): own is True for a block of one
     class over its gathered keys, classes the label sets of the block's rows."""
     field = LabelField.from_label_sets(1, 1, len(sets), n_labels, sets)
-    return [(not masked, [frozenset(sets[r]) for r in rows])
-            for rows, _, masked in attention._label_blocks(field)]
+    return [(cls >= 0, [frozenset(sets[r]) for r in rows])
+            for rows, cls in plan_blocks(attention._label_blocks(field))]
 
 
 def shuffled(rng, sets):
@@ -274,27 +284,53 @@ class TestStreamedSelfAttention:
         assert np.all(sums[empty] == 0.0)
         assert np.all(grads.g[empty] == 0.0)
 
-    def test_class_runs_over_chunked_keys_and_packed_blocks(self, rng):
+    def test_class_runs_over_chunked_rows_and_packed_blocks(self, rng):
         # Two large classes with overlapping key sets, {0} and {0, 1}, over
         # five blocks each, so each part holds consecutive blocks of both;
-        # the keys of {0} are wider than one column chunk of the backward;
+        # their blocks hold more rows than one row chunk of the backward;
         # and 60 small classes fill two packed blocks.
-        big = attention._CHUNK // 2 + 1
+        big = 513
         sets = shuffled(rng, [{0}] * big + [{0, 1}] * big
                         + [{2 + i % 60, i % 2} for i in range(150)])
         field = LabelField.from_label_sets(1, 1, len(sets), 62, sets)
-        blocks = attention._label_blocks(field)
-        own = [cls for _, cls, masked in blocks if not masked]
+        plan = attention._label_blocks(field)
+        blocks = plan_blocks(plan)
+        own = [cls for _, cls in blocks if cls >= 0]
         assert len(own) >= 6 and len(set(own)) == 2
-        assert [masked for *_, masked in blocks].count(True) == 2
-        k = np.arange(field.size, dtype=np.float64)[:, None]
-        for part in (blocks[0::2], blocks[1::2]):
+        assert [cls < 0 for _, cls in blocks].count(True) == 2
+        assert min(entry.step for entry in plan) > attention._ROW_CHUNK
+        for p in range(attention._PARTS):
+            part = blocks[p::attention._PARTS]
             assert len({a[1] for a, b in zip(part, part[1:]) if a[1] == b[1] >= 0}) == 2
-            runs = list(attention._class_runs(part, field, k, k))
-            assert [block for *_, run in runs for block in run] == part
-            widths = [keys.size for keys, *_, run in runs if run[0][1] >= 0]
-            assert len(widths) == 2 and max(widths) > attention._CHUNK
+            runs = [(masked, keys, list(run))
+                    for masked, keys, run in attention._class_runs(plan, p, field)]
+            assert ([rows.tolist() for *_, run in runs for rows in run]
+                    == [rows.tolist() for rows, _ in part])
+            widths = [keys.size for masked, keys, _ in runs if not masked]
+            assert len(widths) == 2 and max(widths) > big
         assert_matches_dense_references(rng, sets, 62)
+
+    @pytest.mark.parametrize("kind", ["one-class", "singletons", "mixed"])
+    def test_plan_counts_match_a_count_from_the_label_sets(self, rng, kind):
+        # Each entry's key count is the number of positions whose label set
+        # meets its rows' set (all n for packed blocks), and its rows per
+        # block fill at most _BLOCK_BYTES of float64 over those keys.
+        sets = {"one-class": [{0}] * 3000,
+                "singletons": [{b for b in range(12) if (i + 1) >> b & 1} for i in range(600)],
+                "mixed": shuffled(rng, [{0}] * 2100 + [{0, 1}] * 40 + [{1}] * 30 + [set()] * 5
+                                  + [{2 + i % 9, i % 2} for i in range(60)])}[kind]
+        field = LabelField.from_label_sets(1, 1, len(sets), 12, sets)
+        plan = attention._label_blocks(field)
+        rows = np.concatenate([entry.rows for entry in plan])
+        assert sorted(rows.tolist()) == [i for i, labs in enumerate(sets) if labs]
+        for entry in plan:
+            first = sets[entry.rows[0]]
+            want = len(sets) if entry.cls < 0 else sum(1 for labs in sets if labs & first)
+            assert entry.n_keys == want
+            assert entry.step == min(attention._BLOCK, attention._BLOCK_BYTES // (8 * want))
+            assert entry.cls < 0 or all(sets[r] == first for r in entry.rows)
+        if kind == "one-class":
+            assert [entry.step for entry in plan] == [87]
 
     def test_class_runs_hold_one_runs_keys_at_a_time(self):
         # One frame-wide blob and 20 moving ones over 13 frames of 96x96
@@ -312,25 +348,28 @@ class TestStreamedSelfAttention:
                                   96, 96)
         n = field.size
         assert field.classes[2].size > 500  # grouped before tracing: the field's own cost
-        k = v1 = np.zeros((n, 1))
         tracemalloc.start()
         try:
-            blocks = attention._label_blocks(field)
-            widths = [keys.size for part in (blocks[i::attention._PARTS]
-                                             for i in range(attention._PARTS))
-                      for keys, *_, run in attention._class_runs(part, field, k, v1)
-                      if run[0][1] >= 0]
+            plan = attention._label_blocks(field)
+            widths, covered = [], 0
+            for p in range(attention._PARTS):
+                for masked, keys, blocks in attention._class_runs(plan, p, field):
+                    covered += sum(rows.size for rows in blocks)
+                    if not masked:
+                        widths.append(keys.size)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(widths) > 400 and min(widths) == n
+        assert covered == n  # every position is a row of one block
         assert peak < 8 * n * 8
 
     @staticmethod
     def forward_and_backward_peaks(rng, monkeypatch):
         """tracemalloc peaks of the forward and of the backward at n = 4096:
-        one class over all keys and 200 tiny classes in packed blocks. Fails
-        if the dense mask is asked for."""
+        one class over all keys and 200 tiny classes in packed blocks, and the
+        bytes of the largest block array. Fails if the dense mask is asked
+        for."""
         n = 4096
         sets = [{0}] * (n - 512) + [{0, 1 + i % 200} for i in range(512)]
         field = LabelField.from_label_sets(1, 64, 64, 201, shuffled(rng, sets))
@@ -350,32 +389,36 @@ class TestStreamedSelfAttention:
             _, bwd_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return n, fwd_peak, bwd_peak
+        block = max(entry.step * entry.n_keys for entry in attention._label_blocks(field)) * 8
+        return n, block, fwd_peak, bwd_peak
 
     def test_no_dense_mask_and_block_sized_memory(self, rng, monkeypatch):
         # At n = 4096 the dense logits alone take 128 MiB; the streamed op
-        # holds a few _BLOCK x n arrays (4 MiB each) and never asks for the
-        # dense mask.
-        n, fwd_peak, bwd_peak = self.forward_and_backward_peaks(rng, monkeypatch)
+        # holds a few block arrays (at most _BLOCK_BYTES, 2 MiB, each) and
+        # never asks for the dense mask.
+        n, _, fwd_peak, bwd_peak = self.forward_and_backward_peaks(rng, monkeypatch)
         dense_logits = n * n * 8
         assert fwd_peak < dense_logits // 4 and bwd_peak < dense_logits // 4
 
     def test_one_block_array_per_pass(self, rng, monkeypatch):
         # On one thread both passes form a block's weights in its logits'
-        # own buffer. The forward holds that one _BLOCK x n array, its mask
-        # and the op's (n, d) arrays: under two block arrays in all. The
-        # backward forms the logit gradients in the weights' buffer too: one
-        # block array, one _CHUNK column chunk of them and the block mask,
-        # besides its 13 (n, d) arrays (projections, [v | 1], dq, each part's
-        # dk and dv, a class run's gathers and their gradients; one more
-        # here for the smaller ones).
+        # own buffer. The forward holds that one block array (64 rows over
+        # all n keys here), its mask and its complement, and 7 (n, d) arrays
+        # (projections, [v | 1], out, a class run's gathers; one more here
+        # for the row sums and the smaller ones). The backward forms the
+        # logit gradients in the weights' buffer too: one block array, one
+        # _ROW_CHUNK row chunk of them and the block mask, besides its 13
+        # (n, d) arrays (projections, [v | 1], dq, each part's dk and dv, a
+        # class run's gathers and their gradients; one more here for the
+        # smaller ones).
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        n, fwd_peak, bwd_peak = self.forward_and_backward_peaks(rng, monkeypatch)
-        block = attention._BLOCK * n * 8
-        assert fwd_peak < 2 * block
-        chunk = attention._BLOCK * attention._CHUNK * 8
+        n, block, fwd_peak, bwd_peak = self.forward_and_backward_peaks(rng, monkeypatch)
+        assert block == attention._BLOCK_BYTES
+        rows = block // (n * 8)
         n_by_d = n * 8 * 8
-        assert bwd_peak <= block + chunk + attention._BLOCK * n + 14 * n_by_d
+        assert fwd_peak < block + 2 * rows * n + 8 * n_by_d
+        chunk = attention._ROW_CHUNK * n * 8
+        assert bwd_peak <= block + chunk + rows * n + 14 * n_by_d
 
     def test_no_op_calls_masked_softmax(self, rng, monkeypatch):
         # Every block, masked or not, forms its weights in its logits' own
@@ -387,7 +430,7 @@ class TestStreamedSelfAttention:
         sets = shuffled(rng, [{0}] * 20 + [{lab for lab in range(6) if rng.random() < 0.4}
                                            for _ in range(40)])
         field = LabelField.from_label_sets(1, 1, len(sets), 6, sets)
-        assert any(masked for *_, masked in attention._label_blocks(field))
+        assert any(entry.cls < 0 for entry in attention._label_blocks(field))
         assert_matches_dense_references(rng, sets, 6)
         g, blobs, masks, wts = random_cross_instance(rng, n_blobs=3)
         assert not all(m.bits.all() for m in masks)
@@ -421,12 +464,12 @@ class TestStreamedSelfAttention:
                               for _ in range(2 * attention._BLOCK)] + [{0}] * 30 + [{3, 9}] * 9)
         field = LabelField.from_label_sets(1, 1, len(sets), 12, sets)
         assert field.bits.shape[1] == 2
-        blocks = attention._label_blocks(field)
-        packed = [rows for rows, _, masked in blocks if masked]
+        blocks = plan_blocks(attention._label_blocks(field))
+        packed = [rows for rows, cls in blocks if cls < 0]
         assert len(packed) >= 2 and len(packed) < len(blocks)
-        for rows, _, masked in blocks:
-            allow = attention._block_allow(field, rows, masked)
-            if masked:
+        for rows, cls in blocks:
+            allow = attention._block_allow(field, rows, cls < 0)
+            if cls < 0:
                 assert np.array_equal(allow, shares_label(field.bits[rows], field.bits))
             else:
                 assert allow is None
@@ -440,6 +483,102 @@ class TestStreamedSelfAttention:
         b = masked_3d_self_attention_backward(g, AttnMask3D(field), wts, g)
         for x, y in zip((a.g, a.wq, a.wk, a.wv), (b.g, b.wq, b.wk, b.wv)):
             assert np.array_equal(x, y)
+
+
+def many_labels_video(seed: int) -> BlobVideo:
+    """The attend-many-labels benchmark's video (perfbench/workloads.py): 10
+    seeded, heavily overlapping tracks with anchors every 4 of 13 frames."""
+    rng = np.random.default_rng(seed)
+    tracks = []
+    for k in range(10):
+        params, captions = {}, {}
+        for t in range(0, 13, 4):
+            cx, cy = rng.uniform(200, 520), rng.uniform(140, 340)
+            a = rng.uniform(120, 220)
+            b = rng.uniform(60, a)
+            params[t] = canonicalize(BlobParams(cx, cy, a, b, rng.uniform(-1.5, 1.5)))
+            captions[t] = f"object {k} seen at frame {t} ({rng.integers(1 << 30)})"
+        tracks.append(BlobTrack(k, params, captions))
+    return BlobVideo(13, FrameGeometry(720, 480), 4, tuple(tracks))
+
+
+def wide_blob_video(rng) -> BlobVideo:
+    """A smaller field of the kind of test_class_runs_hold_one_runs_keys_at_a_time:
+    one frame-wide blob under 20 moving ones over 5 frames, so every class
+    reaches all n keys and over a hundred small classes fill packed blocks."""
+    tracks = [BlobTrack(0, {0: BlobParams(48, 48, 80, 80, 0.0)})]
+    for i in range(1, 21):
+        tracks.append(BlobTrack(i, {t: canonicalize(BlobParams(
+            *rng.uniform(0, 96, 2), *rng.uniform(6, 24, 2), rng.uniform(-1.5, 1.5)))
+            for t in (0, 4)}))
+    return densify(BlobVideo(5, FrameGeometry(96, 96), tracks=tracks))
+
+
+def bits_of(sets, n_labels):
+    return LabelField.from_label_sets(1, 1, len(sets), n_labels, sets).bits
+
+
+class TestAtScaleOracle:
+    """The 3D op against self_attention_oracle on fields of thousands of
+    positions, where blocks are cut by bytes, not by _BLOCK, and the dense
+    references cannot go: the benchmark fields at seed 1, a many-class field
+    and edge fields. Same tolerances as the dense references."""
+
+    @staticmethod
+    def check(field, d, seed):
+        plan = attention._label_blocks(field)
+        assert any(entry.step < attention._BLOCK for entry in plan)
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((field.size, d))
+        upstream = rng.standard_normal((field.size, d))
+        wts = SelfAttnWeights.seeded(d, seed=seed + 3)
+        out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts, return_row_sums=True)
+        grads = masked_3d_self_attention_backward(g, AttnMask3D(field), wts, upstream)
+        want_out, want_sums, want_grads = self_attention_oracle(
+            g, field.bits, wts.wq, wts.wk, wts.wv, upstream)
+        # pytest.approx(abs=...) without rel, as numpy compares whole arrays.
+        np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(sums, want_sums, rtol=0, atol=1e-12)
+        for got, ref in zip((grads.g, grads.wq, grads.wk, grads.wv), want_grads):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+        return plan, sums
+
+    def test_few_labels_benchmark_field(self):
+        video = densify_layout(parse_layout(EXEMPLAR_2_LAYOUT), 13, FrameGeometry(720, 480))
+        field = build_label_field(video, 24, 24)
+        assert field.size == 7488 and len(field.classes[2]) == 4
+        self.check(field, 16, seed=1)
+
+    def test_many_labels_benchmark_field(self):
+        field = build_label_field(densify(many_labels_video(1)), 20, 20)
+        assert field.size == 5200 and len(field.classes[2]) > 100
+        plan, _ = self.check(field, 16, seed=1)
+        assert plan[-1].cls < 0  # packed blocks
+
+    def test_many_classes_that_all_reach_every_key(self, rng):
+        field = build_label_field(wide_blob_video(rng), 24, 24)
+        assert len(field.classes[2]) > 200
+        plan, _ = self.check(field, 8, seed=2)
+        assert all(entry.n_keys == field.size for entry in plan) and plan[-1].cls < 0
+
+    def test_one_class(self):
+        n = 3000
+        self.check(LabelField(1, 1, n, 1, np.ones((n, 1), dtype=np.uint8)), 8, seed=3)
+
+    def test_every_position_its_own_class(self):
+        # Position i holds the labels of the bits of i + 1: 2,500 distinct
+        # non-empty sets over 12 labels, all in packed blocks over n keys.
+        sets = [{b for b in range(12) if (i + 1) >> b & 1} for i in range(2500)]
+        field = LabelField(1, 1, len(sets), 12, bits_of(sets, 12))
+        plan, _ = self.check(field, 8, seed=4)
+        assert [entry.cls for entry in plan] == [-1]
+
+    def test_empty_label_sets(self, rng):
+        sets = [{lab for lab in range(4) if rng.random() < 0.5} for _ in range(3000)]
+        field = LabelField(1, 1, len(sets), 4, bits_of(sets, 4))
+        _, sums = self.check(field, 8, seed=5)
+        empty = np.array([not labs for labs in sets])
+        assert empty.sum() > 100 and np.all(sums[empty] == 0.0)
 
 
 class TestGatedFuse:

@@ -1,6 +1,6 @@
 """The one-thread OpenBLAS pin, and the 3D self-attention's fixed two-part
-split of its row blocks: bitwise the same results at any CPU count, with or
-without the pin."""
+split of its row blocks: bitwise the same results at one and two CPUs while
+the pin holds."""
 
 import os
 import sys
@@ -37,6 +37,10 @@ def instance(rng):
     return mask, rng.standard_normal((n, 8)), rng.standard_normal((n, 8)), SelfAttnWeights.seeded(8, seed=11)
 
 
+def block_count(field) -> int:
+    return sum(entry.blocks for entry in attention._label_blocks(field))
+
+
 def run(mask, g, upstream, wts):
     out, sums = masked_3d_self_attention(g, mask, wts, return_row_sums=True)
     grads = masked_3d_self_attention_backward(g, mask, wts, upstream)
@@ -59,7 +63,7 @@ def spy_on_threads(monkeypatch) -> list:
 class TestFixedSplit:
     def test_same_bits_at_one_and_two_cpus_and_without_openblas(self, rng, monkeypatch):
         args = instance(rng)
-        assert len(attention._label_blocks(args[0].field)) > 4
+        assert block_count(args[0].field) > 4
         used = spy_on_threads(monkeypatch)
         results = {}
         for cpus in (1, 2):
@@ -76,10 +80,32 @@ class TestFixedSplit:
             for a, b in zip(results[1], got):
                 assert np.array_equal(a, b), name
 
+    @needs_openblas
+    def test_same_bits_at_one_and_two_cpus_on_byte_capped_blocks(self, rng, monkeypatch):
+        # One class of 2,500 positions reads more than 2,048 keys, and packed
+        # small classes read all 3,000: their blocks are cut by _BLOCK_BYTES
+        # to fewer than _BLOCK rows, so the parts hold many of them.
+        sets = ([{0}] * 2400 + [{0, 1}] * 100
+                + [{lab for lab in range(1, 8) if rng.random() < 0.4} or {7} for _ in range(500)])
+        sets = [sets[i] for i in rng.permutation(len(sets))]
+        mask = AttnMask3D(LabelField.from_label_sets(1, 1, len(sets), 8, sets))
+        plan = attention._label_blocks(mask.field)
+        assert all(entry.step < attention._BLOCK for entry in plan if entry.n_keys > 2048)
+        assert any(entry.cls < 0 for entry in plan) and block_count(mask.field) > 20
+        g, upstream = rng.standard_normal((2, len(sets), 8))
+        used = spy_on_threads(monkeypatch)
+        results = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            results[cpus] = run(mask, g, upstream, SelfAttnWeights.seeded(8, seed=12))
+        assert used == [1, 1, 2, 2]
+        for a, b in zip(results[1], results[2]):
+            assert np.array_equal(a, b)
+
     def test_a_single_block_runs_in_the_calling_thread(self, rng, monkeypatch):
         sets = [{0}] * 5 + [{0, 1}] * 3 + [{1}] * 4
         mask = AttnMask3D(LabelField.from_label_sets(1, 1, len(sets), 2, sets))
-        assert len(attention._label_blocks(mask.field)) == 1
+        assert block_count(mask.field) == 1
         used = spy_on_threads(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         g = rng.standard_normal((len(sets), 4))
@@ -131,7 +157,7 @@ class TestOneThreadPin:
 
     def test_count_restored_after_ops_errors_and_concurrent_calls(self, rng, monkeypatch):
         mask, g, upstream, wts = instance(rng)
-        n_blocks = len(attention._label_blocks(mask.field))
+        n_blocks = block_count(mask.field)
         get, put = blas._lookup()
         seen = []
         real_exp = attention._exp_weights

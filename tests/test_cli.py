@@ -21,6 +21,8 @@ from blobvid.blobs import BlobParams, FrameGeometry, rasterize
 from blobvid.cli import _cfg_from_args, build_parser, main
 from blobvid.config import CHOICES, Config
 from blobvid.embedding import read_embedding, write_embedding
+from blobvid.errors import BlobvidError
+from blobvid.fitting import fit_ellipse
 from blobvid.geometry import _ellipse_bounds
 from blobvid.pnm import read_mask_pgm, write_mask_pgm
 from blobvid.video import BlobTrack, BlobVideo, video_to_json
@@ -681,6 +683,92 @@ class TestMaskRobustness:
                                               "--feature-w", grid])
             assert code == 1 and out == ""
             assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+# Header tokens a PGM mutation writes: numbers around the valid range, huge
+# ones (one with more digits than int() reads), signs, exponents, hex,
+# non-ASCII digits and nothing.
+_PGM_TOKENS = (st.integers(-2, 40).map(lambda i: str(i).encode())
+               | st.sampled_from([b"255", b"256", b"65535", b"0", b"01", b"+3", b"3.0", b"1e1",
+                                  b"0x10", b"", b"99999999999", _HUGE_INT.encode(),
+                                  "\u0663".encode()])
+               | st.binary(max_size=3))
+_PGM_SPACES = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"  ", b"", b"\n# note\n",
+                               b"# note\n", b" # no newline"])
+
+
+@st.composite
+def mutated_pgms(draw):
+    """A valid mask PGM of a seeded blob, as bytes, after 1-4 mutations of
+    its magic, width, height, maxval, separators and comments, payload
+    length or pixel values (including an all-zero mask)."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    bits = rasterize(BlobParams(w / 2, h / 2, w / 3 + 0.5, h / 4 + 0.5, 0.3),
+                     FrameGeometry(w, h), h, w).bits
+    fields = {"magic": b"P5", "width": str(w).encode(), "height": str(h).encode(),
+              "maxval": b"255"}
+    spaces = [b"\n", b" ", b"\n", b"\n"]
+    payload = bytes((bits.ravel() * 255).astype(np.uint8))
+    for _ in range(draw(st.integers(1, 4))):
+        part = draw(st.sampled_from(["magic", "width", "height", "maxval", "space",
+                                     "length", "pixels"]))
+        if part == "magic":
+            fields[part] = draw(st.sampled_from([b"P2", b"P6", b"p5", b"P5x", b""])
+                                | st.binary(max_size=3))
+        elif part in fields:
+            fields[part] = draw(_PGM_TOKENS)
+        elif part == "space":
+            spaces[draw(st.integers(0, 3))] = draw(_PGM_SPACES)
+        elif part == "length":
+            size = max(0, len(payload) + draw(st.integers(-3, 3)))
+            payload = (payload * 2)[:size]
+        else:
+            payload = draw(st.sampled_from([bytes(len(payload)), b"\xff" * len(payload)])
+                           | st.binary(min_size=len(payload), max_size=len(payload)))
+    head = [fields["magic"], fields["width"], fields["height"], fields["maxval"]]
+    return b"".join(x for pair in zip(head, spaces) for x in pair) + payload
+
+
+class TestFitRobustness:
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_pgms())
+    def test_mutated_pgm_is_fitted_or_one_error_line(self, pgm):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mask.pgm"
+            path.write_bytes(pgm)
+            try:  # only BlobvidError may escape the reader and the fit
+                mask = read_mask_pgm(path)
+                fit_ellipse(mask, FrameGeometry(mask.w, mask.h), max_iter=20)
+            except BlobvidError:
+                pass
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["fit", str(path), "--max-iter", "20"])
+        if code == 0:
+            assert err.getvalue() == "" and len(json.loads(out.getvalue())["params"]) == 5
+        else:
+            assert code == 1 and out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("error:")
+
+    def test_all_zero_mask_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n4 3\n255\n" + bytes(12))
+        code, out, err = run_cli(capsys, ["fit", str(path)])
+        assert code == 1 and out == ""
+        assert err == "error: cannot initialize from an empty mask\n"
+
+    @pytest.mark.parametrize("field, offset", [("width", 3), ("height", 5), ("maxval", 7)])
+    def test_header_integer_beyond_int_is_one_error_line(self, tmp_path, capsys, field, offset):
+        # Once escaped as ValueError: int() reads at most 4,300 digits.
+        header = {"width": b"4", "height": b"3", "maxval": b"255"}
+        header[field] = _HUGE_INT.encode()
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n%s %s\n%s\n" % tuple(header.values()) + b"\xff" * 12)
+        code, out, err = run_cli(capsys, ["fit", str(path)])
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: header field of 5001 digits is too large (byte offset {offset})"]
 
 
 class TestBadFramesAndFiles:

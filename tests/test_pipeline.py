@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from blobvid.blobs import BlobParams, FrameGeometry
 from blobvid.config import Config
 from blobvid.embedding import DeterministicStub, interp_linear, interp_slerp
 from blobvid.errors import RangeError, ShapeError, TooLarge
+from blobvid.exemplars import EXEMPLAR_2_LAYOUT
+from blobvid.layout import densify_layout, parse_layout
 from blobvid.pipeline import AttendStats, context_embeddings, run_attend_block
 from blobvid.video import BlobTrack, BlobVideo
 
@@ -134,14 +137,41 @@ class TestRunAttendBlock:
         with pytest.raises(RangeError, match=f"token count must be at least 1, got {n_tokens}"):
             run_attend_block(v, self.CFG, dim=8, n_tokens=n_tokens)
 
-    def test_budget_counts_features_label_bytes_and_block_arrays(self):
+    def test_budget_counts_label_bytes_working_arrays_and_block_arrays(self):
         # 9 frames of 6x6 features at width 8, 8 tracks plus the background:
-        # 9 per-frame masks, 2-byte bitsets and an 8-byte class index; each
-        # part's block array and the key indices of its current class run.
+        # 9 per-frame masks, 2-byte bitsets and an 8-byte class index; 19
+        # float64 arrays of (n, 8 + 1): the features and their fused copy,
+        # the projections, [v | 1], out or dq, and per part dk, dv, a class
+        # run's two gathers and their two gradients; each part's block array
+        # of at most _BLOCK_BYTES and the key indices of its current run.
         n = 9 * 36
-        want = n * 8 * 8 + n * (9 + 2 + 8) + attention._PARTS * (attention._BLOCK + 1) * n * 8
+        assert pipeline._OP_ARRAYS == 7 + 6 * attention._PARTS == 19
+        want = n * (9 + 2 + 8) + 19 * n * 9 * 8 + attention._PARTS * (attention._BLOCK_BYTES + n * 8)
         assert pipeline._attend_bytes(9, 8, 6, 6, 8) == want
         assert pipeline._attend_bytes(9, 7, 6, 6, 8) == want - 2 * n
+
+    def test_budget_of_a_large_field_is_arithmetic(self):
+        # 13 frames of 96x96 features at width 16 with 21 tracks (n =
+        # 119,808): 3-byte bitsets. Planned, never allocated: the block term
+        # stays 2 x 2 MiB whatever n is, and the (n, d) arrays dominate.
+        n = 13 * 96 * 96
+        want = (n * (22 + 3 + 8) + 19 * n * 17 * 8
+                + attention._PARTS * (attention._BLOCK_BYTES + n * 8))
+        assert pipeline._attend_bytes(13, 21, 96, 96, 16) == want
+        assert want < pipeline._ATTEND_BUDGET_BYTES < pipeline._attend_bytes(13, 21, 192, 192, 16)
+
+    def test_budget_covers_the_traced_peak(self):
+        # The benchmark's attend block, 3 tracks over 13 frames of 24x24
+        # features at width 16 (n = 7,488), at the host's CPU count: every
+        # array it allocates fits in the plan.
+        v = densify_layout(parse_layout(EXEMPLAR_2_LAYOUT), 13, FrameGeometry(720, 480))
+        tracemalloc.start()
+        try:
+            run_attend_block(v, Config(feature_h=24, feature_w=24, seed=1), dim=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pipeline._attend_bytes(13, 3, 24, 24, 16)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_rasterizes_each_track_once_per_frame(self, monkeypatch, threads):
