@@ -63,7 +63,7 @@ import numpy as np
 
 from . import blas
 from .blobs import BinaryMask
-from .embedding import BlobEmbedding
+from .embedding import EmbeddingSeq
 from .errors import ShapeError
 from .labelfield import NEG_INF, AttnMask3D, LabelField, shares_label
 from .parallel import parallel_map
@@ -205,7 +205,7 @@ def masked_softmax(logits: np.ndarray, allow: np.ndarray) -> np.ndarray:
     return e
 
 
-def _stack_cross(g, blobs: Sequence[BlobEmbedding], masks: Sequence[BinaryMask],
+def _stack_cross(g, blobs: Sequence[EmbeddingSeq], masks: Sequence[BinaryMask],
                  wts: CrossAttnWeights):
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2:
@@ -238,21 +238,18 @@ def _stack_cross(g, blobs: Sequence[BlobEmbedding], masks: Sequence[BinaryMask],
     return g, (g @ wts.wq) * scale, K, V, allow, scale
 
 
-def masked_cross_attention(g, blobs: Sequence[BlobEmbedding], masks: Sequence[BinaryMask],
-                           wts: CrossAttnWeights, return_row_sums: bool = False):
+def masked_cross_attention(g, blobs: Sequence[EmbeddingSeq], masks: Sequence[BinaryMask],
+                           wts: CrossAttnWeights):
     """Blob-masked cross-attention over stacked caption tokens.
 
     Location j scores every token of every blob, tokens of blob n are allowed
     only where mask n covers j, and the softmax runs over all allowed tokens
-    jointly: one _attend block over all keys. Returns (hw, d_g); rows covered
-    by no blob are zero. With return_row_sums, also returns each row's total
-    softmax weight: 1 up to rounding, 0 for a location covered by no blob.
+    jointly: one _attend block over all keys. Returns (out, row_sums): out is
+    (hw, d_g), zero on rows covered by no blob, and row_sums each row's total
+    softmax weight, 1 up to rounding and 0 for a location covered by no blob.
     """
     _, q, K, V, allow, _ = _stack_cross(g, blobs, masks, wts)
-    out, sums = _attend(q, K, _with_ones(V), allow)
-    if return_row_sums:
-        return out, sums
-    return out
+    return _attend(q, K, _with_ones(V), allow)
 
 
 class _ClassBlocks(NamedTuple):
@@ -419,14 +416,14 @@ def _self_projections(g, mask: AttnMask3D, wts: SelfAttnWeights):
     return g, (g @ wts.wq) * scale, g @ wts.wk, g @ wts.wv, scale
 
 
-def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights,
-                             return_row_sums: bool = False):
+def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights):
     """Self-attention over all T*h*w locations under the pairwise label mask.
 
     Evaluated block by block over the plan of _label_blocks, so no
     intermediate is larger than a block's _BLOCK_BYTES or the (n, d) arrays.
-    With return_row_sums, also returns each row's total softmax
-    weight: 1 up to rounding, 0 for a position with an empty label set.
+    Returns (out, row_sums): out is (n, d), and row_sums each row's total
+    softmax weight, 1 up to rounding and 0 for a position with an empty
+    label set.
     """
     with blas.one_thread() as pinned:
         g, q, k, v, _ = _self_projections(g, mask, wts)
@@ -446,9 +443,7 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights,
                 del k_keys, v1_keys  # before the next run's keys
 
         _run_parts(part, plan, pinned)
-    if return_row_sums:
-        return out, sums
-    return out
+    return out, sums
 
 
 def gated_fuse(x, attn_out, gamma: float) -> np.ndarray:
@@ -473,7 +468,7 @@ class CrossAttnGrads:
     wv: tuple[np.ndarray, ...]
 
 
-def masked_cross_attention_backward(g, blobs: Sequence[BlobEmbedding],
+def masked_cross_attention_backward(g, blobs: Sequence[EmbeddingSeq],
                                     masks: Sequence[BinaryMask],
                                     wts: CrossAttnWeights,
                                     upstream: np.ndarray) -> CrossAttnGrads:

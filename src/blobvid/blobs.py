@@ -50,10 +50,6 @@ class BinaryMask:
     def w(self) -> int:
         return self.bits.shape[1]
 
-    @property
-    def count(self) -> int:
-        return int(self.bits.sum())
-
 
 def _cell_centers(geom: FrameGeometry, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     # Source coordinates of an h x w grid's cell centers: x per column, y per row.

@@ -21,7 +21,6 @@ from .geometry import BlobParams, FrameGeometry, canonicalize
 
 __all__ = [
     "EmbeddingSeq",
-    "BlobEmbedding",
     "MlpWeights",
     "fourier_features",
     "normalize_params",
@@ -37,43 +36,22 @@ __all__ = [
 ]
 
 
-def _frozen_2d(arr, what: str) -> np.ndarray:
-    # Private copy: freezing an aliased buffer would mutate the caller's flags.
-    out = np.array(arr, dtype=np.float64, order="C", copy=True)
-    if out.ndim != 2 or out.shape[0] < 1 or out.shape[1] < 1:
-        raise ShapeError(f"{what} must be a (tokens, dim) array, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ShapeError(f"{what} must be finite")
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class EmbeddingSeq:
-    """Token sequence for one caption: (L, dim) float64."""
+    """Token sequence, (L, dim) float64: a caption's embedding, or the fused
+    tokens of one blob (blob_embed)."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_2d(self.data, "embedding sequence"))
-
-    @property
-    def L(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class BlobEmbedding:
-    """Fused per-token blob embedding: (L, d) float64."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_2d(self.data, "blob embedding"))
+        # Private copy: freezing an aliased buffer would mutate the caller's flags.
+        out = np.array(self.data, dtype=np.float64, order="C", copy=True)
+        if out.ndim != 2 or out.shape[0] < 1 or out.shape[1] < 1:
+            raise ShapeError(f"embedding sequence must be a (tokens, dim) array, got shape {out.shape}")
+        if not np.all(np.isfinite(out)):
+            raise ShapeError("embedding sequence must be finite")
+        out.setflags(write=False)
+        object.__setattr__(self, "data", out)
 
     @property
     def L(self) -> int:
@@ -203,7 +181,7 @@ class MlpWeights:
         )
 
 
-def blob_embed(e_tau: np.ndarray, e_s: EmbeddingSeq, mlp: MlpWeights) -> BlobEmbedding:
+def blob_embed(e_tau: np.ndarray, e_s: EmbeddingSeq, mlp: MlpWeights) -> EmbeddingSeq:
     """Fuse one geometry embedding with every caption token.
 
     Each token row is [e_tau ; e_s_l], width d = 2 * dim, pushed through the
@@ -221,7 +199,7 @@ def blob_embed(e_tau: np.ndarray, e_s: EmbeddingSeq, mlp: MlpWeights) -> BlobEmb
         raise ShapeError(f"MLP width {mlp.width} does not match token width {d}")
     x = np.concatenate([np.tile(e_tau, (e_s.L, 1)), e_s.data], axis=1)
     h = _gelu(x @ mlp.w1 + mlp.b1)
-    return BlobEmbedding(h @ mlp.w2 + mlp.b2)
+    return EmbeddingSeq(h @ mlp.w2 + mlp.b2)
 
 
 @dataclass(frozen=True)
@@ -266,10 +244,10 @@ def blob_embed_backward(e_tau: np.ndarray, e_s: EmbeddingSeq, mlp: MlpWeights,
 # Context interpolation between captioned anchor frames
 
 
-def interp_weights(t: int, k: int, t_anchor: int | None = None,
+def interp_weights(t: int, k: int, t_anchor: int,
                    orientation: str = "as_printed") -> tuple[float, float]:
     """Anchor weights (on the earlier embedding, on the later embedding) for
-    frame t inside an anchor interval of length k.
+    frame t inside the anchor interval [t_anchor, t_anchor + k].
 
     Orientation "as_printed" puts (t1 - t)/k on the later anchor and
     (t - t0)/k on the earlier one; "standard" swaps them so the weight of
@@ -280,7 +258,7 @@ def interp_weights(t: int, k: int, t_anchor: int | None = None,
         raise RangeError(f"anchor interval must be >= 1, got {k}")
     if orientation not in CHOICES["interp_orientation"]:
         raise RangeError(f"unknown interpolation orientation {orientation!r}")
-    t0 = (t // k) * k if t_anchor is None else t_anchor
+    t0 = t_anchor
     t1 = t0 + k
     if not (t0 <= t <= t1):
         raise RangeError(f"frame {t} outside anchor interval [{t0}, {t1}]")
@@ -291,21 +269,19 @@ def interp_weights(t: int, k: int, t_anchor: int | None = None,
     return w_near_lo, w_near_hi
 
 
-def interp_linear(e1: EmbeddingSeq, e2: EmbeddingSeq, t: int, k: int,
-                  t_anchor: int | None = None,
+def interp_linear(e1: EmbeddingSeq, e2: EmbeddingSeq, t: int, k: int, t_anchor: int,
                   orientation: str = "as_printed") -> EmbeddingSeq:
     """Per-token linear blend of the two bracketing anchor embeddings.
 
-    e1 sits at the earlier anchor, e2 one interval later. t must be strictly
-    between the two anchors; at the anchors the caller should use the anchor
-    embedding itself.
+    e1 sits at the earlier anchor t_anchor, e2 at t_anchor + k. t must be
+    strictly between the two anchors; at the anchors the caller should use
+    the anchor embedding itself.
     """
     if e1.data.shape != e2.data.shape:
         raise ShapeError(f"anchor embeddings differ in shape: {e1.data.shape} vs {e2.data.shape}")
-    t0 = (t // k) * k if t_anchor is None else t_anchor
-    if not (t0 < t < t0 + k):
-        raise RangeError(f"frame {t} not strictly inside anchor interval ({t0}, {t0 + k})")
-    w1, w2 = interp_weights(t, k, t_anchor=t0, orientation=orientation)
+    if not (t_anchor < t < t_anchor + k):
+        raise RangeError(f"frame {t} not strictly inside anchor interval ({t_anchor}, {t_anchor + k})")
+    w1, w2 = interp_weights(t, k, t_anchor, orientation=orientation)
     return EmbeddingSeq(w1 * e1.data + w2 * e2.data)
 
 

@@ -24,7 +24,7 @@ from .attention import (
 )
 from .blobs import BinaryMask
 from .config import DEFAULT_STEP, DEFAULT_TOL
-from .embedding import BlobEmbedding, EmbeddingSeq, MlpWeights, blob_embed, blob_embed_backward
+from .embedding import EmbeddingSeq, MlpWeights, blob_embed, blob_embed_backward
 from .errors import RangeError
 from .labelfield import AttnMask3D, LabelField
 
@@ -89,7 +89,7 @@ def _check_cross_attention(rng: np.random.Generator, step: float) -> float:
     d = int(rng.integers(3, 7))
     d_g = int(rng.integers(3, 7))
     g = rng.standard_normal((h * w, d_g))
-    blobs = [BlobEmbedding(rng.standard_normal((L, d))) for _ in range(n_blobs)]
+    blobs = [EmbeddingSeq(rng.standard_normal((L, d))) for _ in range(n_blobs)]
     masks = [_random_mask(rng, h, w) for _ in range(n_blobs)]
     wts = CrossAttnWeights.seeded(n_blobs, d, d_g, int(rng.integers(1 << 30)))
     upstream = rng.standard_normal((h * w, d_g))
@@ -99,7 +99,7 @@ def _check_cross_attention(rng: np.random.Generator, step: float) -> float:
 
     def unpack(vals):
         g_ = vals[0]
-        blobs_ = [BlobEmbedding(v) for v in vals[1 : 1 + n_blobs]]
+        blobs_ = [EmbeddingSeq(v) for v in vals[1 : 1 + n_blobs]]
         wq_ = vals[1 + n_blobs]
         wk_ = vals[2 + n_blobs : 2 + 2 * n_blobs]
         wv_ = vals[2 + 2 * n_blobs :]
@@ -107,7 +107,7 @@ def _check_cross_attention(rng: np.random.Generator, step: float) -> float:
 
     def loss(vals):
         g_, blobs_, wts_ = unpack(vals)
-        return float((upstream * masked_cross_attention(g_, blobs_, masks, wts_)).sum())
+        return float((upstream * masked_cross_attention(g_, blobs_, masks, wts_)[0]).sum())
 
     fd = central_difference_grads(loss, arrays, step)
     an = masked_cross_attention_backward(g, blobs, masks, wts, upstream)
@@ -130,7 +130,7 @@ def _check_self_attention(rng: np.random.Generator, step: float) -> float:
 
     def loss(vals):
         wts_ = SelfAttnWeights(vals[1], vals[2], vals[3], gate=wts.gate)
-        return float((upstream * masked_3d_self_attention(vals[0], mask, wts_)).sum())
+        return float((upstream * masked_3d_self_attention(vals[0], mask, wts_)[0]).sum())
 
     fd = central_difference_grads(loss, arrays, step)
     an = masked_3d_self_attention_backward(g, mask, wts, upstream)

@@ -127,11 +127,10 @@ def build_label_field(v: BlobVideo, h: int, w: int, rho: float = 1.0, *,
 
 @dataclass(frozen=True)
 class AttnMask3D:
-    """Additive attention mask over all Thw positions, queried pairwise.
-
-    query(i, j) is 0.0 when the two positions share at least one label
-    (same object, or both background) and NEG_INF otherwise. The relation is
-    symmetric and reflexive but not transitive.
+    """Attention mask over all Thw positions: positions i and j may attend
+    to each other when they share at least one label (same object, or both
+    background). The relation is symmetric, and reflexive for every position
+    with a nonempty label set, but not transitive.
     """
 
     field: LabelField
@@ -139,15 +138,6 @@ class AttnMask3D:
     @property
     def size(self) -> int:
         return self.field.size
-
-    def allowed(self, i: int, j: int) -> bool:
-        n = self.size
-        if not (0 <= i < n and 0 <= j < n):
-            raise RangeError(f"pair ({i}, {j}) outside [0, {n})^2")
-        return bool(shares_label(self.field.bits[i:i + 1], self.field.bits[j:j + 1])[0, 0])
-
-    def query(self, i: int, j: int) -> float:
-        return 0.0 if self.allowed(i, j) else NEG_INF
 
     def allowed_rows(self, start: int, stop: int) -> np.ndarray:
         """Boolean block (stop-start, size): which pairs may attend."""

@@ -25,7 +25,6 @@ __all__ = [
     "LayoutDoc",
     "parse_layout",
     "densify_layout",
-    "serialize_layout",
     "serialize_layout_doc",
 ]
 
@@ -186,24 +185,3 @@ def serialize_layout_doc(doc: LayoutDoc) -> str:
             objs[f"Object{suffix}"] = body
         out[f"Frame{t}"] = objs
     return json.dumps(out, ensure_ascii=False, indent=1)
-
-
-def serialize_layout(v: BlobVideo, frame_stride: int = 1) -> str:
-    """Emit the layout document for frames 0, stride, 2*stride, ... of a dense video.
-
-    Captions appear only at frames that carry one. Numbers keep full precision,
-    so parsing the output recovers the params bit for bit.
-    """
-    if frame_stride < 1:
-        raise RangeError(f"frame stride must be >= 1, got {frame_stride}")
-    if not v.is_dense():
-        raise SchemaError("serialize_layout needs a dense video; call densify first")
-    frames: dict[int, dict[str, LayoutEntry]] = {}
-    if v.num_tracks:  # no tracks emit "{}", not a run of empty frames
-        for t in range(0, v.num_frames, frame_stride):
-            frames[t] = {}
-            for track in v.tracks:
-                p = track.params[t]
-                frames[t][str(track.object_id)] = LayoutEntry(
-                    (p.cx, p.cy, p.a, p.b, p.theta), track.captions.get(t))
-    return serialize_layout_doc(LayoutDoc(frames))

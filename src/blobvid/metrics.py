@@ -10,6 +10,7 @@ counted, never raised.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -42,9 +43,22 @@ __all__ = [
 ]
 
 
+# The largest area of a box: the areas of any two boxes then add up to a
+# finite union, so every IOU lies in [0, 1].
+_MAX_AREA = sys.float_info.max / 2
+
+
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned box with corners (x0, y0) < (x1, y1)."""
+    """Axis-aligned box with finite corners (x0, y0) < (x1, y1), a finite
+    width and height, and an area in (0, _MAX_AREA]."""
 
     x0: float
     y0: float
@@ -53,8 +67,15 @@ class BBox:
     confidence: float = 1.0
 
     def __post_init__(self):
+        corners = (self.x0, self.y0, self.x1, self.y1)
+        if not all(_finite(c) for c in corners):
+            raise RangeError(f"box corners must be finite, got {corners}")
         if not (self.x0 < self.x1 and self.y0 < self.y1):
-            raise RangeError(f"box corners must be ordered, got {(self.x0, self.y0, self.x1, self.y1)}")
+            raise RangeError(f"box corners must be ordered, got {corners}")
+        if not (_finite(self.x1 - self.x0) and _finite(self.y1 - self.y0)
+                and 0 < self.area <= _MAX_AREA):
+            raise RangeError(f"box width, height and area must be positive and finite, "
+                             f"and the area at most {_MAX_AREA}, got {corners}")
         if not (0.0 <= self.confidence <= 1.0):
             raise RangeError(f"confidence must lie in [0, 1], got {self.confidence}")
 
@@ -321,13 +342,15 @@ def region_cosine_metrics(embs: Iterable[RegionEmbedding], mode: str) -> MetricR
             by_object.setdefault(obj, []).append(frame)
         for obj in sorted(by_object):
             frames = sorted(by_object[obj])
-            for t in range(frames[0], frames[-1]):
-                first = generated.get((obj, t))
-                second = generated.get((obj, t + 1))
-                if first is None or second is None:
-                    skipped += 1
-                    continue
-                cosines.append(_cosine(first.vector, second.vector))
+            # Each t from the first generated frame to the last pairs with
+            # t + 1; a gap from t to u skips its u - t pairs, counted
+            # without visiting them, since frame numbers may be far apart.
+            for t, u in zip(frames, frames[1:]):
+                if u == t + 1:
+                    cosines.append(_cosine(generated[(obj, t)].vector,
+                                           generated[(obj, u)].vector))
+                else:
+                    skipped += u - t
     if not cosines:
         raise UndefinedMetric(f"no scorable pairs for {mode} ({skipped} skipped)")
     return MetricReport(

@@ -45,6 +45,13 @@ _ATTEND_BUDGET_BYTES = 1 << 30
 # in the backward); and, per part, dk and dv, a class run's two gathers and
 # their two gradients.
 _OP_ARRAYS = 2 + 5 + 6 * attention._PARTS
+# The (tokens, dim + 1) float64 arrays a frame's cross-attention holds over
+# all its blobs' tokens: the blob embeddings, their keys and values, the
+# stacked keys and values, and [V | 1].
+_TOKEN_ARRAYS = 6
+# The (10 F)^2 float64 arrays of the Fourier projection's QR (embedding.
+# _projection): the Gaussian, both factors and the sign-fixed factor.
+_QR_ARRAYS = 5
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,7 @@ def context_embeddings(v: BlobVideo, provider: DeterministicStub,
     Captioned frames embed their caption; frames between two captioned anchors
     interpolate per token; frames outside the captioned span copy the nearest
     anchor. Tracks with no captions embed the empty string everywhere.
+    orientation applies to method "linear" only: "slerp" ignores it.
     """
     out: dict[tuple[int, int], EmbeddingSeq] = {}
     for n, track in enumerate(v.tracks):
@@ -88,16 +96,29 @@ def _row_stats(sums: np.ndarray):
     return int(zero.sum()), float(np.abs(sums[~zero] - 1.0).max())
 
 
-def _attend_bytes(num_frames: int, num_tracks: int, h: int, w: int, dim: int) -> int:
+def _attend_bytes(num_frames: int, num_tracks: int, h: int, w: int, dim: int,
+                  n_tokens: int, fourier_freqs: int, threads: int) -> int:
     """The bytes run_attend_block plans for over n = num_frames*h*w
     positions: the per-frame masks kept until the label field is packed, its
     bitsets and its class of every position; _OP_ARRAYS float64 arrays of
-    (n, dim + 1); and, for each of the 3D op's _PARTS, its live block array
-    of at most _BLOCK_BYTES and the key indices of its current class run."""
+    (n, dim + 1); for each of the 3D op's _PARTS, its live block array of at
+    most _BLOCK_BYTES and the key indices of its current class run; the
+    caption embedding of every track in every frame; for each frame in
+    flight, the cross-attention's (h*w, tracks*tokens) float64 logits and
+    three boolean masks of that shape (the mask, its per-blob parts and its
+    complement) and _TOKEN_ARRAYS arrays of (tracks*tokens, dim + 1); and
+    the _QR_ARRAYS arrays of the Fourier projection."""
     n = num_frames * h * w
     label_bytes = n * (num_tracks + 1) + n * ((num_tracks + 1 + 7) // 8) + n * 8
     work_bytes = _OP_ARRAYS * n * (dim + 1) * 8
-    return label_bytes + work_bytes + attention._PARTS * (attention._BLOCK_BYTES + n * 8)
+    block_bytes = attention._PARTS * (attention._BLOCK_BYTES + n * 8)
+    context_bytes = num_frames * num_tracks * n_tokens * (dim // 2) * 8
+    keys = num_tracks * n_tokens
+    cross_bytes = max(1, min(threads, num_frames)) * (
+        h * w * keys * (8 + 3) + _TOKEN_ARRAYS * keys * (dim + 1) * 8)
+    projection_bytes = _QR_ARRAYS * (10 * fourier_freqs) ** 2 * 8
+    return (label_bytes + work_bytes + block_bytes + context_bytes + cross_bytes
+            + projection_bytes)
 
 
 def run_attend_block(v: BlobVideo, cfg: Config, dim: int = 16, n_tokens: int = 4,
@@ -114,10 +135,12 @@ def run_attend_block(v: BlobVideo, cfg: Config, dim: int = 16, n_tokens: int = 4
     if n_tokens < 1:
         raise RangeError(f"caption token count must be at least 1, got {n_tokens}")
     h, w = cfg.feature_h, cfg.feature_w
-    need = _attend_bytes(v.num_frames, v.num_tracks, h, w, dim)
+    need = _attend_bytes(v.num_frames, v.num_tracks, h, w, dim, n_tokens,
+                         cfg.fourier_freqs, threads)
     if need > _ATTEND_BUDGET_BYTES:
         raise TooLarge(
-            f"attention over {v.num_frames} frames of {h}x{w} features at width {dim} "
+            f"attention over {v.num_frames} frames of {h}x{w} features at width {dim}, "
+            f"{n_tokens} tokens and {cfg.fourier_freqs} Fourier frequencies "
             f"needs {need} bytes, above the budget of {_ATTEND_BUDGET_BYTES}")
     v = densify(v)
     hw = h * w
@@ -141,7 +164,7 @@ def run_attend_block(v: BlobVideo, cfg: Config, dim: int = 16, n_tokens: int = 4
         ]
         masks, background = per_frame_masks(v, t, h, w, cfg.rescale)
         g_t = g[t * hw : (t + 1) * hw]
-        ca_out, sums = masked_cross_attention(g_t, blobs, masks, ca_w, return_row_sums=True)
+        ca_out, sums = masked_cross_attention(g_t, blobs, masks, ca_w)
         return gated_fuse(g_t, ca_out, ca_w.gate), sums, (masks, background)
 
     per_frame = parallel_map(frame_cross, range(v.num_frames), threads)
@@ -155,7 +178,7 @@ def run_attend_block(v: BlobVideo, cfg: Config, dim: int = 16, n_tokens: int = 4
 
     field = build_label_field(v, h, w, frames=[frame for _, _, frame in per_frame])
     del per_frame
-    sa_out, sa_sums = masked_3d_self_attention(x, AttnMask3D(field), sa_w, return_row_sums=True)
+    sa_out, sa_sums = masked_3d_self_attention(x, AttnMask3D(field), sa_w)
     y = gated_fuse(x, sa_out, sa_w.gate)
     sa_zero, sa_err = _row_stats(sa_sums)
 

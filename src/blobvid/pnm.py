@@ -65,16 +65,6 @@ def _write_pnm(path, magic: str, w: int, h: int, payload: bytes) -> None:
         f.write(payload)
 
 
-def write_pgm(path, gray: np.ndarray) -> None:
-    import numpy as np
-
-    arr = np.ascontiguousarray(gray, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise ShapeError(f"PGM payload must be 2-d, got shape {arr.shape}")
-    h, w = arr.shape
-    _write_pnm(path, "P5", w, h, arr.tobytes())
-
-
 def read_pgm(path) -> np.ndarray:
     import numpy as np
 

@@ -17,8 +17,6 @@ import pytest
 
 from blobvid import blas
 from blobvid.blobs import BinaryMask, BlobParams, FrameGeometry
-from blobvid.errors import TooLarge
-from blobvid.labelfield import NEG_INF, AttnMask3D
 from blobvid.metrics import MatchResult
 
 
@@ -240,26 +238,6 @@ def self_attention_oracle(g, bits, wq, wk, wv, upstream, chunk=128):
         dv += probs.T @ upstream[r]
     grads = (dq @ wq.T + dk @ wk.T + dv @ wv.T, g.T @ dq, g.T @ dk, g.T @ dv)
     return out, sums, grads
-
-
-# ---------------------------------------------------------------------------
-# Dense view of the implicit pair mask under test (not an independent
-# reference: it reads AttnMask3D.allowed_rows)
-
-_DENSE_CAP_DEFAULT = 8192
-
-
-def materialize_dense(m: AttnMask3D, cap: int = _DENSE_CAP_DEFAULT) -> np.ndarray:
-    """Dense (Thw, Thw) float64 matrix of {0, NEG_INF}. Guarded by a size cap."""
-    n = m.size
-    if n > cap:
-        raise TooLarge(f"dense mask would be {n}x{n}, cap is {cap}")
-    out = np.empty((n, n), dtype=np.float64)
-    step = 1024
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        out[s:e] = np.where(m.allowed_rows(s, e), 0.0, NEG_INF)
-    return out
 
 
 # ---------------------------------------------------------------------------

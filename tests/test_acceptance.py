@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import blobvid
+from blobvid import attention
 from blobvid.attention import (
     CrossAttnWeights,
     SelfAttnWeights,
@@ -26,12 +27,11 @@ from blobvid.attention import (
     masked_cross_attention,
 )
 from blobvid.blobs import BinaryMask, BlobParams, FrameGeometry, mask_iou, rasterize
-from blobvid.embedding import BlobEmbedding, interp_weights
+from blobvid.embedding import EmbeddingSeq, interp_weights
 from blobvid.exemplars import EXEMPLAR_1_LAYOUT, EXEMPLAR_2_LAYOUT
 from blobvid.fitting import fit_ellipse, moments_init
 from blobvid.gradcheck import run_gradcheck
 from blobvid.labelfield import (
-    NEG_INF,
     AttnMask3D,
     LabelField,
     build_label_field,
@@ -45,7 +45,6 @@ from blobvid.video import BlobTrack, BlobVideo, video_to_json
 from conftest import (
     angle_mean_reference,
     cross_attention_reference,
-    materialize_dense,
     random_canonical_blob,
     self_attention_reference,
 )
@@ -74,8 +73,8 @@ def test_1_attention_matches_dense_oracles():
         blob_arrays = [rng.standard_normal((L, d)) for _ in range(n_blobs)]
         bits = [rng.random((s, s)) < 0.6 for _ in range(n_blobs)]
         wts = CrossAttnWeights.seeded(n_blobs, d, d_g, seed=int(rng.integers(1 << 30)))
-        got = masked_cross_attention(
-            g, [BlobEmbedding(x) for x in blob_arrays], [BinaryMask(b) for b in bits], wts
+        got, _ = masked_cross_attention(
+            g, [EmbeddingSeq(x) for x in blob_arrays], [BinaryMask(b) for b in bits], wts
         )
         want = cross_attention_reference(g, blob_arrays, bits, wts.wq, list(wts.wk), list(wts.wv))
         worst = max(worst, float(np.abs(got - want).max()))
@@ -93,7 +92,7 @@ def test_1_attention_matches_dense_oracles():
         field = LabelField.from_label_sets(T, s, s, n_labels, label_sets)
         g = rng.standard_normal((n, d))
         wts = SelfAttnWeights.seeded(d, seed=int(rng.integers(1 << 30)))
-        got = masked_3d_self_attention(g, AttnMask3D(field), wts)
+        got, _ = masked_3d_self_attention(g, AttnMask3D(field), wts)
         want = self_attention_reference(g, label_sets, wts.wq, wts.wk, wts.wv)
         worst = max(worst, float(np.abs(got - want).max()))
     elapsed = time.perf_counter() - t_start
@@ -120,12 +119,34 @@ def _label_matrix(field: LabelField) -> np.ndarray:
     return bits[:, : field.n_labels].astype(bool)
 
 
+def _plan_matrix(field: LabelField):
+    """The dense pair mask the 3D ops evaluate, read from their own plan:
+    over both parts, every class run's rows are allowed its gathered keys,
+    and a packed run's rows get _block_allow. Also returns how many blocks
+    hold each position as a row."""
+    n = field.size
+    allowed = np.zeros((n, n), dtype=bool)
+    blocks_per_row = np.zeros(n, dtype=np.int64)
+    plan = attention._label_blocks(field)
+    for part in range(attention._PARTS):
+        for masked, keys, blocks in attention._class_runs(plan, part, field):
+            for rows in blocks:
+                blocks_per_row[rows] += 1
+                if masked:
+                    allowed[rows] = attention._block_allow(field, rows, masked)
+                else:
+                    allowed[np.ix_(rows, keys)] = True
+    return allowed, blocks_per_row
+
+
 def test_3_implicit_pair_mask_equals_dense_materialization():
     rng = np.random.default_rng(303)
     instances = []
-    for T, s, n_labels in ((1, 4, 3), (2, 8, 4), (4, 16, 5), (4, 32, 11)):
+    for T, s, n_labels, empty in ((1, 4, 3, 0.0), (2, 8, 4, 0.0), (4, 16, 5, 0.0),
+                                  (4, 32, 11, 0.0), (2, 8, 4, 0.25)):
         n = T * s * s
         sets = [
+            frozenset() if rng.random() < empty else
             frozenset(rng.choice(n_labels, size=int(rng.integers(1, 4)),
                                  replace=False).tolist())
             for _ in range(n)
@@ -139,42 +160,29 @@ def test_3_implicit_pair_mask_equals_dense_materialization():
     instances.append(build_label_field(video, 8, 8))
 
     ok = True
+    empty_rows = 0
     for field in instances:
         assert field.size <= 4096
-        mask = AttnMask3D(field)
         labels = _label_matrix(field)
-        expected = np.where((labels.astype(np.int64) @ labels.T.astype(np.int64)) > 0,
-                            0.0, NEG_INF)
-        dense = materialize_dense(mask, cap=4096)
+        expected = (labels.astype(np.int64) @ labels.T.astype(np.int64)) > 0
+        nonempty = labels.any(axis=1)
+        empty_rows += int((~nonempty).sum())
+        dense, blocks_per_row = _plan_matrix(field)
         ok &= np.array_equal(dense, expected)
-        ok &= np.array_equal(np.diag(dense), np.zeros(field.size))
         ok &= np.array_equal(dense, dense.T)
-        if field.size <= 256:
-            # Exhaustive scalar queries at small sizes.
-            for i in range(field.size):
-                for j in range(field.size):
-                    ok &= mask.query(i, j) == expected[i, j]
-        else:
-            # The block route is the production implicit query; the scalar
-            # entry point is additionally spot-checked on 20k random pairs.
-            for s in range(0, field.size, 512):
-                e = min(s + 512, field.size)
-                ok &= np.array_equal(
-                    np.where(mask.allowed_rows(s, e), 0.0, NEG_INF), expected[s:e]
-                )
-            for _ in range(20000):
-                i = int(rng.integers(field.size))
-                j = int(rng.integers(field.size))
-                ok &= mask.query(i, j) == expected[i, j]
+        ok &= np.array_equal(np.diag(dense), nonempty)
+        # Every position with a label is a row of exactly one block; a
+        # position with an empty label set is in none.
+        ok &= np.array_equal(blocks_per_row, nonempty.astype(np.int64))
 
     # Sharing a label is not transitive: 0~1 and 1~2 but 0 and 2 are blocked.
-    counter = AttnMask3D(LabelField.from_label_sets(1, 1, 3, 2, [{0}, {0, 1}, {1}]))
-    ok &= counter.query(0, 1) == 0.0
-    ok &= counter.query(1, 2) == 0.0
-    ok &= counter.query(0, 2) == NEG_INF
-    _report(3, "pairwise label mask: implicit query == dense, symmetric, zero diagonal,"
-               " non-transitive", ok,
-            f"{len(instances)} fields up to {max(f.size for f in instances)} positions")
+    counter, _ = _plan_matrix(LabelField.from_label_sets(1, 1, 3, 2, [{0}, {0, 1}, {1}]))
+    ok &= counter[0, 1] and counter[1, 2] and not counter[0, 2]
+    ok &= empty_rows > 0
+    _report(3, "the 3D ops' pair mask == dense label product, symmetric, allowed diagonal,"
+               " empty label sets in no block, non-transitive", ok,
+            f"{len(instances)} fields up to {max(f.size for f in instances)} positions,"
+            f" {empty_rows} empty label sets")
 
 
 def test_4_ellipse_fit_recovers_synthetic_blobs():

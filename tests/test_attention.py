@@ -19,7 +19,7 @@ from blobvid.attention import (
 )
 from blobvid.blobs import BinaryMask
 from blobvid.geometry import BlobParams, FrameGeometry, canonicalize
-from blobvid.embedding import BlobEmbedding
+from blobvid.embedding import EmbeddingSeq
 from blobvid.exemplars import EXEMPLAR_2_LAYOUT
 from blobvid.layout import densify_layout, parse_layout
 from blobvid.errors import ShapeError
@@ -44,7 +44,7 @@ def random_cross_instance(rng, n_blobs=None, all_covered=False):
     d = int(rng.integers(3, 8))
     d_g = int(rng.integers(3, 8))
     g = rng.standard_normal((h * w, d_g))
-    blobs = [BlobEmbedding(rng.standard_normal((L, d))) for _ in range(n_blobs)]
+    blobs = [EmbeddingSeq(rng.standard_normal((L, d))) for _ in range(n_blobs)]
     if all_covered:
         bits = [np.ones((h, w), dtype=bool) for _ in range(n_blobs)]
     else:
@@ -90,7 +90,7 @@ class TestMaskedCrossAttention:
     def test_matches_dense_reference(self, rng):
         for _ in range(15):
             g, blobs, masks, wts = random_cross_instance(rng)
-            got = masked_cross_attention(g, blobs, masks, wts)
+            got, _ = masked_cross_attention(g, blobs, masks, wts)
             want = cross_attention_reference(
                 g, [b.data for b in blobs], [m.bits for m in masks],
                 wts.wq, list(wts.wk), list(wts.wv),
@@ -102,20 +102,20 @@ class TestMaskedCrossAttention:
         bits = masks[0].bits.copy()
         bits[0, :] = False
         masks = [BinaryMask(bits)]
-        out = masked_cross_attention(g, blobs, masks, wts)
+        out, _ = masked_cross_attention(g, blobs, masks, wts)
         uncovered = ~bits.reshape(-1)
         assert np.all(out[uncovered] == 0.0)
 
     def test_no_blobs_gives_zeros(self, rng):
         g = rng.standard_normal((6, 4))
         wts = CrossAttnWeights.seeded(0, 3, 4, seed=0)
-        out = masked_cross_attention(g, [], [], wts)
+        out, _ = masked_cross_attention(g, [], [], wts)
         assert out.shape == (6, 4)
         assert np.all(out == 0.0)
 
     def test_probs_rows_sum_to_one_or_zero(self, rng):
         g, blobs, masks, wts = random_cross_instance(rng)
-        out, sums = masked_cross_attention(g, blobs, masks, wts, return_row_sums=True)
+        out, sums = masked_cross_attention(g, blobs, masks, wts)
         covered = np.zeros(g.shape[0], dtype=bool)
         for m in masks:
             covered |= m.bits.reshape(-1)
@@ -124,7 +124,7 @@ class TestMaskedCrossAttention:
 
     def test_single_blob_full_mask_is_plain_attention(self, rng):
         g, blobs, masks, wts = random_cross_instance(rng, n_blobs=1, all_covered=True)
-        got = masked_cross_attention(g, blobs, masks, wts)
+        got, _ = masked_cross_attention(g, blobs, masks, wts)
         q = g @ wts.wq
         k = blobs[0].data @ wts.wk[0]
         v = blobs[0].data @ wts.wv[0]
@@ -160,7 +160,7 @@ class TestMaskedSelfAttention:
             field = LabelField.from_label_sets(T, h, w, n_objects + 1, sets)
             g = rng.standard_normal((T * h * w, d))
             wts = SelfAttnWeights.seeded(d, seed=int(rng.integers(1 << 30)))
-            got = masked_3d_self_attention(g, AttnMask3D(field), wts)
+            got, _ = masked_3d_self_attention(g, AttnMask3D(field), wts)
             want = self_attention_reference(g, sets, wts.wq, wts.wk, wts.wv)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -169,7 +169,7 @@ class TestMaskedSelfAttention:
         field = LabelField.from_label_sets(1, 2, 2, 3, sets)
         g = rng.standard_normal((4, 5))
         wts = SelfAttnWeights.seeded(5, seed=3)
-        out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts, return_row_sums=True)
+        out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts)
         # Every position shares a label with itself, so no zero rows here.
         assert sums == pytest.approx(np.ones(4), abs=1e-12)
 
@@ -179,7 +179,7 @@ class TestMaskedSelfAttention:
         field = LabelField.from_label_sets(1, 1, 2, 2, sets)
         g = rng.standard_normal((2, 3))
         wts = SelfAttnWeights.seeded(3, seed=1)
-        out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts, return_row_sums=True)
+        out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts)
         assert np.array_equal(out, g @ wts.wv)
         assert np.array_equal(sums, np.ones(2))
 
@@ -201,7 +201,7 @@ def assert_matches_dense_references(rng, sets, n_labels, d=5):
     g = rng.standard_normal((n, d))
     upstream = rng.standard_normal((n, d))
     wts = SelfAttnWeights.seeded(d, seed=int(rng.integers(1 << 30)))
-    out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts, return_row_sums=True)
+    out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts)
     assert out == pytest.approx(self_attention_reference(g, sets, wts.wq, wts.wk, wts.wv),
                                 abs=1e-10)
     want_sums = np.array([1.0 if labs else 0.0 for labs in sets])
@@ -532,7 +532,7 @@ class TestAtScaleOracle:
         g = rng.standard_normal((field.size, d))
         upstream = rng.standard_normal((field.size, d))
         wts = SelfAttnWeights.seeded(d, seed=seed + 3)
-        out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts, return_row_sums=True)
+        out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts)
         grads = masked_3d_self_attention_backward(g, AttnMask3D(field), wts, upstream)
         want_out, want_sums, want_grads = self_attention_oracle(
             g, field.bits, wts.wq, wts.wk, wts.wv, upstream)

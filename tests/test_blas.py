@@ -42,7 +42,7 @@ def block_count(field) -> int:
 
 
 def run(mask, g, upstream, wts):
-    out, sums = masked_3d_self_attention(g, mask, wts, return_row_sums=True)
+    out, sums = masked_3d_self_attention(g, mask, wts)
     grads = masked_3d_self_attention_backward(g, mask, wts, upstream)
     return out, sums, grads.g, grads.wq, grads.wk, grads.wv
 
@@ -172,7 +172,7 @@ class TestOneThreadPin:
         caller = get()
         put(2)
         try:
-            out, sums = masked_3d_self_attention(g, mask, wts, return_row_sums=True)
+            out, sums = masked_3d_self_attention(g, mask, wts)
             assert len(seen) == n_blocks
             grads = masked_3d_self_attention_backward(g, mask, wts, upstream)
             assert len(seen) == 2 * n_blocks

@@ -5,10 +5,12 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blobvid
-from blobvid import cli, labelfield, pipeline, video
+from blobvid import cli, labelfield, metrics, pipeline, video
 from blobvid.blobs import BlobParams, FrameGeometry, rasterize
 from blobvid.cli import _cfg_from_args, build_parser, main
-from blobvid.config import CHOICES, Config
+from blobvid.config import CHOICES, ENV_PREFIX, Config, load_config
 from blobvid.embedding import read_embedding, write_embedding
 from blobvid.errors import BlobvidError
 from blobvid.fitting import fit_ellipse
@@ -45,6 +47,14 @@ def video_file(tmp_path):
     p = tmp_path / "video.json"
     p.write_text(video_to_json(v))
     return p
+
+
+def _child_env():
+    # As in acceptance gate 9: a child runs the source this process imported.
+    src = str(Path(blobvid.__file__).resolve().parent.parent)
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def run_cli(capsys, argv):
@@ -231,6 +241,18 @@ class TestAttend:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: attention over 9 frames of 100000x100000 features")
 
+    @pytest.mark.parametrize("flag, value", [("--tokens", 10**9), ("--fourier-freqs", 10**6)],
+                             ids=["tokens", "fourier-freqs"])
+    def test_huge_token_or_frequency_count_is_one_error_line(self, video_file, capsys,
+                                                             monkeypatch, flag, value):
+        # 10**9 caption tokens per track, or a QR of a 10**7-square matrix:
+        # refused by arithmetic alone, before the video is densified.
+        monkeypatch.setattr(pipeline, "densify", None)
+        code, out, err = run_cli(capsys, ["attend", str(video_file), flag, str(value)])
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: attention over 9 frames of 16x16 features")
+
     @pytest.mark.parametrize("command", [
         ["mask", "--out-dir", "m"], ["render", "--out-dir", "r"], ["attend"],
     ], ids=["mask", "render", "attend"])
@@ -339,6 +361,27 @@ class TestMetrics:
         doc = json.loads(out)
         assert doc["metric"] == "rclip_t"
         assert doc["value"] == pytest.approx(math.cos(0.3), abs=1e-6)
+
+    @pytest.mark.parametrize("box, match", [
+        ([-1e308, -1e308, 1e308, 1e308], "hungarian"),
+        ([-1e308, -1e308, 1e308, 1e308], "greedy"),
+        ([0, 0, 1e-320, 1e-320], "hungarian"),
+    ], ids=["width-overflows", "width-overflows-greedy", "area-underflows"])
+    def test_box_beyond_the_floats_is_one_error_line(self, tmp_path, box, match):
+        # Each once hung in the assignment (a NaN IOU), printed "value": NaN
+        # or raised ZeroDivisionError. The child's timeout turns a hang into
+        # a failure.
+        (tmp_path / "dets.json").write_text(json.dumps({"frames": [
+            {"frame": 0, "detections": [{"bbox": box, "confidence": 0.9}]}]}))
+        (tmp_path / "gt.json").write_text(json.dumps({"frames": [
+            {"frame": 0, "objects": [{"id": 0, "bbox": box}]}]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "blobvid", "metrics", "miou", "--detections", "dets.json",
+             "--ground-truth", "gt.json", "--match", match],
+            capture_output=True, text=True, cwd=tmp_path, env=_child_env(), timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: box width, height and area")
 
     def test_miou_without_inputs_is_error(self, capsys):
         code, _, err = run_cli(capsys, ["metrics", "miou"])
@@ -595,8 +638,9 @@ class TestMalformedInput:
 # numbers, and an integer with more digits than int() reads (_HUGE_INT).
 _HUGE_INT = "1" + "0" * 5000
 _JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
-                | st.sampled_from([0, -1, 10**6, 10**30, 10**400, -10**400, 1e308, -0.0,
-                                   math.inf, -math.inf, math.nan, _HUGE_INT]))
+                | st.sampled_from([0, -1, 10**6, 10**30, 10**400, -10**400, 1e308, -1e308,
+                                   5e-324, -5e-324, 1e-310, -0.0, math.inf, -math.inf,
+                                   math.nan, _HUGE_INT]))
 _JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=5)
                             | st.dictionaries(st.text(max_size=3), inner, max_size=3),
                             max_leaves=6)
@@ -617,7 +661,10 @@ def mutated_documents(draw, doc):
     """doc after 1-3 mutations, each replacing, deleting or renaming one node
     of it or adding a member, as JSON text."""
     for _ in range(draw(st.integers(1, 3))):
-        *parents, last = draw(st.sampled_from(list(_json_paths(doc))[1:]))
+        paths = list(_json_paths(doc))[1:]
+        if not paths:  # every node deleted
+            break
+        *parents, last = draw(st.sampled_from(paths))
         node = doc
         for key in parents:
             node = node[key]
@@ -771,6 +818,153 @@ class TestFitRobustness:
             f"error: header field of 5001 digits is too large (byte offset {offset})"]
 
 
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in this thread, the main one, once the body has run
+    for seconds: a hang fails its example instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
+def assert_output_or_one_error_line(argv):
+    """Run the CLI in process on argv, under _time_limit: it prints strict
+    JSON (no NaN or Infinity) and exits 0, or prints one error: line and
+    exits 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with _time_limit(10), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        return json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert code == 1 and out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("error:")
+    return None
+
+
+_DETS_DOC = {"frames": [
+    {"frame": 0, "detections": [{"bbox": [1, 0, 11, 10], "confidence": 0.9},
+                                {"bbox": [19.5, 0, 29, 10.25], "confidence": 0.8}]},
+    {"frame": 2, "detections": [{"bbox": [0, 0, 4, 4]}]}]}
+_GT_DOC = {"frames": [
+    {"frame": 0, "objects": [{"id": 0, "bbox": [0, 0, 10, 10]},
+                             {"id": 1, "bbox": [20, 0, 30, 10]}]},
+    {"frame": 2, "objects": [{"id": 0, "bbox": [1, 1, 5, 5.5]}]}]}
+_MANIFEST_DOC = {"embeddings": [
+    {"object": 0, "frame": 0, "kind": "caption", "path": "cap.bin"},
+    {"object": 0, "frame": 0, "kind": "generated", "path": "gen0.bin"},
+    {"object": 0, "frame": 1, "kind": "generated", "path": "gen1.bin"},
+    {"object": 0, "frame": 0, "kind": "ground_truth", "path": "gen1.bin"}]}
+_CONFIG_DOC = {"feature_h": 6, "feature_w": 6, "rescale": 1.0, "fourier_freqs": 8, "seed": 1,
+               "interp_method": "linear", "interp_orientation": "as_printed"}
+# Texts a BLOBVID_* variable may hold: numbers at and beyond the float
+# range, subnormals, non-numbers, choices and junk.
+_ENV_TEXTS = (st.sampled_from(["1e308", "-1e308", "1e309", "5e-324", "-5e-324", "nan", "inf",
+                               "-inf", "0", "-1", "1.5", "10" * 200, _HUGE_INT, "", " 7 ",
+                               "linear", "slerp", "standard", "as_printed", "True"])
+              | st.integers().map(str) | st.floats().map(repr) | st.text(max_size=4))
+# f32le payloads: finite, huge, subnormal, NaN and infinite values, or a
+# length that disagrees with the sidecar.
+_F32 = st.floats(width=32) | st.sampled_from([3.4e38, -3.4e38, 1e-45, 0.0, math.nan, math.inf])
+
+
+class TestMetricsRobustness:
+    @settings(max_examples=150, deadline=5000)
+    @given(st.data())
+    def test_mutated_boxes_are_scored_or_one_error_line(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, doc in (("dets.json", _DETS_DOC), ("gt.json", _GT_DOC)):
+                text = json.dumps(doc)
+                if data.draw(st.booleans(), label=f"mutate {name}"):
+                    text = data.draw(mutated_documents(json.loads(text)), label=name)
+                (Path(tmp) / name).write_text(text)
+            try:  # only BlobvidError may escape the loader and the matching
+                with _time_limit(10):
+                    evals = metrics.load_frame_evals(Path(tmp) / "dets.json",
+                                                     Path(tmp) / "gt.json")
+                    for method in ("hungarian", "greedy"):
+                        for ev in evals:
+                            for _, iou in metrics.match_detections(
+                                    ev.detections, [b for _, b in ev.ground_truth],
+                                    method).pairs:
+                                assert 0.0 <= iou <= 1.0
+            except BlobvidError:
+                pass
+            for match in ("hungarian", "greedy"):
+                doc = assert_output_or_one_error_line([
+                    "metrics", "miou", "--detections", str(Path(tmp) / "dets.json"),
+                    "--ground-truth", str(Path(tmp) / "gt.json"), "--match", match])
+                if doc is not None:
+                    assert 0.0 <= doc["value"] <= 1.0
+
+    @settings(max_examples=150, deadline=5000)
+    @given(st.data())
+    def test_mutated_manifest_and_sidecars_are_scored_or_one_error_line(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, row in (("cap.bin", [1.0, 0.0, 0.5]), ("gen0.bin", [0.5, 0.5, 0.0]),
+                              ("gen1.bin", [0.0, 1.0, 1e-30])):
+                write_embedding(tmp / name, np.array([row]))
+            manifest = json.dumps(_MANIFEST_DOC)
+            target = data.draw(st.sampled_from(["manifest", "sidecar", "payload"]))
+            if target == "manifest":
+                manifest = data.draw(mutated_documents(json.loads(manifest)))
+            elif target == "sidecar":
+                sidecar = tmp / (data.draw(st.sampled_from(["cap", "gen0", "gen1"])) + ".bin.json")
+                sidecar.write_text(data.draw(mutated_documents(json.loads(sidecar.read_text()))))
+            else:
+                values = data.draw(st.lists(_F32, max_size=5))
+                (tmp / data.draw(st.sampled_from(["cap.bin", "gen0.bin", "gen1.bin"]))).write_bytes(
+                    np.array(values, dtype="<f4").tobytes())
+            (tmp / "manifest.json").write_text(manifest)
+            for mode in ("rclip_t", "rclip_i", "rcfc"):
+                doc = assert_output_or_one_error_line(
+                    ["metrics", mode, "--embeddings", str(tmp / "manifest.json")])
+                if doc is not None:
+                    assert -1.0 - 1e-12 <= doc["value"] <= 1.0 + 1e-12
+
+
+class TestConfigRobustness:
+    @settings(max_examples=150, deadline=5000)
+    @given(st.data())
+    def test_mutated_config_and_variables_run_or_one_error_line(self, data):
+        names = [f.name for f in dataclasses.fields(Config)]
+        env = {k: v for k, v in os.environ.items() if not k.startswith(ENV_PREFIX)}
+        env.update({ENV_PREFIX + name.upper(): data.draw(_ENV_TEXTS, label=name)
+                    for name in data.draw(st.lists(st.sampled_from(names), unique=True,
+                                                   max_size=3))})
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "config.json").write_text(data.draw(mutated_documents(dict(_CONFIG_DOC)))
+                                             if data.draw(st.booleans()) else
+                                             json.dumps(_CONFIG_DOC))
+            (tmp / "video.json").write_text(video_to_json(BlobVideo(2, FrameGeometry(64, 64), tracks=(
+                BlobTrack(0, {0: BlobParams(20, 20, 8, 5, 0.2), 1: BlobParams(30, 24, 8, 5, 0.2)},
+                          {0: "a red ball"}),))))
+            with mock.patch.dict(os.environ, env, clear=True):
+                try:  # only BlobvidError may escape loading the config
+                    load_config(str(tmp / "config.json"))
+                except BlobvidError:
+                    pass
+                doc = assert_output_or_one_error_line(
+                    ["mask", str(tmp / "video.json"), "--out-dir", str(tmp / "m"),
+                     "--frames", "0", "--config", str(tmp / "config.json")])
+        if doc is not None:
+            assert "written" in doc
+
+
 class TestBadFramesAndFiles:
     @pytest.mark.parametrize("command, frames", [("mask", "999"), ("render", "-1"),
                                                  ("render", "0,9")],
@@ -905,13 +1099,9 @@ print(json.dumps(sorted(m for m in sys.modules
 
 
 def _loaded(commands, cwd, names):
-    # As in acceptance gate 9: the child runs the source this process imported.
-    src = str(Path(blobvid.__file__).resolve().parent.parent)
-    env = os.environ.copy()
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(commands),
                            json.dumps(names)],
-                          capture_output=True, text=True, cwd=cwd, env=env, timeout=300)
+                          capture_output=True, text=True, cwd=cwd, env=_child_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 

@@ -168,39 +168,36 @@ class TestErf:
 
 class TestInterpWeights:
     def test_anchor_frames_give_exact_onehot(self):
-        assert interp_weights(0, 8) == (0.0, 1.0)
+        assert interp_weights(0, 8, t_anchor=0) == (0.0, 1.0)
         assert interp_weights(8, 8, t_anchor=0) == (1.0, 0.0)
-        assert interp_weights(0, 8, orientation="standard") == (1.0, 0.0)
+        assert interp_weights(0, 8, t_anchor=0, orientation="standard") == (1.0, 0.0)
         assert interp_weights(8, 8, t_anchor=0, orientation="standard") == (0.0, 1.0)
 
     def test_interior_weights_sum_to_one(self):
         for t in range(1, 8):
-            w1, w2 = interp_weights(t, 8)
+            w1, w2 = interp_weights(t, 8, t_anchor=0)
             assert w1 + w2 == 1.0
-            s1, s2 = interp_weights(t, 8, orientation="standard")
+            s1, s2 = interp_weights(t, 8, t_anchor=0, orientation="standard")
             assert s1 + s2 == 1.0
             assert (s1, s2) == (w2, w1)
 
     def test_as_printed_puts_far_weight_on_later_anchor(self):
         # One frame past the anchor: this orientation weights the later
         # anchor by (t1 - t)/k = 7/8.
-        w_lo, w_hi = interp_weights(1, 8)
+        w_lo, w_hi = interp_weights(1, 8, t_anchor=0)
         assert w_lo == pytest.approx(1.0 / 8.0)
         assert w_hi == pytest.approx(7.0 / 8.0)
 
     def test_midpoint_is_half(self):
-        assert interp_weights(4, 8) == (0.5, 0.5)
-
-    def test_default_anchor_derived_from_frame(self):
-        assert interp_weights(11, 8) == interp_weights(11, 8, t_anchor=8)
+        assert interp_weights(4, 8, t_anchor=0) == (0.5, 0.5)
 
     def test_rejects_bad_interval(self):
         with pytest.raises(RangeError):
-            interp_weights(0, 0)
+            interp_weights(0, 0, t_anchor=0)
         with pytest.raises(RangeError):
             interp_weights(9, 8, t_anchor=0)
         with pytest.raises(RangeError):
-            interp_weights(1, 8, orientation="diagonal")
+            interp_weights(1, 8, t_anchor=0, orientation="diagonal")
 
 
 class TestInterpLinear:

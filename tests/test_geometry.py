@@ -127,7 +127,7 @@ class TestRasterize:
         expected[4, 2:6] = True
         expected[5, 3:5] = True
         assert np.array_equal(m.bits, expected)
-        assert m.count == 12
+        assert int(m.bits.sum()) == 12
 
     def test_matches_per_pixel_reference(self, rng):
         geom = FrameGeometry(48, 36)

@@ -5,7 +5,7 @@ import pytest
 
 from blobvid.blobs import BinaryMask, BlobParams, FrameGeometry, rasterize
 from blobvid.exemplars import EXEMPLAR_2_LAYOUT
-from blobvid.errors import RangeError, ShapeError, TooLarge
+from blobvid.errors import RangeError, ShapeError
 from blobvid.labelfield import (
     NEG_INF,
     AttnMask3D,
@@ -16,7 +16,7 @@ from blobvid.labelfield import (
 from blobvid.layout import densify_layout, parse_layout
 from blobvid.video import BlobTrack, BlobVideo, densify
 
-from conftest import decode, label_set, materialize_dense, random_canonical_blob
+from conftest import decode, label_set, random_canonical_blob
 
 GEOM = FrameGeometry(64, 64)
 
@@ -223,58 +223,48 @@ class TestAttnMask3D:
         field = build_label_field(v, 5, 5)
         m = AttnMask3D(field)
         sets = [label_set(field, i) for i in range(field.size)]
-        idx = rng.integers(0, field.size, size=200)
-        for i, j in zip(idx[::2].tolist(), idx[1::2].tolist()):
-            want = 0.0 if (sets[i] & sets[j]) else NEG_INF
-            assert m.query(i, j) == want
+        want = [[bool(a & b) for b in sets] for a in sets]
+        assert m.allowed_rows(0, m.size).tolist() == want
 
     def test_intersection_not_transitive(self):
         m = self.build([{0}, {0, 1}, {1}])
-        assert m.allowed(0, 1)
-        assert m.allowed(1, 2)
-        assert not m.allowed(0, 2)
+        assert m.allowed_rows(0, 3).tolist() == [[True, True, False],
+                                                  [True, True, True],
+                                                  [False, True, True]]
+
+    def test_empty_label_set_allows_nothing(self):
+        m = self.build([set(), {0}, set()])
+        assert m.allowed_rows(0, 3).tolist() == [[False, False, False],
+                                                  [False, True, False],
+                                                  [False, False, False]]
 
     def test_diagonal_always_allowed(self, rng):
         v = random_video(rng, num_frames=2)
         m = AttnMask3D(build_label_field(v, 4, 4))
-        for i in range(m.size):
-            assert m.query(i, i) == 0.0
+        assert np.diag(m.allowed_rows(0, m.size)).all()
 
     def test_symmetric(self, rng):
         v = random_video(rng, num_frames=2)
         m = AttnMask3D(build_label_field(v, 4, 4))
-        dense = materialize_dense(m)
+        dense = m.allowed_rows(0, m.size)
         assert np.array_equal(dense, dense.T)
-
-    def test_materialize_matches_query(self, rng):
-        v = random_video(rng, num_frames=2)
-        m = AttnMask3D(build_label_field(v, 4, 4))
-        dense = materialize_dense(m)
-        for i in range(m.size):
-            for j in range(m.size):
-                assert dense[i, j] == m.query(i, j)
-
-    def test_materialize_cap(self):
-        sets = [{0}] * 8
-        m = self.build(sets, T=2, h=2, n_labels=1)
-        with pytest.raises(TooLarge):
-            materialize_dense(m, cap=4)
 
     def test_query_out_of_range(self):
         m = self.build([{0}, {1}])
-        with pytest.raises(RangeError):
-            m.query(0, 2)
-        with pytest.raises(RangeError):
-            m.query(-1, 0)
+        for start, stop in ((0, 3), (-1, 1), (2, 1)):
+            with pytest.raises(RangeError):
+                m.allowed_rows(start, stop)
+        assert m.allowed_rows(2, 2).shape == (0, 2)
 
     def test_allowed_rows_blocks(self, rng):
         v = random_video(rng, num_frames=2)
-        m = AttnMask3D(build_label_field(v, 4, 4))
+        field = build_label_field(v, 4, 4)
+        m = AttnMask3D(field)
+        sets = [label_set(field, i) for i in range(field.size)]
         block = m.allowed_rows(3, 9)
         assert block.shape == (6, m.size)
         for i in range(3, 9):
-            for j in range(m.size):
-                assert block[i - 3, j] == m.allowed(i, j)
+            assert block[i - 3].tolist() == [bool(sets[i] & b) for b in sets]
 
 
 class TestPerFrameMasks:

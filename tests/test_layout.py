@@ -9,7 +9,6 @@ from blobvid.exemplars import EXEMPLAR_1_LAYOUT, EXEMPLAR_2_LAYOUT
 from blobvid.layout import (
     densify_layout,
     parse_layout,
-    serialize_layout,
     serialize_layout_doc,
 )
 
@@ -188,52 +187,15 @@ class TestDensifyLayout:
 
 class TestSerializeLayout:
     def test_roundtrip_params_bitwise(self):
-        v = densify_layout(parse_layout(SIMPLE), num_frames=5, geom=GEOM)
-        text = serialize_layout(v)
-        doc = parse_layout(text)
-        for t in range(5):
-            got = doc.frames[t]["1"].blob
-            p = v.tracks[0].params[t]
-            assert got == (p.cx, p.cy, p.a, p.b, p.theta)
-
-    def test_stride(self):
-        v = densify_layout(parse_layout(SIMPLE), num_frames=5, geom=GEOM)
-        doc = parse_layout(serialize_layout(v, frame_stride=2))
-        assert sorted(doc.frames) == [0, 2, 4]
+        doc = parse_layout(SIMPLE)
+        again = parse_layout(serialize_layout_doc(doc))
+        for t in doc.frames:
+            assert again.frames[t]["1"].blob == doc.frames[t]["1"].blob
 
     def test_captions_only_where_present(self):
-        v = densify_layout(parse_layout(SIMPLE), num_frames=5, geom=GEOM)
-        doc = parse_layout(serialize_layout(v))
-        assert doc.frames[0]["1"].caption == "a dog"
-        assert doc.frames[1]["1"].caption is None
-
-    def test_empty_video(self):
-        from blobvid.video import BlobVideo
-
-        assert serialize_layout(BlobVideo(2, GEOM, 8, ())) == "{}"
-
-    def test_requires_dense(self):
-        from blobvid.blobs import BlobParams
-        from blobvid.video import BlobTrack, BlobVideo
-
-        v = BlobVideo(4, GEOM, 8, (BlobTrack(0, {0: BlobParams(1, 1, 2, 1, 0)}, {}),))
-        with pytest.raises(SchemaError):
-            serialize_layout(v)
-
-    def test_bad_stride(self):
-        from blobvid.video import BlobVideo
-
-        with pytest.raises(RangeError):
-            serialize_layout(BlobVideo(2, GEOM, 8, ()), frame_stride=0)
-
-    @pytest.mark.parametrize("layout", [EXEMPLAR_1_LAYOUT, EXEMPLAR_2_LAYOUT],
-                             ids=["exemplar-1", "exemplar-2"])
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_matches_doc_serializer(self, layout, stride):
-        doc = parse_layout(layout)
-        v = densify_layout(doc, num_frames=doc.max_frame() + 1, geom=GEOM)
-        text = serialize_layout(v, stride)
-        assert text == serialize_layout_doc(parse_layout(text))
+        doc = json.loads(serialize_layout_doc(parse_layout(SIMPLE)))
+        assert doc["Frame0"]["Object1"]["caption"] == "a dog"
+        assert "caption" not in doc["Frame4"]["Object1"]
 
     def test_doc_serializer_stable(self):
         once = serialize_layout_doc(parse_layout(EXEMPLAR_2_LAYOUT))

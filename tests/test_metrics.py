@@ -70,6 +70,22 @@ class TestBBox:
         with pytest.raises(RangeError):
             BBox(0, 0, 1, 1, confidence=1.5)
 
+    @pytest.mark.parametrize("corners", [
+        (0, 0, math.inf, 1), (-math.inf, 0, 1, 1), (0, math.nan, 1, 1), (0, 0, 10**400, 1),
+        (-1e308, 0, 1e308, 1), (0, 0, 1, 1e308), (0, 0, 1e-320, 1e-320),
+        (-1e308, -1e308, 1e308, 1e308),
+    ], ids=["inf-corner", "-inf-corner", "nan-corner", "int-beyond-floats",
+            "width-overflows", "area-overflows", "area-underflows", "both-overflow"])
+    def test_rejects_corners_width_or_area_outside_the_floats(self, corners):
+        with pytest.raises(RangeError):
+            BBox(*corners)
+
+    def test_largest_and_smallest_areas(self):
+        assert BBox(0, 0, 2.0 ** 511, 2.0 ** 511).area <= metrics._MAX_AREA
+        with pytest.raises(RangeError):
+            BBox(0, 0, 2.0 ** 511, 2.0 ** 512)
+        assert BBox(0, 0, 1e-160, 1e-160).area > 0.0
+
 
 class TestBBoxIou:
     def test_identical(self):
@@ -90,6 +106,25 @@ class TestBBoxIou:
         for _ in range(20):
             a, b = random_boxes(rng, 2)
             assert bbox_iou(a, b) == bbox_iou(b, a)
+
+    def test_largest_boxes_keep_their_iou(self):
+        big = BBox(0, 0, 2.0 ** 511, 2.0 ** 511)
+        assert bbox_iou(big, big) == 1.0
+        assert bbox_iou(big, BBox(0, 0, 2.0 ** 511, 2.0 ** 510)) == 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                    | st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 1e-160, 2.0 ** 511]),
+                    min_size=8, max_size=8))
+    def test_every_accepted_pair_has_an_iou_in_unit_interval(self, xs):
+        # Each box takes the smaller of two drawn values as its low corner.
+        boxes = [(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+                 for x0, x1, y0, y1 in (xs[:4], xs[4:])]
+        try:
+            a, b = BBox(*boxes[0]), BBox(*boxes[1])
+        except RangeError:
+            return
+        assert 0.0 <= bbox_iou(a, b) <= 1.0
 
 
 class TestMatchDetections:
@@ -340,6 +375,40 @@ class TestRegionCosineMetrics:
         report = region_cosine_metrics(embs, "rcfc")
         assert report.num_pairs == 2 and report.skipped == 2
         assert report.value == pytest.approx(1.0)
+
+    def test_rcfc_far_apart_frames_are_counted_not_walked(self):
+        # 10**12 frames apart: the pairs between are skipped by arithmetic.
+        embs = (
+            RegionEmbedding(0, -10**12, "generated", unit2(0.0)),
+            RegionEmbedding(0, 0, "generated", unit2(0.0)),
+            RegionEmbedding(0, 1, "generated", unit2(0.3)),
+        )
+        report = region_cosine_metrics(embs, "rcfc")
+        assert report.num_pairs == 1 and report.skipped == 10**12
+        assert report.value == pytest.approx(math.cos(0.3))
+
+    def test_rcfc_matches_the_frame_by_frame_walk(self, rng):
+        # The walk over every t from the first frame to the last, as the
+        # reference for the pairs, their order and the skipped count.
+        for _ in range(20):
+            frames = sorted(set(rng.integers(0, 12, size=int(rng.integers(2, 8))).tolist()))
+            embs = [RegionEmbedding(0, t, "generated", unit2(float(rng.uniform(0, 3))))
+                    for t in frames]
+            by_frame = {e.frame: e.vector for e in embs}
+            cosines, skipped = [], 0
+            for t in range(frames[0], frames[-1]):
+                if t in by_frame and t + 1 in by_frame:
+                    a, b = by_frame[t], by_frame[t + 1]
+                    cosines.append(float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))))
+                else:
+                    skipped += 1
+            if not cosines:
+                with pytest.raises(UndefinedMetric):
+                    region_cosine_metrics(embs, "rcfc")
+                continue
+            report = region_cosine_metrics(embs, "rcfc")
+            assert report.skipped == skipped and report.num_pairs == len(cosines)
+            assert report.value == metrics._mean(cosines)
 
     def test_rcfc_all_gaps_undefined(self):
         embs = (

@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from blobvid import attention, labelfield, pipeline
+from blobvid import attention, embedding, labelfield, pipeline
 from blobvid.blobs import BlobParams, FrameGeometry
 from blobvid.config import Config
 from blobvid.embedding import DeterministicStub, interp_linear, interp_slerp
@@ -60,6 +61,17 @@ class TestContextEmbeddings:
         e0, e1 = provider.embed("a"), provider.embed("b")
         want = interp_slerp(e0, e1, 3 / 8)
         assert np.array_equal(ctx[(0, 3)].data, want.data)
+
+    def test_orientation_changes_linear_only(self):
+        # The attend block's output, for both interpolation methods: slerp
+        # ignores the orientation, linear does not.
+        v = make_video([track_with_captions({0: "a", 8: "b"}), track_with_captions({4: "c"})])
+        for method, same in (("slerp", True), ("linear", False)):
+            outs = [run_attend_block(v, Config(feature_h=6, feature_w=6, seed=3,
+                                               interp_method=method,
+                                               interp_orientation=orientation), dim=8)[0]
+                    for orientation in ("as_printed", "standard")]
+            assert np.array_equal(*outs) is same
 
     def test_multiple_caption_spans(self):
         provider = DeterministicStub(dim=6, n_tokens=3)
@@ -144,11 +156,22 @@ class TestRunAttendBlock:
         # the projections, [v | 1], out or dq, and per part dk, dv, a class
         # run's two gathers and their two gradients; each part's block array
         # of at most _BLOCK_BYTES and the key indices of its current run.
+        # With 4 tokens per track and 8 Fourier frequencies: the 9 x 8
+        # caption embeddings of (4, 4); one frame's (36, 32) float64 logits
+        # and three masks of that shape, and 6 (32, 8 + 1) token arrays; and
+        # the 5 (80, 80) arrays of the projection's QR.
         n = 9 * 36
         assert pipeline._OP_ARRAYS == 7 + 6 * attention._PARTS == 19
-        want = n * (9 + 2 + 8) + 19 * n * 9 * 8 + attention._PARTS * (attention._BLOCK_BYTES + n * 8)
-        assert pipeline._attend_bytes(9, 8, 6, 6, 8) == want
-        assert pipeline._attend_bytes(9, 7, 6, 6, 8) == want - 2 * n
+        frame = 36 * 32 * (8 + 3) + 6 * 32 * 9 * 8
+        want = (n * (9 + 2 + 8) + 19 * n * 9 * 8
+                + attention._PARTS * (attention._BLOCK_BYTES + n * 8)
+                + 9 * 8 * 4 * 4 * 8 + frame + 5 * 80 * 80 * 8)
+        assert pipeline._attend_bytes(9, 8, 6, 6, 8, 4, 8, 1) == want
+        one_track = 9 * 4 * 4 * 8 + 36 * 4 * (8 + 3) + 6 * 4 * 9 * 8
+        assert pipeline._attend_bytes(9, 7, 6, 6, 8, 4, 8, 1) == want - 2 * n - one_track
+        # Every frame in flight holds its own cross-attention, up to all 9.
+        assert pipeline._attend_bytes(9, 8, 6, 6, 8, 4, 8, 3) == want + 2 * frame
+        assert pipeline._attend_bytes(9, 8, 6, 6, 8, 4, 8, 50) == want + 8 * frame
 
     def test_budget_of_a_large_field_is_arithmetic(self):
         # 13 frames of 96x96 features at width 16 with 21 tracks (n =
@@ -156,22 +179,46 @@ class TestRunAttendBlock:
         # stays 2 x 2 MiB whatever n is, and the (n, d) arrays dominate.
         n = 13 * 96 * 96
         want = (n * (22 + 3 + 8) + 19 * n * 17 * 8
-                + attention._PARTS * (attention._BLOCK_BYTES + n * 8))
-        assert pipeline._attend_bytes(13, 21, 96, 96, 16) == want
-        assert want < pipeline._ATTEND_BUDGET_BYTES < pipeline._attend_bytes(13, 21, 192, 192, 16)
+                + attention._PARTS * (attention._BLOCK_BYTES + n * 8)
+                + 13 * 21 * 4 * 8 * 8 + 96 * 96 * 84 * 11 + 6 * 84 * 17 * 8
+                + 5 * 80 * 80 * 8)
+        assert pipeline._attend_bytes(13, 21, 96, 96, 16, 4, 8, 1) == want
+        assert (want < pipeline._ATTEND_BUDGET_BYTES
+                < pipeline._attend_bytes(13, 21, 192, 192, 16, 4, 8, 1))
 
-    def test_budget_covers_the_traced_peak(self):
+    def test_budget_grows_with_tokens_and_fourier_frequencies(self):
+        # On the benchmark's 3 tracks over 13 frames, at an 8x8 grid: 50,000
+        # tokens per track held about 344 MB and still fit; 10**9 tokens, or
+        # 10**6 frequencies (a 10**7-square QR), are refused by arithmetic.
+        # Planned, never allocated.
+        budget = pipeline._ATTEND_BUDGET_BYTES
+        plan = functools.partial(pipeline._attend_bytes, 13, 3, 8, 8, 16)
+        assert 344e6 < plan(50_000, 8, 1) < budget < plan(10**9, 8, 1)
+        assert plan(4, 300, 1) < budget < plan(4, 10**6, 1)
+        # Each token adds its caption embeddings in every frame, and a
+        # column of the logits and masks and a row of each token array.
+        per_token = 3 * (13 * 8 * 8 + 64 * 11 + 6 * 17 * 8)
+        assert plan(5, 8, 1) - plan(4, 8, 1) == per_token
+        assert plan(4, 9, 1) - plan(4, 8, 1) == 5 * (90 * 90 - 80 * 80) * 8
+
+    @pytest.mark.parametrize("grid, n_tokens, freqs", [(24, 4, 8), (8, 600, 8), (8, 4, 150)],
+                             ids=["benchmark", "many-tokens", "many-frequencies"])
+    def test_budget_covers_the_traced_peak(self, grid, n_tokens, freqs):
         # The benchmark's attend block, 3 tracks over 13 frames of 24x24
-        # features at width 16 (n = 7,488), at the host's CPU count: every
-        # array it allocates fits in the plan.
+        # features at width 16 (n = 7,488), at the host's CPU count; and at
+        # an 8x8 grid, with many tokens or many Fourier frequencies, each of
+        # which outgrows the (n, d) arrays: every array it allocates fits in
+        # the plan.
         v = densify_layout(parse_layout(EXEMPLAR_2_LAYOUT), 13, FrameGeometry(720, 480))
+        embedding._projection.cache_clear()
         tracemalloc.start()
         try:
-            run_attend_block(v, Config(feature_h=24, feature_w=24, seed=1), dim=16)
+            run_attend_block(v, Config(feature_h=grid, feature_w=grid, seed=1,
+                                       fourier_freqs=freqs), dim=16, n_tokens=n_tokens)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < pipeline._attend_bytes(13, 3, 24, 24, 16)
+        assert peak < pipeline._attend_bytes(13, 3, grid, grid, 16, n_tokens, freqs, 1)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_rasterizes_each_track_once_per_frame(self, monkeypatch, threads):
@@ -191,7 +238,7 @@ class TestRunAttendBlock:
 
     def test_refuses_above_the_budget_before_densifying(self, monkeypatch):
         v = make_video([track_with_captions({0: "a"})])
-        need = pipeline._attend_bytes(9, 1, 6, 6, 8)
+        need = pipeline._attend_bytes(9, 1, 6, 6, 8, 4, self.CFG.fourier_freqs, 1)
         monkeypatch.setattr(pipeline, "_ATTEND_BUDGET_BYTES", need)
         run_attend_block(v, self.CFG, dim=8)
         monkeypatch.setattr(pipeline, "_ATTEND_BUDGET_BYTES", need - 1)

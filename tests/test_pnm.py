@@ -10,7 +10,6 @@ from blobvid.pnm import (
     read_mask_pgm,
     read_pgm,
     write_mask_pgm,
-    write_pgm,
     write_ppm,
 )
 
@@ -21,12 +20,11 @@ class TestPgm:
     def test_roundtrip(self, tmp_path, rng):
         img = rng.integers(0, 256, size=(5, 9), dtype=np.uint8)
         p = tmp_path / "a.pgm"
-        write_pgm(p, img)
+        p.write_bytes(b"P5\n9 5\n255\n" + img.tobytes())
         assert np.array_equal(read_pgm(p), img)
 
     def test_header_bytes(self, tmp_path):
-        p = tmp_path / "a.pgm"
-        write_pgm(p, np.zeros((2, 3), dtype=np.uint8))
+        p = write_mask_pgm(tmp_path, 0, "1", BinaryMask(np.zeros((2, 3), dtype=bool)))
         assert p.read_bytes() == b"P5\n3 2\n255\n" + b"\x00" * 6
 
     def test_reads_commented_header(self, tmp_path):
@@ -73,10 +71,6 @@ class TestPgm:
             read_pgm(p)
         assert exc.value.byte_offset == offset
 
-    def test_write_rejects_non_2d(self, tmp_path):
-        with pytest.raises(ShapeError):
-            write_pgm(tmp_path / "a.pgm", np.zeros((2, 2, 3), dtype=np.uint8))
-
 
 class TestPpm:
     def test_roundtrip(self, tmp_path, rng):
@@ -115,5 +109,5 @@ class TestMaskFiles:
 
     def test_read_threshold(self, tmp_path):
         p = tmp_path / "a.pgm"
-        write_pgm(p, np.array([[0, 127, 128, 255]], dtype=np.uint8))
+        p.write_bytes(b"P5\n4 1\n255\n" + bytes([0, 127, 128, 255]))
         assert read_mask_pgm(p).bits.tolist() == [[False, False, True, True]]
