@@ -685,6 +685,42 @@ def mutated_documents(draw, doc):
     return json.dumps(doc).replace(json.dumps(_HUGE_INT), _HUGE_INT)
 
 
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in this thread, the main one, once the body has run
+    for seconds: a hang fails its example instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
+def assert_output_or_one_error_line(argv):
+    """Run the CLI in process on argv, under _time_limit: it prints strict
+    JSON (no NaN or Infinity) and exits 0, or prints one error: line and
+    exits 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with _time_limit(10), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        return json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert code == 1 and out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("error:")
+    return None
+
+
 class TestMaskRobustness:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -697,16 +733,10 @@ class TestMaskRobustness:
             path = Path(tmp) / "video.json"
             path.write_text(data.draw(mutated_documents(doc)))
             for grid in _MASK_GRIDS:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(["mask", str(path), "--out-dir", str(Path(tmp) / "masks"),
-                                 "--feature-h", str(grid), "--feature-w", str(grid)])
-                if code == 0:
-                    assert err.getvalue() == "" and "written" in json.loads(out.getvalue())
-                else:
-                    assert code == 1 and out.getvalue() == ""
-                    assert len(err.getvalue().splitlines()) == 1
-                    assert err.getvalue().startswith("error:")
+                doc = assert_output_or_one_error_line(
+                    ["mask", str(path), "--out-dir", str(Path(tmp) / "masks"),
+                     "--feature-h", str(grid), "--feature-w", str(grid)])
+                assert doc is None or "written" in doc
 
     @pytest.mark.parametrize("key, value", [
         ("width", 10**400), ("cx", 10**400), ("num_frames", 10**30), ("a", _HUGE_INT),
@@ -788,15 +818,8 @@ class TestFitRobustness:
                 fit_ellipse(mask, FrameGeometry(mask.w, mask.h), max_iter=20)
             except BlobvidError:
                 pass
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["fit", str(path), "--max-iter", "20"])
-        if code == 0:
-            assert err.getvalue() == "" and len(json.loads(out.getvalue())["params"]) == 5
-        else:
-            assert code == 1 and out.getvalue() == ""
-            assert len(err.getvalue().splitlines()) == 1
-            assert err.getvalue().startswith("error:")
+            doc = assert_output_or_one_error_line(["fit", str(path), "--max-iter", "20"])
+        assert doc is None or len(doc["params"]) == 5
 
     def test_all_zero_mask_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "m.pgm"
@@ -816,42 +839,6 @@ class TestFitRobustness:
         assert code == 1 and out == ""
         assert err.splitlines() == [
             f"error: header field of 5001 digits is too large (byte offset {offset})"]
-
-
-@contextlib.contextmanager
-def _time_limit(seconds):
-    """Raise TimeoutError in this thread, the main one, once the body has run
-    for seconds: a hang fails its example instead of stalling the suite."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _reject_constant(name):
-    raise AssertionError(f"stdout holds {name}, which is not JSON")
-
-
-def assert_output_or_one_error_line(argv):
-    """Run the CLI in process on argv, under _time_limit: it prints strict
-    JSON (no NaN or Infinity) and exits 0, or prints one error: line and
-    exits 1."""
-    out, err = io.StringIO(), io.StringIO()
-    with _time_limit(10), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    if code == 0:
-        assert err.getvalue() == ""
-        return json.loads(out.getvalue(), parse_constant=_reject_constant)
-    assert code == 1 and out.getvalue() == ""
-    assert len(err.getvalue().splitlines()) == 1
-    assert err.getvalue().startswith("error:")
-    return None
 
 
 _DETS_DOC = {"frames": [
