@@ -19,6 +19,9 @@ from .geometry import BlobParams, FrameGeometry, _ellipse_bounds, canonicalize
 
 __all__ = ["BinaryMask", "rasterize", "mask_iou"]
 
+# The most window cells _ellipse_window tests at once (512 KiB per float64).
+_WINDOW_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class BinaryMask:
@@ -72,12 +75,27 @@ def _ellipse_window(cx: float, cy: float, a: float, b: float, theta: float,
     """
     r0, r1, c0, c1 = _ellipse_bounds(cx, cy, a, b, geom, ys.size, xs.size, rho)
     dx = xs[c0:c1] - cx
-    dy = ys[r0:r1, None] - cy
     ct = math.cos(theta)
     st = math.sin(theta)
-    u = (dx * ct + dy * st) / (rho * a)
-    v = (-dx * st + dy * ct) / (rho * b)
-    return r0, c0, u * u + v * v <= 1.0
+    band = _WINDOW_CELLS // max(1, c1 - c0)
+    if r1 - r0 <= band:
+        return r0, c0, _inside(dx, ys[r0:r1, None] - cy, ct, st, rho * a, rho * b)
+    # A larger window is tested a band of rows (at least one) at a time, so
+    # that its float64 temporaries stay small whatever its size.
+    band = max(1, band)
+    block = np.empty((r1 - r0, c1 - c0), dtype=np.bool_)
+    for r in range(r0, r1, band):
+        dy = ys[r:min(r + band, r1), None] - cy
+        block[r - r0:r - r0 + band] = _inside(dx, dy, ct, st, rho * a, rho * b)
+    return r0, c0, block
+
+
+def _inside(dx: np.ndarray, dy: np.ndarray, ct: float, st: float, ra: float,
+            rb: float) -> np.ndarray:
+    # The cell-in-ellipse test at offsets dx (columns) and dy (rows) from the center.
+    u = (dx * ct + dy * st) / ra
+    v = (-dx * st + dy * ct) / rb
+    return u * u + v * v <= 1.0
 
 
 def rasterize(p: BlobParams, geom: FrameGeometry, h: int, w: int, rho: float = 1.0) -> BinaryMask:

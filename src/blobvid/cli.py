@@ -27,6 +27,16 @@ _RASTER_BUDGET_BYTES = 1 << 30
 # >= 70 ms of `import numpy`; far above it, numpy's vector test is faster.
 _PLAIN_MASK_CELLS = 1 << 16
 
+# The Config fields each command reads; it takes a flag for each, and
+# --config. The config file and the BLOBVID_* variables serve every command,
+# so load_config still reads and checks all the fields from them.
+_CONFIG_READS = {
+    "mask": ("feature_h", "feature_w", "rescale"),
+    "render": ("rescale",),
+    "attend": tuple(f.name for f in dataclasses.fields(Config)),
+    "gradcheck": ("seed",),
+}
+
 _PALETTE = (
     (230, 80, 80),
     (80, 180, 90),
@@ -50,7 +60,7 @@ def _load_video(path: str):
 
 
 def _cfg_from_args(args: argparse.Namespace) -> Config:
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(Config)}
+    overrides = {name: getattr(args, name) for name in _CONFIG_READS[args.command]}
     return load_config(config_file=args.config, env=os.environ, overrides=overrides)
 
 
@@ -212,36 +222,26 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from .metrics import load_frame_evals, load_region_embeddings, mean_iou, region_cosine_metrics
+def _cmd_miou(args: argparse.Namespace) -> int:
+    from .metrics import load_frame_evals, mean_iou
 
-    miou = args.kind == "miou"
-    other_kinds = ({"--embeddings": args.embeddings} if miou else
-                   {"--frames": args.frames, "--detections": args.detections,
-                    "--ground-truth": args.ground_truth, "--match": args.match})
-    for flag, value in other_kinds.items():
-        if value is not None:
-            raise BlobvidError(f"{args.kind} does not take {flag}")
-    if miou:
-        if args.detections is None or args.ground_truth is None:
-            raise BlobvidError("miou needs --detections and --ground-truth")
-        evals = load_frame_evals(args.detections, args.ground_truth)
-        frames = args.frames if args.frames is not None else sorted(e.frame for e in evals)
-        match = args.match or "hungarian"
-        value = mean_iou(evals, frames, method=match)
-        _print_json({
-            "metric": "miou",
-            "value": value,
-            "averaging": "pooled",
-            "match": match,
-            "frames": frames,
-        })
-    else:
-        if args.embeddings is None:
-            raise BlobvidError("cosine metrics need --embeddings")
-        embs = load_region_embeddings(args.embeddings)
-        report = region_cosine_metrics(embs, args.kind)
-        _print_json(dataclasses.asdict(report))
+    evals = load_frame_evals(args.detections, args.ground_truth)
+    frames = args.frames if args.frames is not None else sorted(e.frame for e in evals)
+    _print_json({
+        "metric": "miou",
+        "value": mean_iou(evals, frames, method=args.match),
+        "averaging": "pooled",
+        "match": args.match,
+        "frames": frames,
+    })
+    return 0
+
+
+def _cmd_cosine(args: argparse.Namespace) -> int:
+    from .metrics import load_region_embeddings, region_cosine_metrics
+
+    report = region_cosine_metrics(load_region_embeddings(args.embeddings), args.kind)
+    _print_json(dataclasses.asdict(report))
     return 0
 
 
@@ -262,77 +262,75 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Every subcommand takes --threads; only those that load a Config take
-    # --config and the per-field flags.
-    threaded = argparse.ArgumentParser(add_help=False)
-    threaded.add_argument("--threads", type=_thread_count, default=1)
-    configured = argparse.ArgumentParser(add_help=False, parents=[threaded])
-    configured.add_argument("--config", help="JSON config file")
-    for f in dataclasses.fields(Config):
-        configured.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                                choices=CHOICES.get(f.name), default=None)
-
+    # Each parser defines only the flags its command reads, so argparse refuses
+    # any other (exit 2). Every command, and each metrics kind, takes --threads.
     parser = argparse.ArgumentParser(prog="blobvid")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit", parents=[threaded], help="fit an ellipse to a mask PGM")
+    def command(subparsers, name: str, fn, summary: str) -> argparse.ArgumentParser:
+        p = subparsers.add_parser(name, help=summary)
+        p.add_argument("--threads", type=_thread_count, default=1)
+        if name in _CONFIG_READS:
+            p.add_argument("--config", help="JSON config file")
+            for f in dataclasses.fields(Config):
+                if f.name in _CONFIG_READS[name]:
+                    p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                                   choices=CHOICES.get(f.name), default=None)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command(sub, "fit", _cmd_fit, "fit an ellipse to a mask PGM")
     p.add_argument("mask")
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--max-iter", type=int, default=200)
-    p.set_defaults(fn=_cmd_fit)
 
-    p = sub.add_parser("interp", parents=[threaded], help="interpolate two blob params")
+    p = command(sub, "interp", _cmd_interp, "interpolate two blob params")
     p.add_argument("--p1", type=float, nargs=5, required=True,
                    metavar=("CX", "CY", "A", "B", "THETA"))
     p.add_argument("--p2", type=float, nargs=5, required=True,
                    metavar=("CX", "CY", "A", "B", "THETA"))
     p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(fn=_cmd_interp)
 
-    p = sub.add_parser("mask", parents=[configured], help="write per-object mask PGMs")
+    p = command(sub, "mask", _cmd_mask, "write per-object mask PGMs")
     p.add_argument("video")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--frames", type=_frame_list, default=None,
                    help="comma-separated frame indices")
-    p.set_defaults(fn=_cmd_mask)
 
-    p = sub.add_parser("render", parents=[configured], help="write composite PPM frames")
+    p = command(sub, "render", _cmd_render, "write composite PPM frames")
     p.add_argument("video")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--frames", type=_frame_list, default=None)
     p.add_argument("--render-h", type=int, default=None)
     p.add_argument("--render-w", type=int, default=None)
-    p.set_defaults(fn=_cmd_render)
 
-    p = sub.add_parser("attend", parents=[configured],
-                       help="run the attention demo block on a video")
+    p = command(sub, "attend", _cmd_attend, "run the attention demo block on a video")
     p.add_argument("video")
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--tokens", type=int, default=4)
     p.add_argument("--out", default=None, help="write output features (f32le + sidecar)")
-    p.set_defaults(fn=_cmd_attend)
 
-    p = sub.add_parser("validate", parents=[threaded], help="check a video JSON")
+    p = command(sub, "validate", _cmd_validate, "check a video JSON")
     p.add_argument("video")
-    p.set_defaults(fn=_cmd_validate)
 
-    p = sub.add_parser("metrics", parents=[threaded], help="layout-control metrics")
-    p.add_argument("kind", choices=("miou",) + COSINE_MODES)
-    p.add_argument("--detections", default=None)
-    p.add_argument("--ground-truth", default=None)
+    kinds = sub.add_parser("metrics", help="layout-control metrics").add_subparsers(
+        dest="kind", required=True)
+    p = command(kinds, "miou", _cmd_miou, "pooled mean IOU of matched boxes")
+    p.add_argument("--detections", required=True)
+    p.add_argument("--ground-truth", required=True)
     p.add_argument("--frames", type=_frame_list, default=None)
-    p.add_argument("--match", choices=("hungarian", "greedy"), default=None,
-                   help="miou box matching (default: hungarian)")
-    p.add_argument("--embeddings", default=None)
-    p.set_defaults(fn=_cmd_metrics)
+    p.add_argument("--match", choices=("hungarian", "greedy"), default="hungarian",
+                   help="box matching (default: hungarian)")
+    for kind in COSINE_MODES:
+        command(kinds, kind, _cmd_cosine, "region cosine metric").add_argument(
+            "--embeddings", required=True)
 
-    p = sub.add_parser("gradcheck", parents=[configured],
-                       help="finite-difference check of the analytic gradients")
+    p = command(sub, "gradcheck", _cmd_gradcheck,
+                "finite-difference check of the analytic gradients")
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--step", type=float, default=DEFAULT_STEP)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-    p.set_defaults(fn=_cmd_gradcheck)
 
     return parser
 

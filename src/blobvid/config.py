@@ -1,8 +1,8 @@
 """Runtime configuration with layered precedence: flags > environment > file > defaults.
 
 The fields of ``Config`` are the whole configuration surface: the config file
-keys, the ``BLOBVID_*`` environment variables and the CLI flags are all derived
-from them, each field's type from its default.
+keys, the ``BLOBVID_*`` variables and, for the fields each command reads
+(``cli._CONFIG_READS``), the CLI flags derive from them, types from defaults.
 """
 
 from __future__ import annotations

@@ -407,11 +407,9 @@ def test_9_cli_subcommands_deterministic(tmp_path):
                        "--p2", "20", "20", "5", "3", "1.2", "--alpha", "0.25",
                        "--threads", t],
             "mask": ["mask", str(video), "--out-dir", "masks",
-                     "--feature-h", "16", "--feature-w", "16", "--seed", "7",
-                     "--threads", t],
+                     "--feature-h", "16", "--feature-w", "16", "--threads", t],
             "render": ["render", str(video), "--out-dir", "render",
-                       "--render-h", "32", "--render-w", "32", "--seed", "7",
-                       "--threads", t],
+                       "--render-h", "32", "--render-w", "32", "--threads", t],
             "attend": ["attend", str(video), "--dim", "8", "--tokens", "2",
                        "--feature-h", "6", "--feature-w", "6", "--seed", "7",
                        "--out", "features.bin", "--threads", t],

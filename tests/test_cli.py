@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -21,7 +22,7 @@ import blobvid
 from blobvid import cli, labelfield, metrics, pipeline, video
 from blobvid.blobs import BlobParams, FrameGeometry, rasterize
 from blobvid.cli import _cfg_from_args, build_parser, main
-from blobvid.config import CHOICES, ENV_PREFIX, Config, load_config
+from blobvid.config import CHOICES, COSINE_MODES, ENV_PREFIX, Config, load_config
 from blobvid.embedding import read_embedding, write_embedding
 from blobvid.errors import BlobvidError
 from blobvid.fitting import fit_ellipse
@@ -61,6 +62,10 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 class TestFit:
@@ -297,8 +302,9 @@ class TestAttend:
     def test_raster_budget_is_inclusive(self, tmp_path, video_file, capsys, monkeypatch,
                                         command, need):
         # All 9 frames: 16 x 16 features on mask, the native 64 x 64 on render.
-        argv = [command, str(video_file), "--out-dir", str(tmp_path / "out"),
-                "--feature-h", "16", "--feature-w", "16"]
+        argv = [command, str(video_file), "--out-dir", str(tmp_path / "out")]
+        if command == "mask":
+            argv += ["--feature-h", "16", "--feature-w", "16"]
         monkeypatch.setattr(cli, "_RASTER_BUDGET_BYTES", need)
         assert run_cli(capsys, argv)[0] == 0
         monkeypatch.setattr(cli, "_RASTER_BUDGET_BYTES", need - 1)
@@ -384,8 +390,16 @@ class TestMetrics:
         assert proc.stderr.startswith("error: box width, height and area")
 
     def test_miou_without_inputs_is_error(self, capsys):
-        code, _, err = run_cli(capsys, ["metrics", "miou"])
-        assert code == 1 and "detections" in err
+        # A missing input, as on the cosine kinds, is a usage error.
+        for argv, missing in [(["miou"], "--detections, --ground-truth"),
+                              (["miou", "--detections", "dets.json"], "--ground-truth"),
+                              (["miou", "--ground-truth", "gt.json"], "--detections"),
+                              *[([kind], "--embeddings") for kind in COSINE_MODES]]:
+            with pytest.raises(SystemExit) as exc:
+                main(["metrics", *argv])
+            assert exc.value.code == 2
+            assert (f"error: the following arguments are required: {missing}\n"
+                    in capsys.readouterr().err)
 
     @pytest.mark.parametrize("kind, flag, value", [
         ("rclip_t", "--frames", "7"),
@@ -397,7 +411,8 @@ class TestMetrics:
             "miou-embeddings"])
     def test_other_kinds_flag_is_one_error_line(self, tmp_path, capsys, monkeypatch,
                                                 kind, flag, value):
-        # Every input file is valid, so the misplaced flag is the only fault.
+        # Every input file is valid, so the misplaced flag is the only fault;
+        # the kind's parser does not define it, so argparse refuses it.
         write_embedding(tmp_path / "cap.bin", np.array([[1.0, 0.0]]))
         (tmp_path / "manifest.json").write_text(json.dumps({"embeddings": [
             {"object": 0, "frame": 0, "kind": "caption", "path": "cap.bin"},
@@ -410,9 +425,11 @@ class TestMetrics:
         monkeypatch.chdir(tmp_path)
         inputs = (["--embeddings", "manifest.json"] if kind != "miou"
                   else ["--detections", "dets.json", "--ground-truth", "gt.json"])
-        code, out, err = run_cli(capsys, ["metrics", kind, *inputs, flag, value])
-        assert code == 1 and out == ""
-        assert err == f"error: {kind} does not take {flag}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", kind, *inputs, flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: unrecognized arguments: {flag} {value}\n" in err
         code, out, _ = run_cli(capsys, ["metrics", kind, *inputs])
         assert code == 0 and out
 
@@ -504,7 +521,7 @@ class TestConfigSurface:
             flag = "--" + f.name.replace("_", "-")
             env_key = "BLOBVID_" + f.name.upper()
             cfg.write_text(json.dumps({f.name: a}))
-            argv = ["gradcheck", "--config", str(cfg)]
+            argv = ["attend", "v.json", "--config", str(cfg)]  # attend reads every field
 
             monkeypatch.delenv(env_key, raising=False)
             assert getattr(_cfg_from_args(build_parser().parse_args(argv)), f.name) == a
@@ -513,6 +530,46 @@ class TestConfigSurface:
             args = build_parser().parse_args(argv + [flag, str(a)])
             assert getattr(_cfg_from_args(args), f.name) == a
             monkeypatch.delenv(env_key)
+
+    @pytest.mark.parametrize("command, name", [
+        (command, name) for command, reads in cli._CONFIG_READS.items() for name in reads])
+    def test_every_accepted_flag_changes_the_output(self, tmp_path, video_file, capsys,
+                                                    monkeypatch, command, name):
+        # The default and one other value: stdout or the written bytes differ.
+        default = next(f.default for f in dataclasses.fields(Config) if f.name == name)
+        argv = {"mask": ["mask", str(video_file), "--out-dir", "out", "--frames", "0,4"],
+                "render": ["render", str(video_file), "--out-dir", "out", "--frames", "0,4"],
+                "attend": ["attend", str(video_file), "--dim", "8", "--tokens", "2",
+                           "--out", "out.bin"],
+                "gradcheck": ["gradcheck", "--instances", "1"]}[command]
+        outputs = []
+        for value in CHOICES.get(name) or (default, default + 1):
+            run_dir = tmp_path / str(value)
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            code, out, _ = run_cli(capsys, argv + [_flag(name), str(value)])
+            assert code == 0
+            outputs.append((out, {p.relative_to(run_dir): p.read_bytes()
+                                  for p in run_dir.rglob("*") if p.is_file()}))
+        assert outputs[0] != outputs[1]
+
+    @pytest.mark.parametrize("command", ["render", "gradcheck"])
+    def test_config_file_may_set_fields_the_command_does_not_read(self, tmp_path, video_file,
+                                                                  capsys, monkeypatch, command):
+        # One file serves every command: all seven fields load, and each is
+        # still checked.
+        monkeypatch.chdir(tmp_path)
+        argv = {"render": ["render", str(video_file), "--out-dir", "out"],
+                "gradcheck": ["gradcheck", "--instances", "1"]}[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_CONFIG_DOC))
+        assert set(_CONFIG_DOC) == {f.name for f in dataclasses.fields(Config)}
+        code, out, _ = run_cli(capsys, argv + ["--config", str(cfg)])
+        assert code == 0 and json.loads(out)
+        cfg.write_text(json.dumps({**_CONFIG_DOC, "interp_method": "cubic"}))
+        code, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: interp method must be one of")
 
     @pytest.mark.parametrize("name", ["dense_cap", "anchor_interval"])
     def test_removed_knobs_are_rejected(self, tmp_path, video_file, capsys, name):
@@ -857,11 +914,13 @@ _MANIFEST_DOC = {"embeddings": [
 _CONFIG_DOC = {"feature_h": 6, "feature_w": 6, "rescale": 1.0, "fourier_freqs": 8, "seed": 1,
                "interp_method": "linear", "interp_orientation": "as_printed"}
 # Texts a BLOBVID_* variable may hold: numbers at and beyond the float
-# range, subnormals, non-numbers, choices and junk.
+# range, subnormals, non-numbers, choices and junk. Only what an environment
+# can hold: os.environ refuses NUL (C strings) and text UTF-8 cannot encode.
 _ENV_TEXTS = (st.sampled_from(["1e308", "-1e308", "1e309", "5e-324", "-5e-324", "nan", "inf",
                                "-inf", "0", "-1", "1.5", "10" * 200, _HUGE_INT, "", " 7 ",
                                "linear", "slerp", "standard", "as_printed", "True"])
-              | st.integers().map(str) | st.floats().map(repr) | st.text(max_size=4))
+              | st.integers().map(str) | st.floats().map(repr)
+              | st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=4))
 # f32le payloads: finite, huge, subnormal, NaN and infinite values, or a
 # length that disagrees with the sidecar.
 _F32 = st.floats(width=32) | st.sampled_from([3.4e38, -3.4e38, 1e-45, 0.0, math.nan, math.inf])
@@ -1022,6 +1081,22 @@ class TestBadFramesAndFiles:
         assert err == f"error: {path}: {detail}\n"
 
 
+# One valid argument list per command, without --threads.
+_NO_CONFIG_ARGVS = [
+    ["fit", "m.pgm"],
+    ["interp", "--p1", "1", "1", "2", "1", "0", "--p2", "1", "1", "2", "1", "0",
+     "--alpha", "0.5"],
+    ["validate", "v.json"],
+    ["metrics", "miou", "--detections", "d.json", "--ground-truth", "g.json"],
+]
+_CONFIG_ARGVS = {
+    "mask": ["mask", "v.json", "--out-dir", "m"],
+    "render": ["render", "v.json", "--out-dir", "r"],
+    "attend": ["attend", "v.json"],
+    "gradcheck": ["gradcheck"],
+}
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1038,32 +1113,38 @@ class TestUsageErrors:
             main(["metrics", "rclip_q"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--config", "x.json"]])
-    @pytest.mark.parametrize("argv", [
-        ["fit", "m.pgm"],
-        ["interp", "--p1", "1", "1", "2", "1", "0", "--p2", "1", "1", "2", "1", "0",
-         "--alpha", "0.5"],
-        ["validate", "v.json"],
-        ["metrics", "miou"],
-    ], ids=["fit", "interp", "validate", "metrics"])
+    @pytest.mark.parametrize("argv, flag", [
+        *[pytest.param(argv, flag, id=f"{argv[0]}-flag{i}")
+          for argv in _NO_CONFIG_ARGVS
+          for i, flag in enumerate([["--seed", "1"], ["--config", "x.json"]])],
+        # A command that loads a Config takes no flag for a field it does not read.
+        *[pytest.param(_CONFIG_ARGVS[command], [_flag(f.name), str(f.default)],
+                       id=f"{command}-{_flag(f.name)[2:]}")
+          for command, reads in cli._CONFIG_READS.items()
+          for f in dataclasses.fields(Config) if f.name not in reads],
+    ])
     def test_config_flags_only_where_a_config_is_read(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(argv + flag)
         assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
         assert build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
 
+    def test_readme_cli_examples_parse(self, capsys):
+        # A flag dropped from a command cannot stay in README's CLI examples.
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("```")[1]
+        lines = [line for line in block.splitlines() if line.startswith("blobvid ")]
+        assert len(lines) == 9
+        for line in lines:
+            try:
+                build_parser().parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README example refused: {line}\n{capsys.readouterr().err}")
+
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
-    @pytest.mark.parametrize("argv", [
-        ["fit", "m.pgm"],
-        ["interp", "--p1", "1", "1", "2", "1", "0", "--p2", "1", "1", "2", "1", "0",
-         "--alpha", "0.5"],
-        ["mask", "v.json", "--out-dir", "m"],
-        ["render", "v.json", "--out-dir", "r"],
-        ["attend", "v.json"],
-        ["validate", "v.json"],
-        ["metrics", "miou"],
-        ["gradcheck"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", [*_NO_CONFIG_ARGVS, *_CONFIG_ARGVS.values()],
+                             ids=lambda argv: argv[0])
     def test_threads_below_one_is_a_usage_error(self, capsys, argv, threads):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv + ["--threads", threads])

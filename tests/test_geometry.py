@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from blobvid import blobs
 from blobvid.blobs import (
     BinaryMask,
     BlobParams,
@@ -206,6 +208,31 @@ class TestRasterizeWindow:
                            rng.uniform(-2, 2))
             rho = float(rng.choice([0.5, 1.37, 3.0]))
             assert_window_matches_full_grid(p, geom, h, w, rho)
+
+    @pytest.mark.parametrize("cells", [1, 24, 24 * 5 + 7], ids=["row", "grid-row", "band"])
+    def test_bands_of_rows(self, rng, monkeypatch, cells):
+        # A window of more than _WINDOW_CELLS cells is tested a band of rows
+        # at a time: one row, or five grid rows and part of a sixth.
+        monkeypatch.setattr(blobs, "_WINDOW_CELLS", cells)
+        geom = FrameGeometry(64, 48)
+        for _ in range(100):
+            p = BlobParams(rng.uniform(-10, 74), rng.uniform(-10, 58),
+                           *(10.0 ** rng.uniform(-1, 2, size=2)), rng.uniform(-2, 2))
+            assert_window_matches_full_grid(p, geom, 30, 24, float(rng.choice([1.0, 1.37, 9.0])))
+
+    def test_large_window_holds_few_floats(self):
+        # A window of the whole 1500 x 1500 grid: the traced peak is the mask
+        # and the window's byte per cell each, and one band's float64
+        # temporaries, not 8 bytes per cell for each of them.
+        h = w = 1500
+        tracemalloc.start()
+        try:
+            bits = rasterize(BlobParams(32, 24, 30, 20, 0.3), FrameGeometry(64, 48), h, w, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits.bits.all()
+        assert peak < 2 * h * w + 8 * 8 * blobs._WINDOW_CELLS
 
     @pytest.mark.parametrize("h, w", [(1, 1), (1, 9), (9, 1), (1, 64)])
     def test_one_cell_and_one_row_grids(self, rng, h, w):
