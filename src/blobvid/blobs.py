@@ -1,10 +1,10 @@
 """Blob rasterization and mask IOU on grids of cells.
 
 Rasterization samples cell centers of an arbitrary grid, so the same blob can
-be drawn at any resolution. The blob params, frame geometry, canonical form
-and a blob's window live in geometry, which needs no numpy, as does the
-plain-float twin of _ellipse_window; BlobParams, FrameGeometry and
-canonicalize stay bound here for callers that import them from blobs.
+be drawn at any resolution, or on its window alone (_blob_window, for mask and
+render). Blob params, frame geometry, canonical form and window live in
+geometry, which needs no numpy, as does _blob_window's plain-float twin;
+BlobParams, FrameGeometry and canonicalize stay bound here for their callers.
 """
 
 from __future__ import annotations
@@ -98,6 +98,16 @@ def _inside(dx: np.ndarray, dy: np.ndarray, ct: float, st: float, ra: float,
     return u * u + v * v <= 1.0
 
 
+def _blob_window(p: BlobParams, geom: FrameGeometry, h: int, w: int,
+                 rho: float) -> tuple[int, int, np.ndarray]:
+    """rasterize's checks, then _ellipse_window: the window (r0, c0, block)."""
+    if h < 1 or w < 1:
+        raise ShapeError(f"grid must be at least 1x1, got {h}x{w}")
+    if not (rho > 0.0 and math.isfinite(rho)):
+        raise RangeError(f"rescale factor must be positive and finite, got {rho}")
+    return _ellipse_window(p.cx, p.cy, p.a, p.b, p.theta, geom, *_cell_centers(geom, h, w), rho)
+
+
 def rasterize(p: BlobParams, geom: FrameGeometry, h: int, w: int, rho: float = 1.0) -> BinaryMask:
     """Rasterize a blob onto an h x w grid of cells covering the source frame.
 
@@ -107,12 +117,7 @@ def rasterize(p: BlobParams, geom: FrameGeometry, h: int, w: int, rho: float = 1
     window, its bounding square of half-side rho * max(a, b) padded by at
     least one cell; cells outside the window are never set.
     """
-    if h < 1 or w < 1:
-        raise ShapeError(f"grid must be at least 1x1, got {h}x{w}")
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise RangeError(f"rescale factor must be positive and finite, got {rho}")
-    xs, ys = _cell_centers(geom, h, w)
-    r0, c0, block = _ellipse_window(p.cx, p.cy, p.a, p.b, p.theta, geom, xs, ys, rho)
+    r0, c0, block = _blob_window(p, geom, h, w, rho)
     bits = np.zeros((h, w), dtype=np.bool_)
     bits[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
     return BinaryMask._own(bits)

@@ -19,7 +19,9 @@ from pathlib import Path
 from .config import CHOICES, COSINE_MODES, DEFAULT_STEP, DEFAULT_TOL, Config, load_config
 from .errors import BlobvidError, RangeError, TooLarge, read_text
 
-# The most bytes mask or render may hold in per-frame masks and images.
+# mask and render may count 1 byte per cell for each track and the background
+# (render 3 more, for RGB) in each frame. Each frame is drawn and written in turn,
+# at most --threads at once, of about 2 bytes a cell (render 4): under the count.
 _RASTER_BUDGET_BYTES = 1 << 30
 
 # The most window cells (geometry._ellipse_bounds) mask tests in plain floats
@@ -77,16 +79,17 @@ def _frame_list(text: str) -> list[int]:
     return frames
 
 
-def _check_raster_bytes(command: str, frames, num_tracks: int, h: int, w: int,
-                        rgb: bool = False) -> None:
-    """Raise TooLarge, before any frame is drawn, when the frames' masks (and
-    RGB images) of h x w cells would exceed _RASTER_BUDGET_BYTES."""
-    # len() of a range longer than sys.maxsize raises OverflowError.
-    count = frames.stop if isinstance(frames, range) else len(frames)
-    need = count * (num_tracks + 1 + (3 if rgb else 0)) * h * w
+def _check_raster_bytes(command: str, frames, v, h: int, w: int, rgb: bool = False) -> None:
+    """Before any frame is drawn, raise TooLarge when the h x w masks (and RGB images)
+    of the frames (None: all) exceed _RASTER_BUDGET_BYTES, RangeError for a frame not in v."""
+    count = v.num_frames if frames is None else len(frames)
+    need = count * (v.num_tracks + 1 + (3 if rgb else 0)) * h * w
     if need > _RASTER_BUDGET_BYTES:
-        raise TooLarge(f"{command} of {count} frames of {h}x{w} cells for {num_tracks} "
+        raise TooLarge(f"{command} of {count} frames of {h}x{w} cells for {v.num_tracks} "
                        f"tracks needs {need} bytes, above the budget of {_RASTER_BUDGET_BYTES}")
+    for t in frames or ():
+        if not 0 <= t < v.num_frames:
+            raise RangeError(f"frame {t} outside [0, {v.num_frames})")
 
 
 def _thread_count(text: str) -> int:
@@ -128,36 +131,30 @@ def _cmd_interp(args: argparse.Namespace) -> int:
 
 def _cmd_mask(args: argparse.Namespace) -> int:
     from .geometry import _ellipse_bounds, _ellipse_rows
+    from .parallel import parallel_map
     from .pnm import mask_filename, write_mask_window
     from .video import densify
 
     cfg = _cfg_from_args(args)
     v = densify(_load_video(args.video))
-    frames = args.frames if args.frames is not None else range(v.num_frames)
     h, w, rho = cfg.feature_h, cfg.feature_w, cfg.rescale
-    _check_raster_bytes("mask", frames, v.num_tracks, h, w)
-    for t in frames:
-        if not 0 <= t < v.num_frames:
-            raise RangeError(f"frame {t} outside [0, {v.num_frames})")
-    blobs = [(t, track.object_id, track.params[t]) for t in frames for track in v.tracks]
-    windows = [_ellipse_bounds(p.cx, p.cy, p.a, p.b, v.geom, h, w, rho) for _, _, p in blobs]
+    _check_raster_bytes("mask", args.frames, v, h, w)
+    frames = args.frames if args.frames is not None else range(v.num_frames)
+    blobs = [track.params[t] for track in v.tracks for t in frames]
+    windows = [_ellipse_bounds(p.cx, p.cy, p.a, p.b, v.geom, h, w, rho) for p in blobs]
+    draw = _ellipse_rows
+    if sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in windows) > _PLAIN_MASK_CELLS:
+        from .blobs import _blob_window as draw
     out_dir = Path(args.out_dir)
-    if sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in windows) <= _PLAIN_MASK_CELLS:
-        drawn = [_ellipse_rows(p, v.geom, h, w, rho) for _, _, p in blobs]
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for (t, object_id, _), (r0, c0, rows) in zip(blobs, drawn):
-            write_mask_window(out_dir / mask_filename(t, object_id), h, w, r0, c0, rows)
-    else:
-        from .labelfield import per_frame_masks
-        from .parallel import parallel_map
-        from .pnm import write_mask_pgm
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-        per_frame = parallel_map(lambda t: per_frame_masks(v, t, h, w, rho)[0],
-                                 frames, args.threads)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for t, masks in zip(frames, per_frame):
-            for track, m in zip(v.tracks, masks):
-                write_mask_pgm(out_dir, t, track.object_id, m)
+    def job(t: int) -> None:
+        for track in v.tracks:
+            write_mask_window(out_dir / mask_filename(t, track.object_id), h, w,
+                              *draw(track.params[t], v.geom, h, w, rho))
+
+    if v.tracks:  # else nothing is drawn, however many frames the video has
+        parallel_map(job, frames, args.threads)
     _print_json({"written": len(blobs), "dir": str(out_dir)})
     return 0
 
@@ -165,7 +162,7 @@ def _cmd_mask(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .labelfield import per_frame_masks
+    from .blobs import _blob_window
     from .parallel import parallel_map
     from .pnm import write_ppm
     from .video import densify
@@ -175,23 +172,24 @@ def _cmd_render(args: argparse.Namespace) -> int:
             raise RangeError(f"{flag} must be at least 1, got {size}")
     cfg = _cfg_from_args(args)
     v = densify(_load_video(args.video))
-    frames = args.frames if args.frames is not None else range(v.num_frames)
     h = args.render_h if args.render_h is not None else v.geom.height
     w = args.render_w if args.render_w is not None else v.geom.width
-    _check_raster_bytes("render", frames, v.num_tracks, h, w, rgb=True)
-
-    def job(t: int):
-        img = np.zeros((h, w, 3), dtype=np.uint8)
-        for n, m in enumerate(per_frame_masks(v, t, h, w, cfg.rescale)[0]):
-            img[m.bits] = _PALETTE[n % len(_PALETTE)]
-        return img
-
-    images = parallel_map(job, frames, args.threads)
+    _check_raster_bytes("render", args.frames, v, h, w, rgb=True)
+    frames = args.frames if args.frames is not None else range(v.num_frames)
+    colors = np.array(_PALETTE, dtype=np.uint8)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for t, img in zip(frames, images):
+
+    def job(t: int) -> None:
+        img = np.zeros((h, w, 3), dtype=np.uint8)
+        for n, track in enumerate(v.tracks):
+            r0, c0, block = _blob_window(track.params[t], v.geom, h, w, cfg.rescale)
+            np.copyto(img[r0:r0 + block.shape[0], c0:c0 + block.shape[1]],
+                      colors[n % len(colors)], where=block[..., None])
         write_ppm(out_dir / f"f{t:04d}.ppm", img)
-    _print_json({"written": len(images), "dir": str(out_dir)})
+
+    parallel_map(job, frames, args.threads)
+    _print_json({"written": len(frames), "dir": str(out_dir)})
     return 0
 
 
@@ -340,10 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except BlobvidError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    except OSError as e:
+    except (BlobvidError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 

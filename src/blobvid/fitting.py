@@ -75,8 +75,9 @@ def moments_init(mask: BinaryMask, geom: FrameGeometry) -> BlobParams:
 
 
 # Nelder-Mead coefficients (scipy's non-adaptive defaults): reflection,
-# expansion, contraction and shrink.
+# expansion, contraction and shrink; and fit_ellipse's stopping tolerances.
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_XATOL, _FATOL = 1e-3, 1e-4
 
 
 def _clamped(vec: np.ndarray, floor: float) -> BlobParams:
@@ -135,13 +136,12 @@ def _nelder_mead(func, simplex: np.ndarray, max_iter: int, xatol: float,
     return sim[0], iterations
 
 
-def fit_ellipse(mask: BinaryMask, geom: FrameGeometry,
-                max_iter: int = 200, fatol: float = 1e-4) -> FitResult:
+def fit_ellipse(mask: BinaryMask, geom: FrameGeometry, max_iter: int = 200) -> FitResult:
     """Fit one ellipse to a mask by maximizing rasterized IOU at the mask's resolution.
 
     Deterministic: the initial simplex is built from the moment init with fixed
     per-dimension steps, and _nelder_mead reproduces scipy's Nelder-Mead run
-    from it (xatol 1e-3, the given fatol, at most max_iter iterations).
+    from it (_XATOL, _FATOL, at most max_iter iterations).
     iterations is that run's count, scipy's nit: 1 plus the simplex steps taken.
     The result never scores below the moment init.
     """
@@ -178,7 +178,7 @@ def fit_ellipse(mask: BinaryMask, geom: FrameGeometry,
         ]
     )
     simplex = np.vstack([x0] + [x0 + steps[i] * np.eye(5)[i] for i in range(5)])
-    x, iterations = _nelder_mead(objective, simplex, max_iter, xatol=1e-3, fatol=fatol)
+    x, iterations = _nelder_mead(objective, simplex, max_iter, xatol=_XATOL, fatol=_FATOL)
     best = canonicalize(_clamped(x, floor))
     iou = mask_iou(rasterize(best, geom, mask.h, mask.w, 1.0), mask)
     init_iou = mask_iou(rasterize(init, geom, mask.h, mask.w, 1.0), mask)

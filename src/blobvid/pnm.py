@@ -3,7 +3,7 @@
 Masks are stored as 8-bit PGM, 0 = outside and 255 = inside, one file per
 frame per object, named f{frame:04}_o{object}.pgm. Renders are 8-bit PPM.
 numpy and BinaryMask are imported by the functions that use them, so
-write_mask_window, which writes a mask from rows of bools, runs without numpy.
+write_mask_window runs without numpy on rows of bools (it also takes numpy rows).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _read_header(data: bytes):
     return w, h, pos
 
 
-def _write_pnm(path, magic: str, w: int, h: int, payload: bytes) -> None:
+def _write_pnm(path, magic: str, w: int, h: int, payload) -> None:
     # The one place a P5 or P6 header is written: maxval 255, then the payload.
     with open(path, "wb") as f:
         f.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
@@ -83,7 +83,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ShapeError(f"PPM payload must be h x w x 3, got shape {arr.shape}")
     h, w, _ = arr.shape
-    _write_pnm(path, "P6", w, h, arr.tobytes())
+    _write_pnm(path, "P6", w, h, arr)
 
 
 def mask_filename(frame: int, object_id) -> str:
@@ -98,12 +98,12 @@ def write_mask_pgm(directory, frame: int, object_id, mask: BinaryMask) -> Path:
 
 def write_mask_window(path, h: int, w: int, r0: int, c0: int, rows) -> None:
     """Write the PGM of an h x w mask whose set cells all lie in a window at
-    offset (r0, c0), given as one sequence of bools per window row: the same
-    bytes write_mask_pgm writes for that mask."""
+    offset (r0, c0), given as one sequence of bools per window row, translated
+    to gray as it is copied: the bytes write_mask_pgm writes for that mask."""
     cells = bytearray(h * w)
     for r, row in enumerate(rows, r0):
-        cells[r * w + c0:r * w + c0 + len(row)] = bytes(row)
-    _write_pnm(path, "P5", w, h, cells.translate(_GRAY))
+        cells[r * w + c0:r * w + c0 + len(row)] = bytes(row).translate(_GRAY)
+    _write_pnm(path, "P5", w, h, cells)
 
 
 def read_mask_pgm(path) -> BinaryMask:

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blobvid
-from blobvid import cli, labelfield, metrics, pipeline, video
+from blobvid import blobs, cli, geometry, labelfield, metrics, parallel, pipeline, video
 from blobvid.blobs import BlobParams, FrameGeometry, rasterize
 from blobvid.cli import _cfg_from_args, build_parser, main
 from blobvid.config import CHOICES, COSINE_MODES, ENV_PREFIX, Config, load_config
@@ -137,34 +138,50 @@ class TestMask:
         want = rasterize(BlobParams(20, 20, 8, 5, 0.2), FrameGeometry(64, 64), 16, 16)
         assert np.array_equal(got.bits, want.bits)
 
-    @pytest.mark.parametrize("grid, numpy_path", [(16, False), (256, True)],
-                             ids=["plain-floats", "numpy"])
+    @pytest.mark.parametrize("grid, numpy_path, threads", [
+        (16, False, "1"), (256, True, "1"), (256, True, "3"),
+    ], ids=["plain-floats", "numpy", "numpy-on-3-threads"])
     def test_both_paths_write_the_bytes_of_write_mask_pgm(self, tmp_path, video_file, capsys,
-                                                          monkeypatch, grid, numpy_path):
+                                                          monkeypatch, grid, numpy_path, threads):
         # The blobs' windows hold fewer than cli._PLAIN_MASK_CELLS cells at
-        # 16x16 and more at 256x256; only the numpy path calls per_frame_masks.
+        # 16x16 and more at 256x256; each blob is drawn by the plain-float
+        # geometry._ellipse_rows on the first and by blobs._blob_window on the second.
         v = video.densify(video.video_from_json(video_file.read_text()))
         cells = sum((r1 - r0) * (c1 - c0) for track in v.tracks for p in track.params.values()
                     for r0, r1, c0, c1 in [_ellipse_bounds(p.cx, p.cy, p.a, p.b, v.geom,
                                                            grid, grid, 1.3)])
         assert (cells > cli._PLAIN_MASK_CELLS) == numpy_path
-        frames = []
-        drawn = labelfield.per_frame_masks
-        monkeypatch.setattr(labelfield, "per_frame_masks",
-                            lambda v, t, *args: frames.append(t) or drawn(v, t, *args))
+        calls = []
+        for module, name in ((geometry, "_ellipse_rows"), (blobs, "_blob_window")):
+            drawn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, _name=name, _drawn=drawn:
+                                calls.append(_name) or _drawn(*args))
         out_dir = tmp_path / "masks"
         code, _, err = run_cli(capsys, ["mask", str(video_file), "--out-dir", str(out_dir),
                                         "--feature-h", str(grid), "--feature-w", str(grid),
-                                        "--rescale", "1.3"])
+                                        "--rescale", "1.3", "--threads", threads])
         assert code == 0, err
-        assert frames == (list(range(9)) if numpy_path else [])
+        assert calls == [("_blob_window" if numpy_path else "_ellipse_rows")] * 18
+        monkeypatch.undo()
         assert len(list(out_dir.iterdir())) == 18
         for t in range(9):
-            for track, m in zip(v.tracks, drawn(v, t, grid, grid, 1.3)[0]):
+            for track, m in zip(v.tracks, labelfield.per_frame_masks(v, t, grid, grid, 1.3)[0]):
                 want = write_mask_pgm(tmp_path, t, track.object_id, m)
                 assert (out_dir / want.name).read_bytes() == want.read_bytes()
                 gray = np.where(m.bits, 255, 0).astype(np.uint8).tobytes()
                 assert want.read_bytes() == f"P5\n{grid} {grid}\n255\n".encode() + gray
+
+    def test_video_without_tracks_maps_no_frame(self, tmp_path, capsys, monkeypatch):
+        # 2**30 frames of one cell fit the raster budget, and a list of them
+        # would take tens of GB; with no track to draw, no frame is mapped.
+        monkeypatch.setattr(parallel, "parallel_map", None)
+        path = tmp_path / "video.json"
+        path.write_text(json.dumps({"version": 1, "width": 64, "height": 64,
+                                    "num_frames": 2**30, "anchor_interval": 8, "tracks": []}))
+        code, out, err = run_cli(capsys, ["mask", str(path), "--out-dir", str(tmp_path / "m"),
+                                          "--feature-h", "1", "--feature-w", "1"])
+        assert code == 0, err
+        assert json.loads(out)["written"] == 0
 
     def test_frame_subset(self, tmp_path, video_file, capsys):
         out_dir = tmp_path / "masks"
@@ -285,8 +302,10 @@ class TestAttend:
                                                 command, size_flags, need):
         # Frame 0 of 100000 x 100000 cells: two track masks and the
         # background (and, on render, 3 RGB bytes) per cell, refused by
-        # arithmetic alone before any frame is rasterized or allocated.
-        monkeypatch.setattr(labelfield, "per_frame_masks", None)
+        # arithmetic alone before any window is bounded or drawn.
+        for module, name in ((geometry, "_ellipse_bounds"), (geometry, "_ellipse_rows"),
+                             (blobs, "_blob_window"), (blobs, "_ellipse_window")):
+            monkeypatch.setattr(module, name, None)
         out_dir = tmp_path / "out"
         code, out, err = run_cli(capsys, [
             command, str(video_file), "--out-dir", str(out_dir), "--frames", "0", *size_flags,
@@ -310,6 +329,34 @@ class TestAttend:
         monkeypatch.setattr(cli, "_RASTER_BUDGET_BYTES", need - 1)
         code, _, err = run_cli(capsys, argv)
         assert code == 1 and f"needs {need} bytes" in err
+
+    @pytest.mark.parametrize("command, threads", [("mask", "1"), ("mask", "2"), ("render", "1")],
+                             ids=["mask", "mask-on-2-threads", "render"])
+    def test_raster_budget_covers_the_traced_peak(self, tmp_path, video_file, capsys,
+                                                  monkeypatch, command, threads):
+        # Frames 0 and 1 at 2000 x 2000 cells under --rescale 20: each blob's
+        # window is the whole grid, so mask takes its numpy path.
+        grid = "--feature" if command == "mask" else "--render"
+        argv = [command, str(video_file), "--out-dir", str(tmp_path / "out"), "--frames", "0,1",
+                "--rescale", "20", "--threads", threads,
+                grid + "-h", "2000", grid + "-w", "2000"]
+        need = 2 * (2 + 1 + (3 if command == "render" else 0)) * 2000 * 2000
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_RASTER_BUDGET_BYTES", need - 1)
+            code, _, err = run_cli(capsys, argv)
+        assert code == 1 and f"needs {need} bytes" in err  # the count is cli's own
+        self.assert_traced_peak_within_count(capsys, argv, need)
+
+    @staticmethod
+    def assert_traced_peak_within_count(capsys, argv, need):
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < need
 
 
 class TestValidate:
@@ -1219,11 +1266,12 @@ class TestStartup:
         assert _loaded(commands, tmp_path, ["numpy"]) == []
         assert "numpy" in _loaded([_attend(video_file)], tmp_path, ["numpy"])
 
-    @pytest.mark.parametrize("grid, loads_numpy", [(24, False), (512, True)],
-                             ids=["below-the-window-cell-limit", "above-it"])
-    def test_mask_loads_numpy_only_for_large_windows(self, tmp_path, video_file, grid,
+    @pytest.mark.parametrize("grid, threads, loads_numpy", [
+        (24, "1", False), (24, "2", False), (512, "1", True),
+    ], ids=["below-the-window-cell-limit", "below-it-on-2-threads", "above-it"])
+    def test_mask_loads_numpy_only_for_large_windows(self, tmp_path, video_file, grid, threads,
                                                      loads_numpy):
-        argv = ["mask", str(video_file), "--out-dir", "masks",
+        argv = ["mask", str(video_file), "--out-dir", "masks", "--threads", threads,
                 "--feature-h", str(grid), "--feature-w", str(grid)]
         assert ("numpy" in _loaded([argv], tmp_path, ["numpy"])) == loads_numpy
 
