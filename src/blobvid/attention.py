@@ -28,18 +28,22 @@ The 3D self-attention never builds its n x n logits (n = T*h*w). Positions
 of one label class (LabelField.classes) attend to the same keys, so the op
 runs in row blocks by class (the row-tiled softmax of "Self-attention Does
 Not Need O(n^2) Memory" and FlashAttention): a large class over its gathered
-keys, small classes packed over all keys under a boolean mask built from
-their class rows. A block over |keys| keys takes at most _BLOCK rows and at
-most _BLOCK_BYTES // (8 |keys|), at least one, so its (rows, |keys|)
-float64 array is at most _BLOCK_BYTES whatever n is.
+keys, small classes packed together under a boolean mask built from their
+class rows. A packed block reads only the keys its rows can reach, the
+positions whose class meets one of its rows' classes, as the block masks of
+FlexAttention and the block-sparse attention of "Generating Long Sequences
+with Sparse Transformers" skip what no row of a block can reach. A block
+takes at most _BLOCK rows and at most _BLOCK_BYTES // (8 n_keys), at least
+one, where n_keys bounds its keys (all n for a packed block), so its (rows,
+|keys|) float64 array is at most _BLOCK_BYTES whatever n is.
 
 The backward pass recomputes each block's weights in the same fixed order,
 as FlashAttention-2's backward does, and forms the logit gradients in the
 weights' own buffer, _ROW_CHUNK rows at a time, so each pass holds about one
 block array per thread. Both passes walk the blocks of a part (below) in
-class runs: the blocks of one class gather the class's keys and v1 rows
-once, and in the backward accumulate their key and value gradients in
-(d, |keys|) buffers that are scattered once.
+class runs, the blocks of one large class or a single packed block: a run
+gathers its keys and v1 rows once, and in the backward accumulates its key
+and value gradients in (d, |keys|) buffers that are scattered once.
 
 The blocks are dealt into _PARTS fixed parts (block i goes to part i %
 _PARTS), the split FlashAttention-2 uses across workers: each part writes its
@@ -258,7 +262,7 @@ class _ClassBlocks(NamedTuple):
 
     cls: int          # index into LabelField.classes; -1 for the packed classes
     rows: np.ndarray  # the query positions, in class order
-    n_keys: int       # the keys each row may read: its class's, or all n if packed
+    n_keys: int       # the keys a block may read: its class's; all n, a bound, if packed
     step: int         # rows per block
 
     @property
@@ -281,8 +285,10 @@ def _label_blocks(field: LabelField) -> list:
     those classes' counts, one class at a time, so no class x class matrix
     is built. A class of at least _SMALL_CLASS positions gets blocks of its
     own over its gathered keys; the smaller classes are packed together, in
-    class order, into masked blocks over all n keys, whose masks
-    (_block_allow) come from their classes' rows. Positions with an empty
+    class order, into masked blocks whose masks (_block_allow) come from
+    their classes' rows. A packed block's keys are known only once its rows
+    are cut, so its n_keys is n, the bound its rows per block are cut from;
+    it reads only its reachable keys (_class_runs). Positions with an empty
     label set attend to nothing and are in no block. The plan holds no
     block: each part cuts its own from it as it runs (_class_runs). The
     classes are the field's (LabelField.classes), so the order depends on
@@ -304,11 +310,12 @@ def _label_blocks(field: LabelField) -> list:
     return plan
 
 
-def _block_allow(field: LabelField, rows: np.ndarray, masked: bool):
-    """The boolean (len(rows), n) mask of a masked block, from its rows'
-    classes, else None. Built only when its block runs, so one per thread."""
+def _block_allow(field: LabelField, rows: np.ndarray, keys):
+    """The boolean (len(rows), |keys|) mask of a packed block over its keys
+    (an index array, or slice(None) for all n), from its rows' classes.
+    Built only when its block runs, so one per thread."""
     codes, inverse, _ = field.classes
-    return shares_label(codes[inverse[rows]], codes)[:, inverse] if masked else None
+    return shares_label(codes[inverse[rows]], codes)[:, inverse[keys]]
 
 
 def _with_ones(v: np.ndarray) -> np.ndarray:
@@ -320,24 +327,33 @@ def _with_ones(v: np.ndarray) -> np.ndarray:
 def _class_runs(plan: list, part: int, field: LabelField):
     """The class runs of one part: block i of the plan, in plan order, goes
     to part i % _PARTS. Yields (masked, keys, blocks) per run, blocks an
-    iterator over the row arrays of the part's blocks of that class, cut
-    from the plan as they run. A run's keys, the positions its class may
-    attend to, are built when it starts, for the caller to gather once, and
-    dropped here when it ends, so a part holds the keys of at most two
-    classes at a time. Packed blocks are masked and read all keys:
-    slice(None)."""
+    iterator over the row arrays of the part's blocks of that run, cut from
+    the plan as they run. A run's keys, the positions its rows may attend
+    to, are built when it starts, for the caller to gather once, and dropped
+    here when it ends, so a part holds the keys of at most two runs at a
+    time. The blocks of a large class form one run over its class's keys.
+    Each packed block is a masked run of its own over its reachable keys:
+    the positions whose class meets the class of any of its rows, or
+    slice(None) when that is all n, so the block gathers nothing."""
     codes, inverse, _ = field.classes
     first = 0
     for entry in plan:
         mine = range((part - first) % _PARTS, entry.blocks, _PARTS)
         first += entry.blocks
-        if not mine:
-            continue
         c, rows, _, step = entry
-        keys = (slice(None) if c < 0 else
-                np.flatnonzero(shares_label(codes[c:c + 1], codes)[0][inverse]))
-        yield c < 0, keys, (rows[j * step:(j + 1) * step] for j in mine)
-        del keys
+        if c < 0:
+            for j in mine:
+                block = rows[j * step:(j + 1) * step]
+                marked = np.zeros(len(codes), dtype=bool)
+                marked[inverse[block]] = True
+                reach = shares_label(codes[marked], codes).any(axis=0)
+                keys = slice(None) if reach.all() else np.flatnonzero(reach[inverse])
+                yield True, keys, (block,)
+                del keys
+        elif mine:
+            keys = np.flatnonzero(shares_label(codes[c:c + 1], codes)[0][inverse])
+            yield False, keys, (rows[j * step:(j + 1) * step] for j in mine)
+            del keys
 
 
 def _attend(q, k_keys, v1, allow):
@@ -438,8 +454,9 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights):
             for masked, keys, blocks in _class_runs(plan, p, mask.field):
                 k_keys, v1_keys = k[keys], v1[keys]
                 for rows in blocks:
-                    out[rows], sums[rows] = _attend(q[rows], k_keys, v1_keys,
-                                                    _block_allow(mask.field, rows, masked))
+                    out[rows], sums[rows] = _attend(
+                        q[rows], k_keys, v1_keys,
+                        _block_allow(mask.field, rows, keys) if masked else None)
                 del k_keys, v1_keys  # before the next run's keys
 
         _run_parts(part, plan, pinned)
@@ -528,9 +545,10 @@ def masked_3d_self_attention_backward(g, mask: AttnMask3D, wts: SelfAttnWeights,
                 dkT = np.zeros(k_keys.shape[::-1])
                 dvT = np.zeros(k_keys.shape[::-1])
                 for rows in blocks:
-                    dq[rows] = _attend_backward(q[rows], k_keys, v1T_keys,
-                                                _block_allow(mask.field, rows, masked),
-                                                upstream[rows], dkT, dvT)
+                    dq[rows] = _attend_backward(
+                        q[rows], k_keys, v1T_keys,
+                        _block_allow(mask.field, rows, keys) if masked else None,
+                        upstream[rows], dkT, dvT)
                 dk[keys] += dkT.T
                 dv[keys] += dvT.T
                 del k_keys, v1T_keys, dkT, dvT  # before the next run's keys

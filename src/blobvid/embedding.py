@@ -87,17 +87,18 @@ def normalize_params(p: BlobParams, geom: FrameGeometry) -> np.ndarray:
 
 
 def fourier_features(u, n_freqs: int) -> np.ndarray:
-    """Raw sin/cos features of a 5-vector: [sin(2^f pi u_i), cos(2^f pi u_i)]
-    for f in [0, n_freqs), i in [0, 5). Length 10 * n_freqs, all in [-1, 1].
+    """Raw sin/cos features of 5-vectors u, shape (..., 5): [sin(2^f pi u_i),
+    cos(2^f pi u_i)] for f in [0, n_freqs), i in [0, 5). Shape (...,
+    10 * n_freqs), all in [-1, 1].
     """
     if n_freqs < 1:
         raise RangeError(f"need at least one frequency, got {n_freqs}")
     u = np.asarray(u, dtype=np.float64)
-    if u.shape != (5,):
-        raise ShapeError(f"normalized params must be a 5-vector, got shape {u.shape}")
-    ang = (2.0 ** np.arange(n_freqs, dtype=np.float64))[:, None] * math.pi * u[None, :]
-    feats = np.stack([np.sin(ang), np.cos(ang)], axis=-1)  # (F, 5, 2)
-    return feats.reshape(-1)
+    if u.ndim < 1 or u.shape[-1] != 5:
+        raise ShapeError(f"normalized params must be 5-vectors, got shape {u.shape}")
+    ang = (2.0 ** np.arange(n_freqs, dtype=np.float64))[:, None] * math.pi * u[..., None, :]
+    feats = np.stack([np.sin(ang), np.cos(ang)], axis=-1)  # (..., F, 5, 2)
+    return feats.reshape(u.shape[:-1] + (10 * n_freqs,))
 
 
 @lru_cache(maxsize=64)
@@ -111,15 +112,21 @@ def _projection(raw_dim: int, out_dim: int, seed: int) -> np.ndarray:
     return p
 
 
-def fourier_encode(p: BlobParams, geom: FrameGeometry, n_freqs: int = 8,
+def fourier_encode(p, geom: FrameGeometry, n_freqs: int = 8,
                    out_dim: int = 8, seed: int = 0) -> np.ndarray:
     """Deterministic geometry embedding: Fourier features followed by a fixed
-    seeded projection with orthonormal rows."""
-    raw = fourier_features(normalize_params(p, geom), n_freqs)
-    raw_dim = raw.shape[0]
+    seeded projection with orthonormal rows. p is one BlobParams, giving an
+    (out_dim,) vector, or a sequence of N, giving (N, out_dim) rows that
+    equal N one-blob calls bit for bit."""
+    one = isinstance(p, BlobParams)
+    u = np.array([normalize_params(q, geom) for q in ([p] if one else p)]).reshape(-1, 5)
+    raw = fourier_features(u, n_freqs)
+    raw_dim = raw.shape[1]
     if not (1 <= out_dim <= raw_dim):
         raise ShapeError(f"out_dim must lie in [1, {raw_dim}], got {out_dim}")
-    return _projection(raw_dim, out_dim, seed) @ raw
+    # One mat-vec per row: a single (N, raw_dim) @ P.T moves the low bits.
+    enc = np.matmul(_projection(raw_dim, out_dim, seed), raw[:, :, None])[:, :, 0]
+    return enc[0] if one else enc
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +188,36 @@ class MlpWeights:
         )
 
 
-def blob_embed(e_tau: np.ndarray, e_s: EmbeddingSeq, mlp: MlpWeights) -> EmbeddingSeq:
-    """Fuse one geometry embedding with every caption token.
+def blob_embed(e_tau, e_s, mlp: MlpWeights):
+    """Fuse geometry embeddings with every caption token.
 
-    Each token row is [e_tau ; e_s_l], width d = 2 * dim, pushed through the
-    shared two-layer MLP. Token order is preserved.
+    One blob: e_tau a (dim,) vector and e_s an EmbeddingSeq; returns an
+    EmbeddingSeq. N blobs: e_tau (N, dim) and e_s a sequence of N
+    EmbeddingSeq; returns a tuple of N EmbeddingSeq. Each token row is
+    [e_tau ; e_s_l], width d = 2 * dim, and all tokens go through the shared
+    two-layer MLP in one pass. Token order is preserved. A blob's tokens are
+    bit for bit those of its own call when it has at least two; numpy
+    multiplies a single row as a vector, which may round differently.
     """
     e_tau = np.asarray(e_tau, dtype=np.float64)
-    if e_tau.ndim != 1:
-        raise ShapeError(f"geometry embedding must be a vector, got shape {e_tau.shape}")
-    if e_tau.shape[0] != e_s.dim:
-        raise ShapeError(
-            f"geometry width {e_tau.shape[0]} must match token width {e_s.dim}"
-        )
-    d = 2 * e_s.dim
-    if mlp.width != d:
-        raise ShapeError(f"MLP width {mlp.width} does not match token width {d}")
-    x = np.concatenate([np.tile(e_tau, (e_s.L, 1)), e_s.data], axis=1)
-    h = _gelu(x @ mlp.w1 + mlp.b1)
-    return EmbeddingSeq(h @ mlp.w2 + mlp.b2)
+    if e_tau.ndim == 1:
+        return blob_embed(e_tau[None], [e_s], mlp)[0]
+    if e_tau.ndim != 2 or len(e_tau) != len(e_s):
+        raise ShapeError(f"geometry embeddings must be a vector or one row per token "
+                         f"sequence, got shape {e_tau.shape}")
+    half = e_tau.shape[1]
+    for seq in e_s:
+        if seq.dim != half:
+            raise ShapeError(f"geometry width {half} must match token width {seq.dim}")
+    if mlp.width != 2 * half:
+        raise ShapeError(f"MLP width {mlp.width} does not match token width {2 * half}")
+    starts = np.cumsum([0] + [seq.L for seq in e_s])
+    x = np.empty((starts[-1], 2 * half))
+    for e, seq, start in zip(e_tau, e_s, starts):
+        x[start:start + seq.L, :half] = e
+        x[start:start + seq.L, half:] = seq.data
+    y = _gelu(x @ mlp.w1 + mlp.b1) @ mlp.w2 + mlp.b2
+    return tuple(EmbeddingSeq(y[start:start + seq.L]) for seq, start in zip(e_s, starts))
 
 
 @dataclass(frozen=True)

@@ -68,12 +68,18 @@ class LabelField:
     def classes(self):
         """(codes, inverse, counts): the distinct bitsets in np.unique's order,
         the class of every position and the positions per class. Computed
-        once per field and shared by every caller, so read-only."""
-        grouping = np.unique(self.bits, axis=0, return_inverse=True, return_counts=True)
-        for arr in grouping:
+        once per field and shared by every caller, so read-only.
+
+        Each bitset is grouped as one opaque byte string (a void view), which
+        sorts in the same order as np.unique(bits, axis=0) and costs a
+        fraction of its per-column structured sort."""
+        nbytes = self.bits.shape[1]
+        keys, inverse, counts = np.unique(self.bits.view(f"V{nbytes}").ravel(),
+                                          return_inverse=True, return_counts=True)
+        codes = keys.view(np.uint8).reshape(-1, nbytes)
+        for arr in (codes, inverse, counts):
             arr.setflags(write=False)
-        codes, inverse, counts = grouping
-        return codes, inverse.reshape(-1), counts
+        return codes, inverse, counts
 
     @property
     def size(self) -> int:

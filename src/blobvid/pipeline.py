@@ -49,6 +49,11 @@ _OP_ARRAYS = 2 + 5 + 6 * attention._PARTS
 # all its blobs' tokens: the blob embeddings, their keys and values, the
 # stacked keys and values, and [V | 1].
 _TOKEN_ARRAYS = 6
+# The (tokens, dim) float64 arrays' worth that embedding.blob_embed's MLP
+# holds over all of a frame's blob tokens at once, as traced: its input,
+# pre-activation, GELU temporaries and output, with the two object arrays of
+# np.vectorize(math.erf) at 32 bytes (a pointer and a float) per entry each.
+_MLP_ARRAYS = 13
 # The (10 F)^2 float64 arrays of the Fourier projection's QR (embedding.
 # _projection): the Gaussian, both factors and the sign-fixed factor.
 _QR_ARRAYS = 5
@@ -106,8 +111,9 @@ def _attend_bytes(num_frames: int, num_tracks: int, h: int, w: int, dim: int,
     caption embedding of every track in every frame; for each frame in
     flight, the cross-attention's (h*w, tracks*tokens) float64 logits and
     three boolean masks of that shape (the mask, its per-blob parts and its
-    complement) and _TOKEN_ARRAYS arrays of (tracks*tokens, dim + 1); and
-    the _QR_ARRAYS arrays of the Fourier projection."""
+    complement), _TOKEN_ARRAYS arrays of (tracks*tokens, dim + 1) and
+    _MLP_ARRAYS of (tracks*tokens, dim); and the _QR_ARRAYS arrays of the
+    Fourier projection."""
     n = num_frames * h * w
     label_bytes = n * (num_tracks + 1) + n * ((num_tracks + 1 + 7) // 8) + n * 8
     work_bytes = _OP_ARRAYS * n * (dim + 1) * 8
@@ -115,7 +121,8 @@ def _attend_bytes(num_frames: int, num_tracks: int, h: int, w: int, dim: int,
     context_bytes = num_frames * num_tracks * n_tokens * (dim // 2) * 8
     keys = num_tracks * n_tokens
     cross_bytes = max(1, min(threads, num_frames)) * (
-        h * w * keys * (8 + 3) + _TOKEN_ARRAYS * keys * (dim + 1) * 8)
+        h * w * keys * (8 + 3) + _TOKEN_ARRAYS * keys * (dim + 1) * 8
+        + _MLP_ARRAYS * keys * dim * 8)
     projection_bytes = _QR_ARRAYS * (10 * fourier_freqs) ** 2 * 8
     return (label_bytes + work_bytes + block_bytes + context_bytes + cross_bytes
             + projection_bytes)
@@ -154,14 +161,9 @@ def run_attend_block(v: BlobVideo, cfg: Config, dim: int = 16, n_tokens: int = 4
     sa_w = SelfAttnWeights.seeded(dim, seed=cfg.seed + 3)
 
     def frame_cross(t: int):
-        blobs = [
-            blob_embed(
-                fourier_encode(track.params[t], v.geom, cfg.fourier_freqs, dim // 2, cfg.seed),
-                ctx[(n, t)],
-                mlp,
-            )
-            for n, track in enumerate(v.tracks)
-        ]
+        e_tau = fourier_encode([track.params[t] for track in v.tracks], v.geom,
+                               cfg.fourier_freqs, dim // 2, cfg.seed)
+        blobs = blob_embed(e_tau, [ctx[(n, t)] for n in range(v.num_tracks)], mlp)
         masks, background = per_frame_masks(v, t, h, w, cfg.rescale)
         g_t = g[t * hw : (t + 1) * hw]
         ca_out, sums = masked_cross_attention(g_t, blobs, masks, ca_w)

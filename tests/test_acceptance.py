@@ -122,21 +122,24 @@ def _label_matrix(field: LabelField) -> np.ndarray:
 def _plan_matrix(field: LabelField):
     """The dense pair mask the 3D ops evaluate, read from their own plan:
     over both parts, every class run's rows are allowed its gathered keys,
-    and a packed run's rows get _block_allow. Also returns how many blocks
-    hold each position as a row."""
+    and a packed run's rows get _block_allow over its keys. A pair outside
+    every run's (rows, keys) stays blocked. Also returns how many blocks hold
+    each position as a row, and how many packed runs read fewer than all n
+    keys."""
     n = field.size
     allowed = np.zeros((n, n), dtype=bool)
     blocks_per_row = np.zeros(n, dtype=np.int64)
+    gathered = 0
     plan = attention._label_blocks(field)
     for part in range(attention._PARTS):
         for masked, keys, blocks in attention._class_runs(plan, part, field):
+            keys = np.arange(n)[keys]  # a packed run over all n keys reads slice(None)
+            gathered += masked and keys.size < n
             for rows in blocks:
                 blocks_per_row[rows] += 1
-                if masked:
-                    allowed[rows] = attention._block_allow(field, rows, masked)
-                else:
-                    allowed[np.ix_(rows, keys)] = True
-    return allowed, blocks_per_row
+                allowed[np.ix_(rows, keys)] = (attention._block_allow(field, rows, keys)
+                                               if masked else True)
+    return allowed, blocks_per_row, gathered
 
 
 def test_3_implicit_pair_mask_equals_dense_materialization():
@@ -160,14 +163,15 @@ def test_3_implicit_pair_mask_equals_dense_materialization():
     instances.append(build_label_field(video, 8, 8))
 
     ok = True
-    empty_rows = 0
+    empty_rows = gathered_runs = 0
     for field in instances:
         assert field.size <= 4096
         labels = _label_matrix(field)
         expected = (labels.astype(np.int64) @ labels.T.astype(np.int64)) > 0
         nonempty = labels.any(axis=1)
         empty_rows += int((~nonempty).sum())
-        dense, blocks_per_row = _plan_matrix(field)
+        dense, blocks_per_row, gathered = _plan_matrix(field)
+        gathered_runs += gathered
         ok &= np.array_equal(dense, expected)
         ok &= np.array_equal(dense, dense.T)
         ok &= np.array_equal(np.diag(dense), nonempty)
@@ -176,13 +180,13 @@ def test_3_implicit_pair_mask_equals_dense_materialization():
         ok &= np.array_equal(blocks_per_row, nonempty.astype(np.int64))
 
     # Sharing a label is not transitive: 0~1 and 1~2 but 0 and 2 are blocked.
-    counter, _ = _plan_matrix(LabelField.from_label_sets(1, 1, 3, 2, [{0}, {0, 1}, {1}]))
+    counter, _, _ = _plan_matrix(LabelField.from_label_sets(1, 1, 3, 2, [{0}, {0, 1}, {1}]))
     ok &= counter[0, 1] and counter[1, 2] and not counter[0, 2]
-    ok &= empty_rows > 0
+    ok &= empty_rows > 0 and gathered_runs > 0
     _report(3, "the 3D ops' pair mask == dense label product, symmetric, allowed diagonal,"
                " empty label sets in no block, non-transitive", ok,
             f"{len(instances)} fields up to {max(f.size for f in instances)} positions,"
-            f" {empty_rows} empty label sets")
+            f" {empty_rows} empty label sets, {gathered_runs} packed runs over some keys")
 
 
 def test_4_ellipse_fit_recovers_synthetic_blobs():

@@ -220,6 +220,15 @@ def plan_blocks(plan):
             for entry in plan for s in range(0, entry.rows.size, entry.step)]
 
 
+def all_class_runs(field):
+    """The class runs of every part (attention._class_runs), each part's as
+    a list of (masked, keys, list of row blocks)."""
+    plan = attention._label_blocks(field)
+    return [[(masked, keys, list(blocks))
+             for masked, keys, blocks in attention._class_runs(plan, p, field)]
+            for p in range(attention._PARTS)]
+
+
 def blocks_by_class(sets, n_labels):
     """The op's row blocks as (own, classes): own is True for a block of one
     class over its gathered keys, classes the label sets of the block's rows."""
@@ -331,6 +340,52 @@ class TestStreamedSelfAttention:
             assert entry.cls < 0 or all(sets[r] == first for r in entry.rows)
         if kind == "one-class":
             assert [entry.step for entry in plan] == [87]
+
+    @pytest.mark.parametrize("kind", ["tiny-classes", "own-classes", "grouped"])
+    def test_packed_blocks_read_exactly_their_reachable_keys(self, rng, kind):
+        # The fields of test_tiny_classes_fill_two_packed_blocks and
+        # test_almost_every_position_has_its_own_class, and 2-byte bitsets
+        # whose small classes each hold labels of one of three groups, so a
+        # packed block's classes reach only some of the positions.
+        if kind == "tiny-classes":
+            order = sorted(range(1, 1 << 10), key=lambda k: (k & 255, k >> 8))
+            sizes = []
+            while sum(sizes) < attention._BLOCK - 1:
+                sizes.append(min(1 + len(sizes) % 3, attention._BLOCK - 1 - sum(sizes)))
+            sizes.append(3)
+            while sum(sizes) <= attention._BLOCK + 20:
+                sizes.append(1 + len(sizes) % 3)
+            sets = shuffled(rng, [{b for b in range(10) if k >> b & 1}
+                                  for k, size in zip(order, sizes) for _ in range(size)])
+        elif kind == "own-classes":
+            sets = [{lab for lab in range(12) if rng.random() < 0.5} or {0}
+                    for _ in range(attention._BLOCK + 50)]
+        else:
+            sets = shuffled(rng, [{4 * g + b for b in range(4) if rng.random() < 0.5} or {4 * g}
+                                  for g in rng.integers(0, 3, 200)]
+                            + [{0}] * 30 + [{8, 9}] * 9 + [set()] * 5)
+        field = LabelField.from_label_sets(1, 1, len(sets), 12, sets)
+        n = field.size
+        rows_seen, evaluated = 0, 0
+        for runs in all_class_runs(field):
+            for masked, keys, blocks in runs:
+                if not masked:
+                    continue
+                (rows,) = blocks  # a packed block is a run of its own
+                reach = [j for j in range(n) if any(sets[j] & sets[r] for r in rows)]
+                assert np.arange(n)[keys].tolist() == reach
+                # All n keys are read in place, not gathered.
+                assert isinstance(keys, slice) == (len(reach) == n)
+                rows_seen += rows.size
+                evaluated += rows.size * len(reach)
+        sizes = Counter(map(frozenset, sets))
+        assert rows_seen == sum(1 for labs in sets
+                                if labs and sizes[frozenset(labs)] < attention._SMALL_CLASS)
+        if kind == "own-classes":
+            # Half of 12 labels per position: every block reaches every key.
+            assert evaluated == rows_seen * n
+        else:
+            assert evaluated < rows_seen * n
 
     def test_class_runs_hold_one_runs_keys_at_a_time(self):
         # One frame-wide blob and 20 moving ones over 13 frames of 96x96
@@ -453,7 +508,7 @@ class TestStreamedSelfAttention:
         masked_3d_self_attention(g, AttnMask3D(field), wts)
         masked_3d_self_attention_backward(g, AttnMask3D(field), wts, g)
         masked_3d_self_attention_backward(g, AttnMask3D(field), wts, g)
-        assert calls == [field.bits.shape]
+        assert calls == [(field.size,)]  # one call, over each position's bitset as one key
         masked_3d_self_attention(g, AttnMask3D(LabelField(1, 1, len(sets), 3, field.bits)), wts)
         assert len(calls) == 2
 
@@ -467,12 +522,22 @@ class TestStreamedSelfAttention:
         blocks = plan_blocks(attention._label_blocks(field))
         packed = [rows for rows, cls in blocks if cls < 0]
         assert len(packed) >= 2 and len(packed) < len(blocks)
-        for rows, cls in blocks:
-            allow = attention._block_allow(field, rows, cls < 0)
-            if cls < 0:
-                assert np.array_equal(allow, shares_label(field.bits[rows], field.bits))
-            else:
-                assert allow is None
+        # Each packed block is a masked run of its own. Its mask over its
+        # keys is the bitsets' own, and no position outside its keys shares
+        # a label with any of its rows, so nothing allowed is skipped.
+        positions = np.arange(field.size)
+        masked_runs = 0
+        for runs in all_class_runs(field):
+            for masked, keys, blocks in runs:
+                keys = positions[keys]
+                outside = np.setdiff1d(positions, keys)
+                for rows in blocks:
+                    assert not shares_label(field.bits[rows], field.bits[outside]).any()
+                    if masked:
+                        masked_runs += 1
+                        assert np.array_equal(attention._block_allow(field, rows, keys),
+                                              shares_label(field.bits[rows], field.bits[keys]))
+        assert masked_runs == len(packed)
 
     def test_reruns_are_bitwise_identical(self, rng):
         sets = shuffled(rng, [{0}] * 40 + [{0, 1}] * 5 + [{1}, {2}, {1, 2}] * 3)

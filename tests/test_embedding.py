@@ -68,6 +68,18 @@ class TestFourierFeatures:
             fourier_features(np.zeros(5), 0)
         with pytest.raises(ShapeError):
             fourier_features(np.zeros(4), 2)
+        with pytest.raises(ShapeError):
+            fourier_features(np.zeros((3, 4)), 2)
+        with pytest.raises(ShapeError):
+            fourier_features(0.5, 2)
+
+    def test_leading_axes_are_rows_of_one_vector_calls(self, rng):
+        u = rng.uniform(0, 1, size=(2, 3, 5))
+        got = fourier_features(u, 4)
+        assert got.shape == (2, 3, 40)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(got[i, j], fourier_features(u[i, j], 4))
 
 
 class TestFourierEncode:
@@ -130,6 +142,33 @@ class TestBlobEmbed:
             blob_embed(np.ones(4), e_s, MlpWeights.seeded(6, seed=0))
         with pytest.raises(ShapeError):
             blob_embed(np.ones(3), e_s, MlpWeights.seeded(4, seed=0))
+        with pytest.raises(ShapeError):
+            blob_embed(np.ones((2, 3)), [e_s], MlpWeights.seeded(6, seed=0))
+        with pytest.raises(ShapeError):
+            blob_embed(np.ones(()), e_s, MlpWeights.seeded(6, seed=0))
+
+    def test_leading_axis_equals_one_blob_calls(self, rng):
+        # N blobs with token counts of their own, in one call: each blob's
+        # geometry code, and its tokens when it has two or more, are bit for
+        # bit those of its own call. numpy multiplies a one-token blob's row
+        # on its own as a vector, which may round differently.
+        params = [BlobParams(*rng.uniform(5, 30, 4), rng.uniform(-1.5, 1.5)) for _ in range(5)]
+        seqs = [EmbeddingSeq(rng.standard_normal((L, 5))) for L in (2, 4, 1, 3, 7)]
+        mlp = MlpWeights.seeded(10, seed=3)
+        e_tau = fourier_encode(params, GEOM, n_freqs=3, out_dim=5, seed=2)
+        assert e_tau.shape == (5, 5)
+        fused = blob_embed(e_tau, seqs, mlp)
+        assert isinstance(fused, tuple) and len(fused) == 5
+        for p, seq, row, out in zip(params, seqs, e_tau, fused):
+            one = fourier_encode(p, GEOM, n_freqs=3, out_dim=5, seed=2)
+            assert np.array_equal(row, one)
+            alone = blob_embed(one, seq, mlp).data
+            if seq.L > 1:
+                assert np.array_equal(out.data, alone)
+            else:
+                np.testing.assert_allclose(out.data, alone, rtol=1e-14, atol=1e-15)
+        assert fourier_encode([], GEOM, n_freqs=3, out_dim=5).shape == (0, 5)
+        assert blob_embed(np.zeros((0, 5)), [], mlp) == ()
 
 
 class TestErf:

@@ -203,6 +203,22 @@ class TestClasses:
         by_set = Counter(sets)
         assert [by_set[decode(c, n_labels)] for c in codes] == counts.tolist()
 
+    @pytest.mark.parametrize("n_labels", [5, 16, 20])
+    def test_equals_the_row_wise_unique(self, rng, n_labels):
+        # 1-, 2- and 3-byte bitsets, a quarter of them empty: the grouping
+        # of each bitset as one byte string gives np.unique(axis=0)'s codes,
+        # classes and counts, in its order.
+        for _ in range(5):
+            sets = [set() if rng.random() < 0.25 else
+                    {lab for lab in range(n_labels) if rng.random() < 0.3} for _ in range(400)]
+            field = LabelField.from_label_sets(2, 10, 20, n_labels, sets)
+            codes, inverse, counts = np.unique(field.bits, axis=0, return_inverse=True,
+                                               return_counts=True)
+            got = field.classes
+            assert got[0].dtype == np.uint8 and got[0].shape == codes.shape
+            for a, b in zip(got, (codes, inverse.reshape(-1), counts)):
+                assert np.array_equal(a, b)
+
     def test_is_computed_once_per_field(self):
         field = LabelField.from_label_sets(1, 1, 4, 3, [{0}, {1}, {0}, {2}])
         assert field.classes is field.classes

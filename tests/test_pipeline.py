@@ -8,12 +8,19 @@ import pytest
 from blobvid import attention, embedding, labelfield, pipeline
 from blobvid.blobs import BlobParams, FrameGeometry
 from blobvid.config import Config
-from blobvid.embedding import DeterministicStub, interp_linear, interp_slerp
+from blobvid.embedding import (
+    DeterministicStub,
+    MlpWeights,
+    blob_embed,
+    fourier_encode,
+    interp_linear,
+    interp_slerp,
+)
 from blobvid.errors import RangeError, ShapeError, TooLarge
 from blobvid.exemplars import EXEMPLAR_2_LAYOUT
 from blobvid.layout import densify_layout, parse_layout
 from blobvid.pipeline import AttendStats, context_embeddings, run_attend_block
-from blobvid.video import BlobTrack, BlobVideo
+from blobvid.video import BlobTrack, BlobVideo, densify
 
 
 GEOM = FrameGeometry(64, 64)
@@ -130,6 +137,43 @@ class TestRunAttendBlock:
         out2, _ = run_attend_block(v, Config(feature_h=6, feature_w=6, seed=12), dim=8)
         assert not np.array_equal(out1, out2)
 
+    def test_video_without_tracks(self):
+        # No blob tokens: every position's cross-attention is a zero row, and
+        # in the 3D attention every position holds the background label.
+        v = make_video([], num_frames=3)
+        out, stats = run_attend_block(v, Config(feature_h=4, feature_w=4, seed=11), dim=8)
+        assert out.shape == (48, 8) and np.isfinite(out).all()
+        assert stats.rows == stats.zero_rows == 48
+
+    @pytest.mark.parametrize("n_tracks", [1, 3])
+    @pytest.mark.parametrize("method", ["linear", "slerp"])
+    def test_frame_tokens_equal_one_blob_embeddings(self, monkeypatch, method, n_tracks):
+        # Each frame embeds all of its blobs in one call; its tokens are bit
+        # for bit those of one blob_embed(fourier_encode(...)) call per blob.
+        frames = []
+        cross = pipeline.masked_cross_attention
+
+        def keep_tokens(g, blobs, masks, wts):
+            frames.append(blobs)
+            return cross(g, blobs, masks, wts)
+
+        monkeypatch.setattr(pipeline, "masked_cross_attention", keep_tokens)
+        v = make_video([BlobTrack(k, {t: BlobParams(20.0 + 3 * t + 7 * k, 24.0 - k, 9.0 + k,
+                                                     5.0, 0.2 * k) for t in (0, 4, 8)},
+                                  {0: f"a{k}", 8: f"b{k}"}) for k in range(n_tracks)])
+        cfg = Config(feature_h=6, feature_w=6, seed=11, interp_method=method)
+        run_attend_block(v, cfg, dim=8, n_tokens=3)
+        dense = densify(v)
+        ctx = context_embeddings(dense, DeterministicStub(dim=4, n_tokens=3), method=method,
+                                 orientation=cfg.interp_orientation)
+        mlp = MlpWeights.seeded(8, seed=cfg.seed + 1)
+        assert len(frames) == 9
+        for t, blobs in enumerate(frames):
+            assert len(blobs) == n_tracks
+            for n, track in enumerate(dense.tracks):
+                e_tau = fourier_encode(track.params[t], dense.geom, cfg.fourier_freqs, 4, cfg.seed)
+                assert np.array_equal(blobs[n].data, blob_embed(e_tau, ctx[(n, t)], mlp).data)
+
     def test_sparse_video_densified_internally(self):
         v = make_video([track_with_captions({0: "a"})])
         assert not v.is_dense()
@@ -158,16 +202,17 @@ class TestRunAttendBlock:
         # of at most _BLOCK_BYTES and the key indices of its current run.
         # With 4 tokens per track and 8 Fourier frequencies: the 9 x 8
         # caption embeddings of (4, 4); one frame's (36, 32) float64 logits
-        # and three masks of that shape, and 6 (32, 8 + 1) token arrays; and
-        # the 5 (80, 80) arrays of the projection's QR.
+        # and three masks of that shape, 6 (32, 8 + 1) token arrays and the
+        # token MLP's 13 (32, 8) arrays; and the 5 (80, 80) arrays of the
+        # projection's QR.
         n = 9 * 36
         assert pipeline._OP_ARRAYS == 7 + 6 * attention._PARTS == 19
-        frame = 36 * 32 * (8 + 3) + 6 * 32 * 9 * 8
+        frame = 36 * 32 * (8 + 3) + 6 * 32 * 9 * 8 + 13 * 32 * 8 * 8
         want = (n * (9 + 2 + 8) + 19 * n * 9 * 8
                 + attention._PARTS * (attention._BLOCK_BYTES + n * 8)
                 + 9 * 8 * 4 * 4 * 8 + frame + 5 * 80 * 80 * 8)
         assert pipeline._attend_bytes(9, 8, 6, 6, 8, 4, 8, 1) == want
-        one_track = 9 * 4 * 4 * 8 + 36 * 4 * (8 + 3) + 6 * 4 * 9 * 8
+        one_track = 9 * 4 * 4 * 8 + 36 * 4 * (8 + 3) + 6 * 4 * 9 * 8 + 13 * 4 * 8 * 8
         assert pipeline._attend_bytes(9, 7, 6, 6, 8, 4, 8, 1) == want - 2 * n - one_track
         # Every frame in flight holds its own cross-attention, up to all 9.
         assert pipeline._attend_bytes(9, 8, 6, 6, 8, 4, 8, 3) == want + 2 * frame
@@ -181,7 +226,7 @@ class TestRunAttendBlock:
         want = (n * (22 + 3 + 8) + 19 * n * 17 * 8
                 + attention._PARTS * (attention._BLOCK_BYTES + n * 8)
                 + 13 * 21 * 4 * 8 * 8 + 96 * 96 * 84 * 11 + 6 * 84 * 17 * 8
-                + 5 * 80 * 80 * 8)
+                + 13 * 84 * 16 * 8 + 5 * 80 * 80 * 8)
         assert pipeline._attend_bytes(13, 21, 96, 96, 16, 4, 8, 1) == want
         assert (want < pipeline._ATTEND_BUDGET_BYTES
                 < pipeline._attend_bytes(13, 21, 192, 192, 16, 4, 8, 1))
@@ -196,8 +241,9 @@ class TestRunAttendBlock:
         assert 344e6 < plan(50_000, 8, 1) < budget < plan(10**9, 8, 1)
         assert plan(4, 300, 1) < budget < plan(4, 10**6, 1)
         # Each token adds its caption embeddings in every frame, and a
-        # column of the logits and masks and a row of each token array.
-        per_token = 3 * (13 * 8 * 8 + 64 * 11 + 6 * 17 * 8)
+        # column of the logits and masks, a row of each token array and a
+        # row of the token MLP's arrays.
+        per_token = 3 * (13 * 8 * 8 + 64 * 11 + 6 * 17 * 8 + 13 * 16 * 8)
         assert plan(5, 8, 1) - plan(4, 8, 1) == per_token
         assert plan(4, 9, 1) - plan(4, 8, 1) == 5 * (90 * 90 - 80 * 80) * 8
 
@@ -213,6 +259,11 @@ class TestRunAttendBlock:
         # The same tracks at an 8x8 grid, with many tokens or many Fourier
         # frequencies, each of which outgrows the (n, d) arrays.
         self.assert_traced_peak_within_plan(8, n_tokens, freqs)
+
+    def test_budget_covers_the_token_mlp_of_a_frame(self):
+        # On a 2x2 grid the logits are small, and the MLP that embeds all of
+        # a frame's 3 x 3,000 blob tokens at once sets the peak.
+        self.assert_traced_peak_within_plan(2, 3000, 8)
 
     @staticmethod
     def assert_traced_peak_within_plan(grid, n_tokens, freqs):
