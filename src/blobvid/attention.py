@@ -15,14 +15,10 @@ all tokens. Blocked logits are set to NEG_INF (the most negative finite
 float64), so blocked weights underflow to exactly zero. Backward passes are
 checked against central finite differences in the gradcheck module.
 
-Both kernels keep a block's weights unnormalized, e = exp(s - rowmax),
-formed in the logits' own buffer (_exp_weights), and move the division by
-their row sums l onto the thin side, as FlashAttention-2 does. They take
-the values as v1 = [v | 1], a column of ones appended, so e @ v1 holds e @ v
-and, in its last column, the row sums of the weights as the product applied
-them. The forward divides it by l = rowsum(e), and that last column over l
-gives the row sums it reports; the backward takes l from that column and
-folds its softmax shift into a product with v1 too.
+Both kernels keep a block's weights unnormalized, e = exp(s - rowmax), in
+the logits' own buffer (_exp_weights), and divide by their row sums on the
+thin side, as FlashAttention-2 does: with the values as v1 = [v | 1], one
+GEMM e @ v1 gives e @ v and, in its last column, the row sums.
 
 The 3D self-attention never builds its n x n logits (n = T*h*w). Positions
 of one label class (LabelField.classes) attend to the same keys, so the op
@@ -32,10 +28,10 @@ keys, small classes packed together under a boolean mask built from their
 class rows. A packed block reads only the keys its rows can reach, the
 positions whose class meets one of its rows' classes, as the block masks of
 FlexAttention and the block-sparse attention of "Generating Long Sequences
-with Sparse Transformers" skip what no row of a block can reach. A block
-takes at most _BLOCK rows and at most _BLOCK_BYTES // (8 n_keys), at least
-one, where n_keys bounds its keys (all n for a packed block), so its (rows,
-|keys|) float64 array is at most _BLOCK_BYTES whatever n is.
+with Sparse Transformers" skip what no row of a block can reach. A block's
+(rows, |keys|) float64 array is at most _BLOCK_BYTES whatever n is
+(_rows_per_block), so the forward's working set (_self_attention_bytes) is
+O(n d).
 
 The backward pass recomputes each block's weights in the same fixed order,
 as FlashAttention-2's backward does, and forms the logit gradients in the
@@ -256,6 +252,14 @@ def masked_cross_attention(g, blobs: Sequence[EmbeddingSeq], masks: Sequence[Bin
     return _attend(q, K, _with_ones(V), allow)
 
 
+def _cross_attention_bytes(hw: int, tokens: int, d: int) -> int:
+    """Bytes masked_cross_attention holds beyond its inputs: the query, its
+    unscaled product, the (hw, d + 1) product and the row sums; the keys and
+    values, per blob and stacked, and [V | 1]; and the (hw, tokens) logits
+    with their mask, its per-blob parts and its complement."""
+    return 8 * (hw * (3 * d + 2) + 5 * tokens * (d + 1)) + 11 * hw * tokens
+
+
 class _ClassBlocks(NamedTuple):
     """One entry of the block plan (_label_blocks): the rows of one label
     class, or of all the packed small classes, and how they are blocked."""
@@ -461,6 +465,16 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights):
 
         _run_parts(part, plan, pinned)
     return out, sums
+
+
+def _self_attention_bytes(n: int, d: int) -> int:
+    """Bytes masked_3d_self_attention holds beyond its inputs: the
+    projections, the query's unscaled product, [v | 1], out, the row sums
+    and the plan's rows; and per part, a class run's keys and their two
+    gathers, and one block: its array of at most _BLOCK_BYTES with its mask
+    and the mask's complement, and its (rows, d + 1) product."""
+    part = 8 * (n * (2 * d + 2) + _BLOCK * (d + 1)) + _BLOCK_BYTES * 10 // 8
+    return 8 * n * (6 * d + 4) + _PARTS * part
 
 
 def gated_fuse(x, attn_out, gamma: float) -> np.ndarray:

@@ -112,6 +112,12 @@ def _projection(raw_dim: int, out_dim: int, seed: int) -> np.ndarray:
     return p
 
 
+def _projection_bytes(raw_dim: int) -> int:
+    """Bytes of _projection's QR, (raw_dim, raw_dim) arrays: the Gaussian,
+    its factored copy, both factors, the sign-fixed Q and R's boolean mask."""
+    return (5 * 8 + 1) * raw_dim * raw_dim
+
+
 def fourier_encode(p, geom: FrameGeometry, n_freqs: int = 8,
                    out_dim: int = 8, seed: int = 0) -> np.ndarray:
     """Deterministic geometry embedding: Fourier features followed by a fixed
@@ -136,8 +142,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-# math.erf, applied elementwise: the package needs no scipy.
-_erf = np.vectorize(math.erf, otypes=[np.float64])
+def _erf(x: np.ndarray) -> np.ndarray:
+    """math.erf elementwise, into float64: the package needs no scipy."""
+    return np.fromiter(map(math.erf, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
@@ -218,6 +225,13 @@ def blob_embed(e_tau, e_s, mlp: MlpWeights):
         x[start:start + seq.L, half:] = seq.data
     y = _gelu(x @ mlp.w1 + mlp.b1) @ mlp.w2 + mlp.b2
     return tuple(EmbeddingSeq(y[start:start + seq.L]) for seq, start in zip(e_s, starts))
+
+
+def _blob_embed_bytes(tokens: int, d: int) -> int:
+    """Bytes blob_embed's MLP holds: its input, pre-activation and output,
+    the GELU's x / 2, x / sqrt(2) and erf's result, (tokens, d) float64
+    each, and erf's list of Python floats, 32 bytes an entry."""
+    return 10 * tokens * d * 8
 
 
 @dataclass(frozen=True)

@@ -202,15 +202,15 @@ def run_gradcheck(seed: int = 0, instances: int = 20, step: float = DEFAULT_STEP
                   tolerance: float = DEFAULT_TOL) -> GradCheckReport:
     """Run every backward check `instances` times and report the worst error.
 
-    A check that runs no instance, or compares against a non-positive step or
-    tolerance, proves nothing, so those arguments raise RangeError.
+    A check that runs no instance, or uses a step or tolerance that is not
+    positive and finite, proves nothing, so those arguments raise RangeError.
     """
     if instances < 1:
         raise RangeError(f"instances must be at least 1, got {instances}")
-    if not step > 0:
-        raise RangeError(f"step must be positive, got {step}")
-    if not tolerance > 0:
-        raise RangeError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < step < np.inf:
+        raise RangeError(f"step must be positive and finite, got {step}")
+    if not 0 < tolerance < np.inf:
+        raise RangeError(f"tolerance must be positive and finite, got {tolerance}")
     rng = np.random.default_rng(seed)
     per_op = {}
     for name, check in _CHECKS.items():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import attention
+from . import attention, embedding
 from .attention import (
     CrossAttnWeights,
     SelfAttnWeights,
@@ -40,23 +40,6 @@ __all__ = ["AttendStats", "context_embeddings", "run_attend_block"]
 
 # The most bytes run_attend_block may plan for (see _attend_bytes).
 _ATTEND_BUDGET_BYTES = 1 << 30
-# The (n, d) float64 arrays the attend block and its 3D op hold at once: the
-# features and their fused copy; the op's projections, [v | 1] and out (dq
-# in the backward); and, per part, dk and dv, a class run's two gathers and
-# their two gradients.
-_OP_ARRAYS = 2 + 5 + 6 * attention._PARTS
-# The (tokens, dim + 1) float64 arrays a frame's cross-attention holds over
-# all its blobs' tokens: the blob embeddings, their keys and values, the
-# stacked keys and values, and [V | 1].
-_TOKEN_ARRAYS = 6
-# The (tokens, dim) float64 arrays' worth that embedding.blob_embed's MLP
-# holds over all of a frame's blob tokens at once, as traced: its input,
-# pre-activation, GELU temporaries and output, with the two object arrays of
-# np.vectorize(math.erf) at 32 bytes (a pointer and a float) per entry each.
-_MLP_ARRAYS = 13
-# The (10 F)^2 float64 arrays of the Fourier projection's QR (embedding.
-# _projection): the Gaussian, both factors and the sign-fixed factor.
-_QR_ARRAYS = 5
 
 
 @dataclass(frozen=True)
@@ -104,28 +87,20 @@ def _row_stats(sums: np.ndarray):
 def _attend_bytes(num_frames: int, num_tracks: int, h: int, w: int, dim: int,
                   n_tokens: int, fourier_freqs: int, threads: int) -> int:
     """The bytes run_attend_block plans for over n = num_frames*h*w
-    positions: the per-frame masks kept until the label field is packed, its
-    bitsets and its class of every position; _OP_ARRAYS float64 arrays of
-    (n, dim + 1); for each of the 3D op's _PARTS, its live block array of at
-    most _BLOCK_BYTES and the key indices of its current class run; the
-    caption embedding of every track in every frame; for each frame in
-    flight, the cross-attention's (h*w, tracks*tokens) float64 logits and
-    three boolean masks of that shape (the mask, its per-blob parts and its
-    complement), _TOKEN_ARRAYS arrays of (tracks*tokens, dim + 1) and
-    _MLP_ARRAYS of (tracks*tokens, dim); and the _QR_ARRAYS arrays of the
-    Fourier projection."""
+    positions: its own per-frame masks, label bitsets and classes, features,
+    fused copy, output and caption embeddings; the Fourier projection's QR;
+    and the larger of two stages that never overlap, the frames in flight
+    (each holding its blobs' tokens while it embeds and cross-attends to
+    them) and the 3D forward."""
     n = num_frames * h * w
-    label_bytes = n * (num_tracks + 1) + n * ((num_tracks + 1 + 7) // 8) + n * 8
-    work_bytes = _OP_ARRAYS * n * (dim + 1) * 8
-    block_bytes = attention._PARTS * (attention._BLOCK_BYTES + n * 8)
-    context_bytes = num_frames * num_tracks * n_tokens * (dim // 2) * 8
-    keys = num_tracks * n_tokens
-    cross_bytes = max(1, min(threads, num_frames)) * (
-        h * w * keys * (8 + 3) + _TOKEN_ARRAYS * keys * (dim + 1) * 8
-        + _MLP_ARRAYS * keys * dim * 8)
-    projection_bytes = _QR_ARRAYS * (10 * fourier_freqs) ** 2 * 8
-    return (label_bytes + work_bytes + block_bytes + context_bytes + cross_bytes
-            + projection_bytes)
+    tokens = num_tracks * n_tokens
+    own = (n * (num_tracks + 1 + (num_tracks + 1 + 7) // 8 + 8) + 3 * n * dim * 8
+           + num_frames * tokens * (dim // 2) * 8)
+    frame = tokens * dim * 8 + max(embedding._blob_embed_bytes(tokens, dim),
+                                   attention._cross_attention_bytes(h * w, tokens, dim))
+    frames = max(1, min(threads, num_frames)) * frame
+    return (own + embedding._projection_bytes(10 * fourier_freqs)
+            + max(frames, attention._self_attention_bytes(n, dim)))
 
 
 def run_attend_block(v: BlobVideo, cfg: Config, dim: int = 16, n_tokens: int = 4,
@@ -167,16 +142,13 @@ def run_attend_block(v: BlobVideo, cfg: Config, dim: int = 16, n_tokens: int = 4
         masks, background = per_frame_masks(v, t, h, w, cfg.rescale)
         g_t = g[t * hw : (t + 1) * hw]
         ca_out, sums = masked_cross_attention(g_t, blobs, masks, ca_w)
-        return gated_fuse(g_t, ca_out, ca_w.gate), sums, (masks, background)
+        # Row stats only: the sums are a view of the whole (h*w, dim + 1) product.
+        return gated_fuse(g_t, ca_out, ca_w.gate), _row_stats(sums), (masks, background)
 
     per_frame = parallel_map(frame_cross, range(v.num_frames), threads)
     x = np.vstack([fused for fused, _, _ in per_frame])
-    ca_zero = 0
-    ca_err = 0.0
-    for _, sums, _ in per_frame:
-        z, e = _row_stats(sums)
-        ca_zero += z
-        ca_err = max(ca_err, e)
+    ca_zero = sum(z for _, (z, _), _ in per_frame)
+    ca_err = max(e for _, (_, e), _ in per_frame)
 
     field = build_label_field(v, h, w, frames=[frame for _, _, frame in per_frame])
     del per_frame

@@ -626,6 +626,31 @@ class TestAtScaleOracle:
         plan, _ = self.check(field, 8, seed=2)
         assert all(entry.n_keys == field.size for entry in plan) and plan[-1].cls < 0
 
+    @pytest.mark.parametrize("kind", ["few-labels", "many-labels", "wide-blob"])
+    def test_forward_peak_below_its_statement(self, kind):
+        # Both benchmark fields at width 16 and the many-class field, whose
+        # classes all reach every key, at width 8. The inputs and the
+        # field's classes, which the attend block states itself, are built
+        # before tracing starts.
+        if kind == "few-labels":
+            video = densify_layout(parse_layout(EXEMPLAR_2_LAYOUT), 13, FrameGeometry(720, 480))
+            field, d = build_label_field(video, 24, 24), 16
+        elif kind == "many-labels":
+            field, d = build_label_field(densify(many_labels_video(1)), 20, 20), 16
+        else:
+            field, d = build_label_field(wide_blob_video(np.random.default_rng(0)), 24, 24), 8
+        field.classes
+        mask = AttnMask3D(field)
+        g = np.random.default_rng(1).standard_normal((field.size, d))
+        wts = SelfAttnWeights.seeded(d, seed=4)
+        tracemalloc.start()
+        try:
+            masked_3d_self_attention(g, mask, wts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < attention._self_attention_bytes(field.size, d)
+
     def test_one_class(self):
         n = 3000
         self.check(LabelField(1, 1, n, 1, np.ones((n, 1), dtype=np.uint8)), 8, seed=3)

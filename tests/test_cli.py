@@ -498,9 +498,13 @@ class TestGradcheck:
         (["--instances", "-3"], "instances must be at least 1"),
         (["--step", "0"], "step must be positive"),
         (["--tolerance", "-1"], "tolerance must be positive"),
-    ], ids=["instances-0", "instances-neg", "step-0", "tolerance-neg"])
+        (["--instances", "1", "--step", "inf"], "step must be positive"),
+        (["--instances", "1", "--tolerance", "inf"], "tolerance must be positive"),
+    ], ids=["instances-0", "instances-neg", "step-0", "tolerance-neg", "step-inf",
+            "tolerance-inf"])
     def test_vacuous_or_degenerate_run_is_one_error_line(self, capsys, argv, detail):
-        # A check that runs nothing or divides by a zero step must not report
+        # A check that runs nothing, divides by a zero or infinite step, or
+        # passes any error under an infinite tolerance must not report
         # success or crash with a traceback.
         code, out, err = run_cli(capsys, ["gradcheck", *argv])
         assert code == 1

@@ -197,6 +197,17 @@ class TestErf:
         x = self.grid()
         assert embedding._erf(-x).tobytes() == (-embedding._erf(x)).tobytes()
 
+    def test_bitwise_equal_to_vectorized_math_erf(self, rng):
+        # The oracle is the np.vectorize(math.erf) that _erf replaced: same
+        # bits on random values, both zeros, subnormals and far tails.
+        x = np.concatenate([rng.standard_normal(3 * 3000 * 16) * 3,
+                            [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 40.0, -40.0]])
+        want = np.vectorize(math.erf, otypes=[np.float64])(x)
+        assert np.array_equal(embedding._erf(x).view(np.uint64), want.view(np.uint64))
+        x = x[:-8].reshape(3 * 3000, 16)
+        assert np.array_equal(embedding._erf(x).view(np.uint64),
+                              want[:-8].reshape(x.shape).view(np.uint64))
+
     @pytest.mark.parametrize("x", [np.float64(0.5), np.array(-1.5), np.empty(0),
                                    np.empty((0, 3)), np.empty((2, 0))],
                              ids=["scalar", "0-d", "empty", "empty-rows", "empty-cols"])

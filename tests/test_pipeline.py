@@ -35,6 +35,16 @@ def make_video(tracks, num_frames=9):
     return BlobVideo(num_frames, GEOM, tracks=tuple(tracks))
 
 
+def traced(fn):
+    """(fn(), the tracemalloc peak of the call)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestContextEmbeddings:
     def test_anchor_frames_embed_their_caption(self):
         provider = DeterministicStub(dim=6, n_tokens=3)
@@ -194,58 +204,44 @@ class TestRunAttendBlock:
             run_attend_block(v, self.CFG, dim=8, n_tokens=n_tokens)
 
     def test_budget_counts_label_bytes_working_arrays_and_block_arrays(self):
-        # 9 frames of 6x6 features at width 8, 8 tracks plus the background:
-        # 9 per-frame masks, 2-byte bitsets and an 8-byte class index; 19
-        # float64 arrays of (n, 8 + 1): the features and their fused copy,
-        # the projections, [v | 1], out or dq, and per part dk, dv, a class
-        # run's two gathers and their two gradients; each part's block array
-        # of at most _BLOCK_BYTES and the key indices of its current run.
-        # With 4 tokens per track and 8 Fourier frequencies: the 9 x 8
-        # caption embeddings of (4, 4); one frame's (36, 32) float64 logits
-        # and three masks of that shape, 6 (32, 8 + 1) token arrays and the
-        # token MLP's 13 (32, 8) arrays; and the 5 (80, 80) arrays of the
-        # projection's QR.
-        n = 9 * 36
-        assert pipeline._OP_ARRAYS == 7 + 6 * attention._PARTS == 19
-        frame = 36 * 32 * (8 + 3) + 6 * 32 * 9 * 8 + 13 * 32 * 8 * 8
-        want = (n * (9 + 2 + 8) + 19 * n * 9 * 8
-                + attention._PARTS * (attention._BLOCK_BYTES + n * 8)
-                + 9 * 8 * 4 * 4 * 8 + frame + 5 * 80 * 80 * 8)
-        assert pipeline._attend_bytes(9, 8, 6, 6, 8, 4, 8, 1) == want
-        one_track = 9 * 4 * 4 * 8 + 36 * 4 * (8 + 3) + 6 * 4 * 9 * 8 + 13 * 4 * 8 * 8
-        assert pipeline._attend_bytes(9, 7, 6, 6, 8, 4, 8, 1) == want - 2 * n - one_track
-        # Every frame in flight holds its own cross-attention, up to all 9.
-        assert pipeline._attend_bytes(9, 8, 6, 6, 8, 4, 8, 3) == want + 2 * frame
-        assert pipeline._attend_bytes(9, 8, 6, 6, 8, 4, 8, 50) == want + 8 * frame
+        # 9 frames of 6x6 features at width 8. A track more adds its masks,
+        # labels and tokens. The plan holds the 3D forward's working arrays
+        # and block arrays, which at 4 tokens per track outweigh a frame's
+        # stage: the two never overlap, so frames in flight add nothing.
+        plan = functools.partial(pipeline._attend_bytes, 9)
+        assert plan(7, 6, 6, 8, 4, 8, 1) < plan(8, 6, 6, 8, 4, 8, 1)
+        assert plan(8, 6, 6, 8, 4, 8, 1) > attention._self_attention_bytes(9 * 36, 8)
+        assert plan(8, 6, 6, 8, 4, 8, 3) == plan(8, 6, 6, 8, 4, 8, 1)
+        # At 3,000 tokens per track the frames outweigh the 3D forward, and
+        # each frame in flight adds one frame's stage, up to all 9.
+        wide = functools.partial(plan, 8, 6, 6, 8, 3000, 8)
+        frame = wide(2) - wide(1)
+        assert frame > 0
+        assert [wide(k + 1) - wide(k) for k in range(1, 9)] == [frame] * 8
+        assert wide(50) == wide(9)
 
     def test_budget_of_a_large_field_is_arithmetic(self):
         # 13 frames of 96x96 features at width 16 with 21 tracks (n =
-        # 119,808): 3-byte bitsets. Planned, never allocated: the block term
-        # stays 2 x 2 MiB whatever n is, and the (n, d) arrays dominate.
-        n = 13 * 96 * 96
-        want = (n * (22 + 3 + 8) + 19 * n * 17 * 8
-                + attention._PARTS * (attention._BLOCK_BYTES + n * 8)
-                + 13 * 21 * 4 * 8 * 8 + 96 * 96 * 84 * 11 + 6 * 84 * 17 * 8
-                + 13 * 84 * 16 * 8 + 5 * 80 * 80 * 8)
-        assert pipeline._attend_bytes(13, 21, 96, 96, 16, 4, 8, 1) == want
-        assert (want < pipeline._ATTEND_BUDGET_BYTES
-                < pipeline._attend_bytes(13, 21, 192, 192, 16, 4, 8, 1))
+        # 119,808) fit, and the same tracks on a 320x320 grid, far above the
+        # largest grid that fits, are refused. Planned, never allocated.
+        budget = pipeline._ATTEND_BUDGET_BYTES
+        plan = functools.partial(pipeline._attend_bytes, 13, 21)
+        assert plan(96, 96, 16, 4, 8, 1) < budget < plan(320, 320, 16, 4, 8, 1)
 
     def test_budget_grows_with_tokens_and_fourier_frequencies(self):
         # On the benchmark's 3 tracks over 13 frames, at an 8x8 grid: 50,000
-        # tokens per track held about 344 MB and still fit; 10**9 tokens, or
-        # 10**6 frequencies (a 10**7-square QR), are refused by arithmetic.
-        # Planned, never allocated.
+        # tokens per track traced a 299 MB peak and still fit; 10**9 tokens,
+        # or 10**6 frequencies (a 10**7-square QR), are refused by
+        # arithmetic. Planned, never allocated. Each token or frequency more
+        # grows the plan.
         budget = pipeline._ATTEND_BUDGET_BYTES
         plan = functools.partial(pipeline._attend_bytes, 13, 3, 8, 8, 16)
-        assert 344e6 < plan(50_000, 8, 1) < budget < plan(10**9, 8, 1)
+        assert 299e6 < plan(50_000, 8, 1) < budget < plan(10**9, 8, 1)
         assert plan(4, 300, 1) < budget < plan(4, 10**6, 1)
-        # Each token adds its caption embeddings in every frame, and a
-        # column of the logits and masks, a row of each token array and a
-        # row of the token MLP's arrays.
-        per_token = 3 * (13 * 8 * 8 + 64 * 11 + 6 * 17 * 8 + 13 * 16 * 8)
-        assert plan(5, 8, 1) - plan(4, 8, 1) == per_token
-        assert plan(4, 9, 1) - plan(4, 8, 1) == 5 * (90 * 90 - 80 * 80) * 8
+        for tokens in (1, 4, 600, 3000, 50_000):
+            assert plan(tokens + 1, 8, 1) > plan(tokens, 8, 1)
+        for freqs in (1, 8, 150, 300):
+            assert plan(4, freqs + 1, 1) > plan(4, freqs, 1)
 
     def test_budget_covers_the_traced_peak(self):
         # The benchmark's attend block, 3 tracks over 13 frames of 24x24
@@ -277,6 +273,24 @@ class TestRunAttendBlock:
         finally:
             tracemalloc.stop()
         assert peak < pipeline._attend_bytes(13, 3, grid, grid, 16, n_tokens, freqs, 1)
+
+    @pytest.mark.parametrize("grid, n_tokens", [(24, 4), (2, 3000), (8, 600)])
+    def test_frame_ops_peak_below_their_statements(self, grid, n_tokens):
+        # One frame of the exemplar's 3 tracks: blob_embed over all its
+        # tokens, then the cross-attention to them, each traced alone with
+        # its inputs built before tracing starts.
+        v = densify_layout(parse_layout(EXEMPLAR_2_LAYOUT), 13, FrameGeometry(720, 480))
+        e_tau = fourier_encode([track.params[0] for track in v.tracks], v.geom, 8, 8, 1)
+        provider = DeterministicStub(dim=8, n_tokens=n_tokens)
+        e_s = [provider.embed(f"blob {k}") for k in range(3)]
+        mlp = MlpWeights.seeded(16, seed=2)
+        blobs, peak = traced(lambda: blob_embed(e_tau, e_s, mlp))
+        assert peak < embedding._blob_embed_bytes(3 * n_tokens, 16)
+        masks, _ = labelfield.per_frame_masks(v, 0, grid, grid)
+        g = np.random.default_rng(1).standard_normal((grid * grid, 16))
+        wts = attention.CrossAttnWeights.seeded(3, 16, 16, seed=3)
+        _, peak = traced(lambda: attention.masked_cross_attention(g, blobs, masks, wts))
+        assert peak < attention._cross_attention_bytes(grid * grid, 3 * n_tokens, 16)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_rasterizes_each_track_once_per_frame(self, monkeypatch, threads):
