@@ -10,15 +10,29 @@ Two forward ops in float64:
   allowed iff the two label sets share a label.
 
 Both run one row-block kernel, _attend, and its backward, _attend_backward,
-which holds the one softmax VJP; the cross-attention is a single block over
-all tokens. Blocked logits are set to NEG_INF (the most negative finite
-float64), so blocked weights underflow to exactly zero. Backward passes are
-checked against central finite differences in the gradcheck module.
+which holds the one softmax VJP; the cross-attention is a single block, and
+a single tile, over all tokens. Blocked weights are exactly zero: the
+forward multiplies them by the mask after the exp, and the backward sets
+blocked logits to NEG_INF (the most negative finite float64) before it.
+Backward passes are checked against central finite differences in the
+gradcheck module.
 
-Both kernels keep a block's weights unnormalized, e = exp(s - rowmax), in
-the logits' own buffer (_exp_weights), and divide by their row sums on the
-thin side, as FlashAttention-2 does: with the values as v1 = [v | 1], one
-GEMM e @ v1 gives e @ v and, in its last column, the row sums.
+Both kernels keep a block's weights e unnormalized and divide by their row
+sums on the thin side, as FlashAttention-2 does: with the values as v1 =
+[v | 1], one GEMM e @ v1 gives e @ v and, in its last column, the row sums.
+The backward shifts each row by its allowed row max, e = exp(s - rowmax),
+in the logits' own buffer (_exp_weights). The forward shifts row i by a
+bound instead, b_i = |q_i| max_j |k_j| over the keys its block reads, which
+no logit of the row exceeds (Cauchy-Schwarz). The bound enters the logits
+GEMM as one more column, [q | -b] @ [k | 1].T, so there is no row-max pass;
+and as it is fixed before any key is read, the forward walks a block's keys
+in tiles of at most _TILE_BYTES that stay in cache, as "Self-attention Does
+Not Need O(n^2) Memory" and FlashAttention-2 do, adding up each tile's
+weights and e @ v1 without the online softmax's rescaling. A row's largest
+allowed weight is then at least exp(-2 b_i); a row whose bound is above
+_SHIFT_LIMIT takes its exact allowed row max from a pre-pass over the same
+tiles instead. The shift moves the low bits: a row with one allowed key
+gets its value within 2 ulp, as (e v) / e, not exactly.
 
 The 3D self-attention never builds its n x n logits (n = T*h*w). Positions
 of one label class (LabelField.classes) attend to the same keys, so the op
@@ -29,13 +43,14 @@ class rows. A packed block reads only the keys its rows can reach, the
 positions whose class meets one of its rows' classes, as the block masks of
 FlexAttention and the block-sparse attention of "Generating Long Sequences
 with Sparse Transformers" skip what no row of a block can reach. A block's
-(rows, |keys|) float64 array is at most _BLOCK_BYTES whatever n is
-(_rows_per_block), so the forward's working set (_self_attention_bytes) is
-O(n d).
+rows are cut so that its (rows, |keys|) float64 array is at most
+_BLOCK_BYTES whatever n is (_rows_per_block). The backward holds that
+array, the forward its mask and one tile, so the forward's working set
+(_self_attention_bytes) is O(n d).
 
 The backward pass recomputes each block's weights in the same fixed order,
 as FlashAttention-2's backward does, and forms the logit gradients in the
-weights' own buffer, _ROW_CHUNK rows at a time, so each pass holds about one
+weights' own buffer, _ROW_CHUNK rows at a time, so it holds about one
 block array per thread. Both passes walk the blocks of a part (below) in
 class runs, the blocks of one large class or a single packed block: a run
 gathers its keys and v1 rows once, and in the backward accumulates its key
@@ -87,6 +102,15 @@ __all__ = [
 # the block size was measured on.
 _BLOCK = 128
 _BLOCK_BYTES = 2 << 20
+# The most bytes of one key tile of a forward block's float64 logits: 256
+# KiB, so that a tile stays in a core's L2 cache while the block walks its
+# keys (_attend). On that 2-core Xeon, tiles of 128 KiB and of 512 KiB to
+# 2 MiB ran slower.
+_TILE_BYTES = 256 << 10
+# The largest norm bound a forward row is shifted by, so that its largest
+# allowed weight is at least exp(-128); a row whose bound is above it takes
+# its exact allowed row max instead (_attend).
+_SHIFT_LIMIT = 64.0
 # Fixed parts the blocks are dealt into, and the most threads that run them.
 _PARTS = 2
 # Label classes with fewer positions than this share packed, masked blocks,
@@ -244,20 +268,26 @@ def masked_cross_attention(g, blobs: Sequence[EmbeddingSeq], masks: Sequence[Bin
 
     Location j scores every token of every blob, tokens of blob n are allowed
     only where mask n covers j, and the softmax runs over all allowed tokens
-    jointly: one _attend block over all keys. Returns (out, row_sums): out is
+    jointly: one _attend block, and one tile, over all keys. Returns (out, row_sums): out is
     (hw, d_g), zero on rows covered by no blob, and row_sums each row's total
     softmax weight, 1 up to rounding and 0 for a location covered by no blob.
     """
     _, q, K, V, allow, _ = _stack_cross(g, blobs, masks, wts)
-    return _attend(q, K, _with_ones(V), allow)
+    qb = _with_column(q, _norms(q) * _norms(K).max(initial=0.0))
+    k1T, v1 = _with_ones_t(K), _with_column(V, 1.0)
+    del q, K, V
+    return _attend(qb, k1T, v1, allow, max(1, len(v1)))
 
 
 def _cross_attention_bytes(hw: int, tokens: int, d: int) -> int:
     """Bytes masked_cross_attention holds beyond its inputs: the query, its
-    unscaled product, the (hw, d + 1) product and the row sums; the keys and
-    values, per blob and stacked, and [V | 1]; and the (hw, tokens) logits
-    with their mask, its per-blob parts and its complement."""
-    return 8 * (hw * (3 * d + 2) + 5 * tokens * (d + 1)) + 11 * hw * tokens
+    unscaled product and [q | b]; the running and the last (hw, d + 1)
+    products, and the bounds, row sums and row maxima; the keys and values,
+    per blob and stacked, and [K | 1] and [V | 1]; the (hw, tokens) logits
+    with their mask and its per-blob parts; and numpy's buffer for the
+    mask's cast to float64."""
+    return (8 * (hw * (3 * d + 6) + 5 * tokens * (d + 1)) + 10 * hw * tokens
+            + 8 * np.getbufsize())
 
 
 class _ClassBlocks(NamedTuple):
@@ -322,10 +352,27 @@ def _block_allow(field: LabelField, rows: np.ndarray, keys):
     return shares_label(codes[inverse[rows]], codes)[:, inverse[keys]]
 
 
-def _with_ones(v: np.ndarray) -> np.ndarray:
-    """[v | 1]: the values with a column of ones, so that one GEMM with the
-    weights gives both the weighted values and the weights' row sums."""
-    return np.hstack([v, np.ones((v.shape[0], 1))])
+def _with_column(a: np.ndarray, c) -> np.ndarray:
+    """[a | c]: a with one more column, c a number or one per row. The
+    values with ones, [v | 1], let one GEMM with the weights give both the
+    weighted values and the weights' row sums."""
+    out = np.empty((a.shape[0], a.shape[1] + 1))
+    out[:, :-1] = a
+    out[:, -1] = c
+    return out
+
+
+def _with_ones_t(a: np.ndarray) -> np.ndarray:
+    """[a | 1].T, C-contiguous: the rows of a as columns, over a row of ones."""
+    out = np.empty((a.shape[1] + 1, a.shape[0]))
+    out[:-1] = a.T
+    out[-1] = 1.0
+    return out
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a."""
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
 def _class_runs(plan: list, part: int, field: LabelField):
@@ -360,20 +407,57 @@ def _class_runs(plan: list, part: int, field: LabelField):
             del keys
 
 
-def _attend(q, k_keys, v1, allow):
-    """One block of masked attention for the scaled query rows q over the
-    gathered keys k_keys and values-with-ones v1 = [v_keys | 1]: returns
-    (p @ v_keys, the row sums of p), p the block's softmax weights.
+def _attend(qb, k1T, v1, allow, tile):
+    """One block of masked attention over tiles of at most tile keys:
+    returns (p @ v, the row sums of p), p the block's softmax weights, for
+    the scaled query rows qb = [q | b] over the gathered keys, transposed
+    with a row of ones, k1T = [k | 1].T, and values v1 = [v | 1].
+    Overwrites qb's last column.
 
-    Keeps the weights unnormalized, e = p * l, and divides the thin GEMM
-    output e @ v1 by l = rowsum(e) instead, as FlashAttention-2 does; its
-    last column is the sum of the weights as the GEMM applied them, so the
-    row sums check that product. Rows with nothing allowed get zero output
+    b_i = |q_i| max_j |k_j| is at least every logit of row i (Cauchy-
+    Schwarz), so it shifts the row in place of the row max: one GEMM
+    [q | -b] @ k1T gives a tile's shifted logits, and since the shift is
+    fixed before the first tile, the tiles add up their weights and their
+    products with v1 with no rescaling. A row's largest allowed weight is
+    then at least exp(-2 b); a row whose bound is above _SHIFT_LIMIT takes
+    its exact allowed row max from a pre-pass over the same tiles instead,
+    and as a blocked logit can then exceed its shift, the blocked logits are
+    zeroed before the exp, as in _exp_weights.
+
+    Keeps the weights e unnormalized and divides the thin sum of the e @ v1
+    products by l = rowsum(e) instead, as FlashAttention-2 does; its last
+    column is the sum of the weights as the GEMMs applied them, so the row
+    sums check those products. Rows with nothing allowed get zero output
     and sum."""
-    e = _exp_weights(q @ k_keys.T, allow)
-    l = _nonzero(e.sum(axis=1, keepdims=True))
-    ev = e @ v1
-    ev /= l
+    shift = qb[:, -1].copy()
+    guard = shift > _SHIFT_LIMIT
+    guarded = guard.any()
+    if guarded:
+        qb[:, -1] = 0.0
+        top = np.full(len(qb), -np.inf)
+        for j in range(0, len(v1), tile):
+            np.maximum(top, (qb @ k1T[:, j:j + tile]).max(
+                axis=1, initial=-np.inf, where=True if allow is None else allow[:, j:j + tile]),
+                out=top)
+        # A row with nothing allowed keeps its bound: all its weights are zeroed.
+        np.copyto(shift, top, where=guard & (top > -np.inf))
+    qb[:, -1] = -shift
+    ev = np.zeros((len(qb), v1.shape[1]))
+    l = np.zeros(len(qb))
+    for j in range(0, len(v1), tile):
+        e = qb @ k1T[:, j:j + tile]
+        if allow is None:
+            np.exp(e, out=e)
+        else:
+            a = allow[:, j:j + tile]
+            if guarded:
+                e *= a
+            np.exp(e, out=e)
+            e *= a
+        l += e.sum(axis=1)
+        ev += e @ v1[j:j + tile]
+        del e  # before the next tile's logits
+    ev /= _nonzero(l)[:, None]
     return ev[:, :-1], ev[:, -1]
 
 
@@ -447,7 +531,11 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights):
     """
     with blas.one_thread() as pinned:
         g, q, k, v, _ = _self_projections(g, mask, wts)
-        v1 = _with_ones(v)
+        # [q | |q|]: a block scales the last column by its run's largest key
+        # norm, to the bound that _attend shifts its rows by.
+        q1, k1T, v1 = _with_column(q, _norms(q)), _with_ones_t(k), _with_column(v, 1.0)
+        k_norms = _norms(k)
+        del q, k, v
         out = np.zeros_like(g)
         sums = np.zeros(g.shape[0])
 
@@ -456,12 +544,16 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights):
         def part(p):
             # Blocks own disjoint rows, so the parts never write the same entry.
             for masked, keys, blocks in _class_runs(plan, p, mask.field):
-                k_keys, v1_keys = k[keys], v1[keys]
+                k1T_keys, v1_keys = k1T[:, keys], v1[keys]
+                k_max = k_norms[keys].max()
                 for rows in blocks:
+                    qb = q1[rows]
+                    qb[:, -1] *= k_max
                     out[rows], sums[rows] = _attend(
-                        q[rows], k_keys, v1_keys,
-                        _block_allow(mask.field, rows, keys) if masked else None)
-                del k_keys, v1_keys  # before the next run's keys
+                        qb, k1T_keys, v1_keys,
+                        _block_allow(mask.field, rows, keys) if masked else None,
+                        max(1, _TILE_BYTES // (8 * rows.size)))
+                del k1T_keys, v1_keys  # before the next run's keys
 
         _run_parts(part, plan, pinned)
     return out, sums
@@ -469,11 +561,14 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights):
 
 def _self_attention_bytes(n: int, d: int) -> int:
     """Bytes masked_3d_self_attention holds beyond its inputs: the
-    projections, the query's unscaled product, [v | 1], out, the row sums
-    and the plan's rows; and per part, a class run's keys and their two
-    gathers, and one block: its array of at most _BLOCK_BYTES with its mask
-    and the mask's complement, and its (rows, d + 1) product."""
-    part = 8 * (n * (2 * d + 2) + _BLOCK * (d + 1)) + _BLOCK_BYTES * 10 // 8
+    projections, the query's unscaled product, [q | |q|], [k | 1], [v | 1],
+    the key norms, out, the row sums and the plan's rows; and per part, a
+    class run's keys and their two gathers, and one block: its mask of at
+    most _BLOCK_BYTES / 8 entries, one tile of at most _TILE_BYTES with
+    numpy's buffer for the mask's cast to float64, [q | b], the running and
+    the last (rows, d + 1) products, and four row vectors."""
+    part = (8 * (n * (2 * d + 3) + _BLOCK * (3 * d + 7)) + _BLOCK_BYTES // 8 + _TILE_BYTES
+            + 8 * np.getbufsize())
     return 8 * n * (6 * d + 4) + _PARTS * part
 
 
@@ -509,7 +604,7 @@ def masked_cross_attention_backward(g, blobs: Sequence[EmbeddingSeq],
         raise ShapeError(f"upstream must have shape {g.shape}, got {upstream.shape}")
     dKT = np.zeros(K.shape[::-1])
     dVT = np.zeros(V.shape[::-1])
-    dq = _attend_backward(q, K, _with_ones(V).T.copy(), allow, upstream, dKT, dVT) * scale
+    dq = _attend_backward(q, K, _with_ones_t(V), allow, upstream, dKT, dVT) * scale
     dK, dV = dKT.T, dVT.T
     dg = dq @ wts.wq.T
     dwq = g.T @ dq
@@ -543,7 +638,7 @@ def masked_3d_self_attention_backward(g, mask: AttnMask3D, wts: SelfAttnWeights,
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != g.shape:
             raise ShapeError(f"upstream must have shape {g.shape}, got {upstream.shape}")
-        v1T = _with_ones(v).T.copy()
+        v1T = _with_ones_t(v)
         dq = np.zeros_like(g)
 
         plan = _label_blocks(mask.field)

@@ -114,8 +114,10 @@ def _projection(raw_dim: int, out_dim: int, seed: int) -> np.ndarray:
 
 def _projection_bytes(raw_dim: int) -> int:
     """Bytes of _projection's QR, (raw_dim, raw_dim) arrays: the Gaussian,
-    its factored copy, both factors, the sign-fixed Q and R's boolean mask."""
-    return (5 * 8 + 1) * raw_dim * raw_dim
+    its factored copy, both factors, the sign-fixed Q and R's boolean mask;
+    and 4 KiB for its small allocations, which the arrays' own slack does
+    not cover at raw_dim 40 and below."""
+    return (5 * 8 + 1) * raw_dim * raw_dim + 4096
 
 
 def fourier_encode(p, geom: FrameGeometry, n_freqs: int = 8,

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blobvid import attention
 from blobvid.attention import (
@@ -180,7 +182,14 @@ class TestMaskedSelfAttention:
         g = rng.standard_normal((2, 3))
         wts = SelfAttnWeights.seeded(3, seed=1)
         out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts)
-        assert np.array_equal(out, g @ wts.wv)
+        # A row with one allowed key gets its value as (e v) / e, for a
+        # weight e shifted by a bound, not by the row max: within 2 ulp of v.
+        np.testing.assert_array_max_ulp(out, g @ wts.wv, maxulp=2)
+        assert np.array_equal(sums, np.ones(2))
+        # Position 1's keys far outgrow position 0's logit, but not its output.
+        g[1] *= 1000
+        out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts)
+        np.testing.assert_array_max_ulp(out, g @ wts.wv, maxulp=2)
         assert np.array_equal(sums, np.ones(2))
 
     def test_feature_count_mismatch(self, rng):
@@ -456,22 +465,22 @@ class TestStreamedSelfAttention:
         assert fwd_peak < dense_logits // 4 and bwd_peak < dense_logits // 4
 
     def test_one_block_array_per_pass(self, rng, monkeypatch):
-        # On one thread both passes form a block's weights in its logits'
-        # own buffer. The forward holds that one block array (64 rows over
-        # all n keys here), its mask and its complement, and 7 (n, d) arrays
-        # (projections, [v | 1], out, a class run's gathers; one more here
-        # for the row sums and the smaller ones). The backward forms the
-        # logit gradients in the weights' buffer too: one block array, one
-        # _ROW_CHUNK row chunk of them and the block mask, besides its 13
-        # (n, d) arrays (projections, [v | 1], dq, each part's dk and dv, a
-        # class run's gathers and their gradients; one more here for the
-        # smaller ones).
+        # On one thread the forward walks a block's keys in tiles: it holds
+        # one tile of at most _TILE_BYTES, the block's mask (64 rows over
+        # all n keys here) and 8 (n, d) arrays ([q | |q|], [k | 1].T,
+        # [v | 1], out, a class run's gathers; more here for the row sums
+        # and the smaller ones), never a whole block array. The backward
+        # forms a block's weights and then its logit gradients in the
+        # logits' own buffer: one block array, one _ROW_CHUNK row chunk of
+        # them and the block mask, besides its 13 (n, d) arrays
+        # (projections, [v | 1], dq, each part's dk and dv, a class run's
+        # gathers and their gradients; one more here for the smaller ones).
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         n, block, fwd_peak, bwd_peak = self.forward_and_backward_peaks(rng, monkeypatch)
         assert block == attention._BLOCK_BYTES
         rows = block // (n * 8)
         n_by_d = n * 8 * 8
-        assert fwd_peak < block + 2 * rows * n + 8 * n_by_d
+        assert fwd_peak < attention._TILE_BYTES + rows * n + 8 * n_by_d
         chunk = attention._ROW_CHUNK * n * 8
         assert bwd_peak <= block + chunk + rows * n + 14 * n_by_d
 
@@ -669,6 +678,93 @@ class TestAtScaleOracle:
         _, sums = self.check(field, 8, seed=5)
         empty = np.array([not labs for labs in sets])
         assert empty.sum() > 100 and np.all(sums[empty] == 0.0)
+
+
+@st.composite
+def label_set_lists(draw):
+    """(n_labels, label sets) of at most 192 positions over 1-20 labels (1-3
+    bitset bytes): up to 12 classes of 1-16 positions each, around
+    _SMALL_CLASS, so some run as blocks of their own and some packed under a
+    mask; some sets are empty. In drawn order."""
+    n_labels = draw(st.integers(1, 20))
+    classes = draw(st.lists(st.tuples(st.sets(st.integers(0, n_labels - 1), max_size=4),
+                                      st.integers(1, 2 * attention._SMALL_CLASS)),
+                            min_size=1, max_size=12))
+    sets = [labs for labs, count in classes for _ in range(count)]
+    return n_labels, draw(st.permutations(sets))
+
+
+def assert_forward_matches(out, sums, want, want_sums, q, k, v):
+    """A forward against its dense reference at the existing tolerances: abs
+    1e-10 on the outputs, 1e-12 on the row sums. Both sides round a logit
+    of row i by a few ulp of |q_i| max_j |k_j|, which moves the weights of
+    its nearly tied largest logits by that much, relative, and the output
+    row by that much of the largest value: at unit features far below
+    1e-10, at features x 1000 above it."""
+    ties = 2.0 ** -44 * np.linalg.norm(q, axis=1) * np.linalg.norm(k, axis=1).max(initial=0.0)
+    room = 1e-10 + ties * np.abs(v).max(initial=0.0)
+    assert np.all(np.abs(out - want) <= room[:, None])
+    np.testing.assert_allclose(sums, want_sums, rtol=0, atol=1e-12)
+
+
+_SCALES = st.sampled_from([1.0, 30.0, 1000.0])
+_GUARDS = st.sampled_from([0.0, attention._SHIFT_LIMIT])
+
+
+class TestForwardFuzz:
+    """The forward kernel (_attend) of both ops against the dense
+    references on drawn inputs, with features scaled up to x 1000, so that
+    rows pass the shift limit, and _SHIFT_LIMIT 0, which sends every row
+    through the guard's exact row max."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(label_set_lists(), st.sampled_from([2, 4, 8]), _SCALES, _GUARDS,
+           st.sampled_from([1, 2, 3, attention._BLOCK]), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_3d_forward_matches_the_dense_reference(self, drawn, d, scale, limit, block,
+                                                    tile_keys, seed):
+        # A block of one row walks its keys tile_keys at a time, so the last
+        # tile may be partial; a block of more rows, one key at a time.
+        n_labels, sets = drawn
+        n = len(sets)
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, d)) * scale
+        wts = SelfAttnWeights.seeded(d, seed=seed)
+        field = LabelField.from_label_sets(1, 1, n, n_labels, sets)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(attention, "_BLOCK", block)
+            m.setattr(attention, "_TILE_BYTES", 8 * tile_keys)
+            m.setattr(attention, "_SHIFT_LIMIT", limit)
+            out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts)
+        want = self_attention_reference(g, sets, wts.wq, wts.wk, wts.wv)
+        want_sums = np.array([1.0 if labs else 0.0 for labs in sets])
+        assert_forward_matches(out, sums, want, want_sums,
+                               g @ wts.wq / math.sqrt(d), g @ wts.wk, g @ wts.wv)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 3), st.integers(1, 4),
+           st.sampled_from([2, 4, 8]), st.sampled_from([2, 4, 8]), _SCALES, _GUARDS,
+           st.integers(0, 2**32 - 1))
+    def test_cross_forward_matches_the_dense_reference(self, h, w, n_blobs, tokens, d, d_g,
+                                                       scale, limit, seed):
+        # Each blob covers a random half of the locations, so some are
+        # covered by no blob.
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((h * w, d_g)) * scale
+        blobs = [EmbeddingSeq(rng.standard_normal((tokens, d))) for _ in range(n_blobs)]
+        bits = [rng.random((h, w)) < 0.5 for _ in range(n_blobs)]
+        wts = CrossAttnWeights.seeded(n_blobs, d, d_g, seed=seed)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(attention, "_SHIFT_LIMIT", limit)
+            out, sums = masked_cross_attention(g, blobs, [BinaryMask(b) for b in bits], wts)
+        want = cross_attention_reference(g, [b.data for b in blobs], bits,
+                                         wts.wq, list(wts.wk), list(wts.wv))
+        covered = np.zeros(h * w)
+        k = v = np.zeros((0, d_g))
+        for b, blob, wk, wv in zip(bits, blobs, wts.wk, wts.wv):
+            covered[b.ravel()] = 1.0
+            k, v = np.vstack([k, blob.data @ wk]), np.vstack([v, blob.data @ wv])
+        assert_forward_matches(out, sums, want, covered, g @ wts.wq / math.sqrt(d_g), k, v)
 
 
 class TestGatedFuse:

@@ -160,15 +160,17 @@ class TestOneThreadPin:
         n_blocks = block_count(mask.field)
         get, put = blas._lookup()
         seen = []
-        real_exp = attention._exp_weights
 
-        def exp_weights(*args):
-            # Every block of the forward and of the backward computes its
-            # weights here, once.
-            seen.append(get())
-            return real_exp(*args)
+        def spy(kernel):
+            # Every block of the forward runs _attend once, and every block
+            # of the backward _attend_backward once.
+            def counted(*args):
+                seen.append(get())
+                return kernel(*args)
+            return counted
 
-        monkeypatch.setattr(attention, "_exp_weights", exp_weights)
+        for name in ("_attend", "_attend_backward"):
+            monkeypatch.setattr(attention, name, spy(getattr(attention, name)))
         caller = get()
         put(2)
         try:

@@ -292,6 +292,17 @@ class TestRunAttendBlock:
         _, peak = traced(lambda: attention.masked_cross_attention(g, blobs, masks, wts))
         assert peak < attention._cross_attention_bytes(grid * grid, 3 * n_tokens, 16)
 
+    @pytest.mark.parametrize("freqs", [2, 4, 8, 150])
+    def test_projection_peak_below_its_statement(self, freqs):
+        # The QR of the (10 F)^2 Gaussian, traced alone. A process's first
+        # QR sets up the generator and LAPACK once (about 0.95 MB), which is
+        # done here first; the statement's fixed allowance covers the small
+        # allocations that outweigh the arrays' slack at F = 2 and 4.
+        embedding._projection(10, 8, 0)
+        embedding._projection.cache_clear()
+        _, peak = traced(lambda: embedding._projection(10 * freqs, 8, 1))
+        assert peak < embedding._projection_bytes(10 * freqs)
+
     @pytest.mark.parametrize("threads", [1, 3])
     def test_rasterizes_each_track_once_per_frame(self, monkeypatch, threads):
         # The cross-attention's masks are packed into the label field, so
