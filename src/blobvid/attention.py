@@ -11,28 +11,28 @@ Two forward ops in float64:
 
 Both run one row-block kernel, _attend, and its backward, _attend_backward,
 which holds the one softmax VJP; the cross-attention is a single block, and
-a single tile, over all tokens. Blocked weights are exactly zero: the
-forward multiplies them by the mask after the exp, and the backward sets
-blocked logits to NEG_INF (the most negative finite float64) before it.
-Backward passes are checked against central finite differences in the
-gradcheck module.
+a single tile, over all tokens. Backward passes are checked against central
+finite differences in the gradcheck module.
 
-Both kernels keep a block's weights e unnormalized and divide by their row
-sums on the thin side, as FlashAttention-2 does: with the values as v1 =
-[v | 1], one GEMM e @ v1 gives e @ v and, in its last column, the row sums.
-The backward shifts each row by its allowed row max, e = exp(s - rowmax),
-in the logits' own buffer (_exp_weights). The forward shifts row i by a
-bound instead, b_i = |q_i| max_j |k_j| over the keys its block reads, which
-no logit of the row exceeds (Cauchy-Schwarz). The bound enters the logits
-GEMM as one more column, [q | -b] @ [k | 1].T, so there is no row-max pass;
-and as it is fixed before any key is read, the forward walks a block's keys
-in tiles of at most _TILE_BYTES that stay in cache, as "Self-attention Does
-Not Need O(n^2) Memory" and FlashAttention-2 do, adding up each tile's
-weights and e @ v1 without the online softmax's rescaling. A row's largest
-allowed weight is then at least exp(-2 b_i); a row whose bound is above
-_SHIFT_LIMIT takes its exact allowed row max from a pre-pass over the same
-tiles instead. The shift moves the low bits: a row with one allowed key
-gets its value within 2 ulp, as (e v) / e, not exactly.
+Both passes form a block's weights by one rule (_shift and _weights). Row i
+is shifted by a bound, b_i = |q_i| max_j |k_j| over the keys its block
+reads, which no logit of the row exceeds (Cauchy-Schwarz); it enters the
+logits GEMM as one more column, [q | -b] @ [k | 1].T, so there is no
+row-max pass. A row's largest allowed weight is then at least exp(-2 b_i);
+a row whose bound is above _SHIFT_LIMIT takes its exact allowed row max
+from a pre-pass instead. Blocked weights are exactly zero: the mask
+multiplies them after the exp. The shift moves the low bits: a row with one
+allowed key gets its value within 2 ulp, as (e v) / e, not exactly. Both
+kernels keep the weights e unnormalized and divide by their row sums on the
+thin side, as FlashAttention-2 does: with the values as v1 = [v | 1], one
+GEMM e @ v1 gives e @ v and, in its last column, the row sums. As the shift
+is fixed before any key is read, the forward walks a block's keys in tiles
+of at most _TILE_BYTES that stay in cache, as "Self-attention Does Not Need
+O(n^2) Memory" and FlashAttention-2 do, adding up each tile's weights and
+e @ v1 without the online softmax's rescaling. The backward recomputes each
+block's weights from the forward's inputs and shift, as FlashAttention-2's
+backward does, and forms the logit gradients in the weights' own buffer,
+_ROW_CHUNK rows at a time, so it holds about one block array per thread.
 
 The 3D self-attention never builds its n x n logits (n = T*h*w). Positions
 of one label class (LabelField.classes) attend to the same keys, so the op
@@ -48,13 +48,10 @@ _BLOCK_BYTES whatever n is (_rows_per_block). The backward holds that
 array, the forward its mask and one tile, so the forward's working set
 (_self_attention_bytes) is O(n d).
 
-The backward pass recomputes each block's weights in the same fixed order,
-as FlashAttention-2's backward does, and forms the logit gradients in the
-weights' own buffer, _ROW_CHUNK rows at a time, so it holds about one
-block array per thread. Both passes walk the blocks of a part (below) in
-class runs, the blocks of one large class or a single packed block: a run
-gathers its keys and v1 rows once, and in the backward accumulates its key
-and value gradients in (d, |keys|) buffers that are scattered once.
+Both passes walk the blocks of a part (below) in class runs (_self_runs),
+the blocks of one large class or a single packed block: a run gathers its
+keys and v1 rows once, and in the backward accumulates its key and value
+gradients in (d, |keys|) buffers that are scattered once.
 
 The blocks are dealt into _PARTS fixed parts (block i goes to part i %
 _PARTS), the split FlashAttention-2 uses across workers: each part writes its
@@ -107,9 +104,9 @@ _BLOCK_BYTES = 2 << 20
 # keys (_attend). On that 2-core Xeon, tiles of 128 KiB and of 512 KiB to
 # 2 MiB ran slower.
 _TILE_BYTES = 256 << 10
-# The largest norm bound a forward row is shifted by, so that its largest
-# allowed weight is at least exp(-128); a row whose bound is above it takes
-# its exact allowed row max instead (_attend).
+# The largest norm bound a row is shifted by, so that its largest allowed
+# weight is at least exp(-128); a row whose bound is above it takes its
+# exact allowed row max instead (_shift).
 _SHIFT_LIMIT = 64.0
 # Fixed parts the blocks are dealt into, and the most threads that run them.
 _PARTS = 2
@@ -188,26 +185,6 @@ class SelfAttnWeights:
         )
 
 
-def _exp_weights(logits: np.ndarray, allow):
-    """Unnormalized softmax weights e = exp(logits - rowmax), in logits' own
-    buffer, so e / rowsum(e) is the softmax. With a boolean mask allow,
-    blocked entries become NEG_INF before the shift and end up with exactly
-    zero weight."""
-    if allow is not None:
-        np.putmask(logits, ~allow, NEG_INF)
-    if logits.shape[1]:
-        logits -= logits.max(axis=1, keepdims=True)
-    if allow is not None:
-        # exp is several times slower on the huge negative blocked entries,
-        # so send them to exp(0) = 1 and zero them after the exp.
-        logits *= allow
-        np.exp(logits, out=logits)
-        logits *= allow
-    else:
-        np.exp(logits, out=logits)
-    return logits
-
-
 def _nonzero(l: np.ndarray) -> np.ndarray:
     """Row sums l with 1 on the rows that have nothing allowed (l = 0), whose
     weights are all zero, so that dividing by l leaves them zero."""
@@ -219,18 +196,25 @@ def masked_softmax(logits: np.ndarray, allow: np.ndarray) -> np.ndarray:
     """Row softmax under a boolean mask.
 
     Blocked entries get exactly zero weight; rows with nothing allowed come
-    back as all-zero rows. Works in one buffer the size of logits, a copy;
-    the ops themselves work in the logits' own buffer (_exp_weights).
+    back as all-zero rows. Works on a float64 copy of logits, shifted by each
+    row's allowed max; the ops never call it, and form their weights in
+    their blocks' own buffers instead (_shift and _weights).
     """
     if logits.shape != allow.shape:
         raise ShapeError(f"logits {logits.shape} vs mask {allow.shape}")
-    e = _exp_weights(np.array(logits, dtype=np.float64), allow)
+    e = np.where(allow, np.asarray(logits, dtype=np.float64), NEG_INF)
+    e -= e.max(axis=1, keepdims=True, initial=NEG_INF)
+    np.exp(e, out=e)
+    e *= allow
     e /= _nonzero(e.sum(axis=1, keepdims=True))
     return e
 
 
 def _stack_cross(g, blobs: Sequence[EmbeddingSeq], masks: Sequence[BinaryMask],
                  wts: CrossAttnWeights):
+    """The inputs of both cross-attention passes, (g, qb, k1T, v1, allow,
+    scale): every blob's keys and values filled into k1T = [K | 1].T and v1
+    = [V | 1] in turn, qb = [q | b] over all keys and the (hw, tokens) mask."""
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2:
         raise ShapeError(f"features must be (hw, d_g), got shape {g.shape}")
@@ -241,25 +225,26 @@ def _stack_cross(g, blobs: Sequence[EmbeddingSeq], masks: Sequence[BinaryMask],
         raise ShapeError(
             f"inconsistent blob count: {len(blobs)} embeddings, {len(masks)} masks, {wts.n_blobs} weight pairs"
         )
-    keys, vals, allows = [], [], []
+    tokens = sum(emb.L for emb in blobs)
+    k1T = np.ones((d_g + 1, tokens))
+    v1 = np.ones((tokens, d_g + 1))
+    allow = np.empty((hw, tokens), dtype=bool)
+    k_max, offset = 0.0, 0
     for i, (emb, mask) in enumerate(zip(blobs, masks)):
         if mask.h * mask.w != hw:
             raise ShapeError(f"blob {i}: mask {mask.h}x{mask.w} does not cover {hw} locations")
         if emb.dim != wts.wk[i].shape[0]:
             raise ShapeError(f"blob {i}: embedding width {emb.dim} vs key map {wts.wk[i].shape}")
-        keys.append(emb.data @ wts.wk[i])
-        vals.append(emb.data @ wts.wv[i])
-        allows.append(np.repeat(mask.bits.ravel()[:, None], emb.L, axis=1))
-    if keys:
-        K = np.vstack(keys)
-        V = np.vstack(vals)
-        allow = np.hstack(allows)
-    else:
-        K = np.zeros((0, d_g))
-        V = np.zeros((0, d_g))
-        allow = np.zeros((hw, 0), dtype=bool)
+        sl = slice(offset, offset + emb.L)
+        offset += emb.L
+        k = emb.data @ wts.wk[i]
+        k1T[:-1, sl] = k.T
+        k_max = max(k_max, _norms(k).max(initial=0.0))
+        v1[sl, :-1] = emb.data @ wts.wv[i]
+        allow[:, sl] = mask.bits.reshape(-1, 1)
     scale = 1.0 / math.sqrt(d_g)
-    return g, (g @ wts.wq) * scale, K, V, allow, scale
+    q = (g @ wts.wq) * scale
+    return g, _with_column(q, _norms(q) * k_max), k1T, v1, allow, scale
 
 
 def masked_cross_attention(g, blobs: Sequence[EmbeddingSeq], masks: Sequence[BinaryMask],
@@ -272,21 +257,17 @@ def masked_cross_attention(g, blobs: Sequence[EmbeddingSeq], masks: Sequence[Bin
     (hw, d_g), zero on rows covered by no blob, and row_sums each row's total
     softmax weight, 1 up to rounding and 0 for a location covered by no blob.
     """
-    _, q, K, V, allow, _ = _stack_cross(g, blobs, masks, wts)
-    qb = _with_column(q, _norms(q) * _norms(K).max(initial=0.0))
-    k1T, v1 = _with_ones_t(K), _with_column(V, 1.0)
-    del q, K, V
+    _, qb, k1T, v1, allow, _ = _stack_cross(g, blobs, masks, wts)
     return _attend(qb, k1T, v1, allow, max(1, len(v1)))
 
 
 def _cross_attention_bytes(hw: int, tokens: int, d: int) -> int:
     """Bytes masked_cross_attention holds beyond its inputs: the query, its
     unscaled product and [q | b]; the running and the last (hw, d + 1)
-    products, and the bounds, row sums and row maxima; the keys and values,
-    per blob and stacked, and [K | 1] and [V | 1]; the (hw, tokens) logits
-    with their mask and its per-blob parts; and numpy's buffer for the
-    mask's cast to float64."""
-    return (8 * (hw * (3 * d + 6) + 5 * tokens * (d + 1)) + 10 * hw * tokens
+    products, and the bounds, row sums and row maxima; one blob's keys and
+    values and [K | 1] and [V | 1]; the (hw, tokens) logits and their mask;
+    and numpy's buffer for the mask's cast to float64."""
+    return (8 * (hw * (3 * d + 6) + 4 * tokens * (d + 1)) + 9 * hw * tokens
             + 8 * np.getbufsize())
 
 
@@ -362,14 +343,6 @@ def _with_column(a: np.ndarray, c) -> np.ndarray:
     return out
 
 
-def _with_ones_t(a: np.ndarray) -> np.ndarray:
-    """[a | 1].T, C-contiguous: the rows of a as columns, over a row of ones."""
-    out = np.empty((a.shape[1] + 1, a.shape[0]))
-    out[:-1] = a.T
-    out[-1] = 1.0
-    return out
-
-
 def _norms(a: np.ndarray) -> np.ndarray:
     """The Euclidean norm of each row of a."""
     return np.sqrt(np.einsum("ij,ij->i", a, a))
@@ -407,53 +380,61 @@ def _class_runs(plan: list, part: int, field: LabelField):
             del keys
 
 
-def _attend(qb, k1T, v1, allow, tile):
-    """One block of masked attention over tiles of at most tile keys:
-    returns (p @ v, the row sums of p), p the block's softmax weights, for
-    the scaled query rows qb = [q | b] over the gathered keys, transposed
-    with a row of ones, k1T = [k | 1].T, and values v1 = [v | 1].
-    Overwrites qb's last column.
-
-    b_i = |q_i| max_j |k_j| is at least every logit of row i (Cauchy-
-    Schwarz), so it shifts the row in place of the row max: one GEMM
-    [q | -b] @ k1T gives a tile's shifted logits, and since the shift is
-    fixed before the first tile, the tiles add up their weights and their
-    products with v1 with no rescaling. A row's largest allowed weight is
-    then at least exp(-2 b); a row whose bound is above _SHIFT_LIMIT takes
-    its exact allowed row max from a pre-pass over the same tiles instead,
-    and as a blocked logit can then exceed its shift, the blocked logits are
-    zeroed before the exp, as in _exp_weights.
-
-    Keeps the weights e unnormalized and divides the thin sum of the e @ v1
-    products by l = rowsum(e) instead, as FlashAttention-2 does; its last
-    column is the sum of the weights as the GEMMs applied them, so the row
-    sums check those products. Rows with nothing allowed get zero output
-    and sum."""
+def _shift(qb, k1T, allow, tile) -> bool:
+    """Sets the last column of the scaled query rows qb = [q | b], b their
+    norm bounds, to minus each row's shift over the keys k1T = [k | 1].T
+    under the mask allow (None: all allowed), and returns whether any row
+    is guarded: its bound is above _SHIFT_LIMIT, so it is shifted by its
+    exact allowed row max, from a pre-pass over tiles of at most tile keys,
+    instead of by b."""
     shift = qb[:, -1].copy()
     guard = shift > _SHIFT_LIMIT
     guarded = guard.any()
     if guarded:
         qb[:, -1] = 0.0
         top = np.full(len(qb), -np.inf)
-        for j in range(0, len(v1), tile):
+        for j in range(0, k1T.shape[1], tile):
             np.maximum(top, (qb @ k1T[:, j:j + tile]).max(
                 axis=1, initial=-np.inf, where=True if allow is None else allow[:, j:j + tile]),
                 out=top)
         # A row with nothing allowed keeps its bound: all its weights are zeroed.
         np.copyto(shift, top, where=guard & (top > -np.inf))
     qb[:, -1] = -shift
+    return guarded
+
+
+def _weights(qb, k1T, allow, guarded: bool) -> np.ndarray:
+    """The unnormalized weights e = exp(qb @ k1T) of rows qb = [q | -shift]
+    (_shift), times the mask allow (None: all allowed). On a guarded row a
+    blocked logit can exceed the shift, so then the mask zeroes the logits
+    before the exp too."""
+    e = qb @ k1T
+    if allow is not None and guarded:
+        e *= allow
+    np.exp(e, out=e)
+    if allow is not None:
+        e *= allow
+    return e
+
+
+def _attend(qb, k1T, v1, allow, tile):
+    """One block of masked attention over tiles of at most tile keys:
+    returns (p @ v, the row sums of p), p the block's softmax weights, for
+    the scaled query rows qb = [q | b] (_shift) over the gathered keys,
+    transposed with a row of ones, k1T = [k | 1].T, values v1 = [v | 1] and
+    the mask allow (None: all allowed). Overwrites qb's last column.
+
+    The tiles add up their weights and their products with v1 with no
+    rescaling, the shift being fixed before the first. The last column of
+    the summed e @ v1 is the sum of the weights as the GEMMs applied them,
+    so the row sums check those products. Rows with nothing allowed get
+    zero output and sum."""
+    guarded = _shift(qb, k1T, allow, tile)
     ev = np.zeros((len(qb), v1.shape[1]))
     l = np.zeros(len(qb))
     for j in range(0, len(v1), tile):
-        e = qb @ k1T[:, j:j + tile]
-        if allow is None:
-            np.exp(e, out=e)
-        else:
-            a = allow[:, j:j + tile]
-            if guarded:
-                e *= a
-            np.exp(e, out=e)
-            e *= a
+        e = _weights(qb, k1T[:, j:j + tile], None if allow is None else allow[:, j:j + tile],
+                     guarded)
         l += e.sum(axis=1)
         ev += e @ v1[j:j + tile]
         del e  # before the next tile's logits
@@ -461,33 +442,30 @@ def _attend(qb, k1T, v1, allow, tile):
     return ev[:, :-1], ev[:, -1]
 
 
-def _attend_backward(q, k_keys, v1T, allow, up, dkT, dvT):
-    """Backward of one _attend block over the gathered keys k_keys and the
-    transposed values-with-ones v1T = [v_keys | 1].T, (d + 1, |keys|), for
-    the upstream rows up: adds the key-space gradients, transposed, into the
-    (d, |keys|) buffers dkT and dvT and returns the gradient of q.
+def _attend_backward(qb, k1T, v1, allow, up, dkT, dvT):
+    """Backward of one _attend block, from its inputs, for the upstream rows
+    up: adds the key-space gradients, transposed, into the (d, |keys|)
+    buffers dkT and dvT and returns the gradient of q = qb[:, :-1].
 
-    Works on the unnormalized weights e, p = e / l, and moves the division
-    onto the thin side, up' = up / l, as FlashAttention-2's backward does.
-    One GEMM, ev = e @ v1, gives both e @ v and the row sums l (its ones
-    column). Then dvT += up'.T @ e, and dlogits = p * (dp - rowsum(dp * p))
-    with dp = up @ v.T becomes e * ([up', -c] @ v1.T), c = rowsum(up' * (e @
-    v)) / l, the ones column of v1 taking the shift. dlogits is formed in e's
-    own buffer, _ROW_CHUNK rows at a time, so the block holds one array of
-    its size and a chunk of it. Rows with nothing allowed have e = 0, so
+    Recomputes the block's weights e with the forward's shift over all its
+    keys; p = e / l, with the division on the thin side, up' = up / l. One
+    GEMM, ev = e @ v1, gives e @ v and l. Then dvT += up'.T @ e, and
+    dlogits = p * (dp - rowsum(dp * p)), dp = up @ v.T, is e * ([up', -c] @
+    v1.T), c = rowsum(up' * (e @ v)) / l, formed in e's own buffer
+    _ROW_CHUNK rows at a time. Rows with nothing allowed have e = 0, so
     their gradient is zero."""
-    e = _exp_weights(q @ k_keys.T, allow)
-    del allow  # free the mask: the block's peak is below, with e alive
-    ev = e @ v1T.T
+    guarded = _shift(qb, k1T, allow, max(1, len(v1)))
+    e = _weights(qb, k1T, allow, guarded)
+    ev = e @ v1
     l = _nonzero(ev[:, -1:])
     up = up / l
     dvT += up.T @ e
     c = np.einsum("ij,ij->i", up, ev[:, :-1])[:, None] / l
     up_c = np.hstack([up, -c])
     for i in range(0, e.shape[0], _ROW_CHUNK):
-        e[i:i + _ROW_CHUNK] *= up_c[i:i + _ROW_CHUNK] @ v1T
-    dkT += q.T @ e
-    return e @ k_keys
+        e[i:i + _ROW_CHUNK] *= up_c[i:i + _ROW_CHUNK] @ v1.T
+    dkT += qb[:, :-1].T @ e
+    return e @ k1T[:-1].T
 
 
 def _usable_cpus() -> int:
@@ -507,7 +485,11 @@ def _run_parts(fn, plan: list, pinned: bool) -> list:
     return parallel_map(fn, range(_PARTS), threads)
 
 
-def _self_projections(g, mask: AttnMask3D, wts: SelfAttnWeights):
+def _self_inputs(g, mask: AttnMask3D, wts: SelfAttnWeights):
+    """The inputs of both 3D passes: (g, q1, k1T, v1, k_norms, scale), with
+    the scaled queries and their norms q1 = [q | |q|], k1T = [k | 1].T, v1
+    = [v | 1] and the key norms. A block scales q1's last column by its
+    run's largest key norm, to the bound that _shift shifts its rows by."""
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2:
         raise ShapeError(f"features must be (Thw, d), got shape {g.shape}")
@@ -517,7 +499,35 @@ def _self_projections(g, mask: AttnMask3D, wts: SelfAttnWeights):
     if wts.wq.shape != (d, d):
         raise ShapeError(f"projections {wts.wq.shape} do not match feature width {d}")
     scale = 1.0 / math.sqrt(d)
-    return g, (g @ wts.wq) * scale, g @ wts.wk, g @ wts.wv, scale
+    q = g @ wts.wq
+    q *= scale
+    q1 = _with_column(q, _norms(q))
+    del q  # each product before the next: a lower peak
+    k = g @ wts.wk
+    k1T = np.ones((d + 1, n))
+    k1T[:-1] = k.T
+    k_norms = _norms(k)
+    del k
+    return g, q1, k1T, _with_column(g @ wts.wv, 1.0), k_norms, scale
+
+
+def _self_runs(plan: list, part: int, field: LabelField, q1, k1T, v1, k_norms):
+    """The class runs of one part (_class_runs) with their gathers: yields
+    (keys, k1T[:, keys], v1[keys], blocks) per run, blocks yielding (rows,
+    qb, allow) per block, qb = q1[rows] scaled to its bounds [q | b] and
+    allow a packed block's mask, else None. Drops a run's gathers when the
+    next run is asked for, so a caller that drops its own holds one run's."""
+
+    def cut(blocks, masked, keys, k_max):
+        for rows in blocks:
+            qb = q1[rows]
+            qb[:, -1] *= k_max
+            yield rows, qb, _block_allow(field, rows, keys) if masked else None
+
+    for masked, keys, blocks in _class_runs(plan, part, field):
+        k1T_keys, v1_keys = k1T[:, keys], v1[keys]
+        yield keys, k1T_keys, v1_keys, cut(blocks, masked, keys, k_norms[keys].max())
+        del k1T_keys, v1_keys
 
 
 def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights):
@@ -530,12 +540,7 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights):
     label set.
     """
     with blas.one_thread() as pinned:
-        g, q, k, v, _ = _self_projections(g, mask, wts)
-        # [q | |q|]: a block scales the last column by its run's largest key
-        # norm, to the bound that _attend shifts its rows by.
-        q1, k1T, v1 = _with_column(q, _norms(q)), _with_ones_t(k), _with_column(v, 1.0)
-        k_norms = _norms(k)
-        del q, k, v
+        g, q1, k1T, v1, k_norms, _ = _self_inputs(g, mask, wts)
         out = np.zeros_like(g)
         sums = np.zeros(g.shape[0])
 
@@ -543,16 +548,11 @@ def masked_3d_self_attention(g, mask: AttnMask3D, wts: SelfAttnWeights):
 
         def part(p):
             # Blocks own disjoint rows, so the parts never write the same entry.
-            for masked, keys, blocks in _class_runs(plan, p, mask.field):
-                k1T_keys, v1_keys = k1T[:, keys], v1[keys]
-                k_max = k_norms[keys].max()
-                for rows in blocks:
-                    qb = q1[rows]
-                    qb[:, -1] *= k_max
-                    out[rows], sums[rows] = _attend(
-                        qb, k1T_keys, v1_keys,
-                        _block_allow(mask.field, rows, keys) if masked else None,
-                        max(1, _TILE_BYTES // (8 * rows.size)))
+            for _, k1T_keys, v1_keys, blocks in _self_runs(plan, p, mask.field,
+                                                           q1, k1T, v1, k_norms):
+                for rows, qb, allow in blocks:
+                    out[rows], sums[rows] = _attend(qb, k1T_keys, v1_keys, allow,
+                                                    max(1, _TILE_BYTES // (8 * rows.size)))
                 del k1T_keys, v1_keys  # before the next run's keys
 
         _run_parts(part, plan, pinned)
@@ -598,13 +598,13 @@ def masked_cross_attention_backward(g, blobs: Sequence[EmbeddingSeq],
                                     masks: Sequence[BinaryMask],
                                     wts: CrossAttnWeights,
                                     upstream: np.ndarray) -> CrossAttnGrads:
-    g, q, K, V, allow, scale = _stack_cross(g, blobs, masks, wts)
+    g, qb, k1T, v1, allow, scale = _stack_cross(g, blobs, masks, wts)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != g.shape:
         raise ShapeError(f"upstream must have shape {g.shape}, got {upstream.shape}")
-    dKT = np.zeros(K.shape[::-1])
-    dVT = np.zeros(V.shape[::-1])
-    dq = _attend_backward(q, K, _with_ones_t(V), allow, upstream, dKT, dVT) * scale
+    dKT = np.zeros((g.shape[1], len(v1)))
+    dVT = np.zeros_like(dKT)
+    dq = _attend_backward(qb, k1T, v1, allow, upstream, dKT, dVT) * scale
     dK, dV = dKT.T, dVT.T
     dg = dq @ wts.wq.T
     dwq = g.T @ dq
@@ -634,11 +634,10 @@ def masked_3d_self_attention_backward(g, mask: AttnMask3D, wts: SelfAttnWeights,
     block order, so no intermediate is larger than a block's _BLOCK_BYTES or
     the (n, d) arrays."""
     with blas.one_thread() as pinned:
-        g, q, k, v, scale = _self_projections(g, mask, wts)
+        g, q1, k1T, v1, k_norms, scale = _self_inputs(g, mask, wts)
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != g.shape:
             raise ShapeError(f"upstream must have shape {g.shape}, got {upstream.shape}")
-        v1T = _with_ones_t(v)
         dq = np.zeros_like(g)
 
         plan = _label_blocks(mask.field)
@@ -649,18 +648,16 @@ def masked_3d_self_attention_backward(g, mask: AttnMask3D, wts: SelfAttnWeights,
             dv = np.zeros_like(g)
             # A class run accumulates its keys' gradients transposed, in
             # (d, |keys|) buffers, and scatters them once.
-            for masked, keys, blocks in _class_runs(plan, p, mask.field):
-                k_keys, v1T_keys = k[keys], v1T[:, keys]
-                dkT = np.zeros(k_keys.shape[::-1])
-                dvT = np.zeros(k_keys.shape[::-1])
-                for rows in blocks:
-                    dq[rows] = _attend_backward(
-                        q[rows], k_keys, v1T_keys,
-                        _block_allow(mask.field, rows, keys) if masked else None,
-                        upstream[rows], dkT, dvT)
+            for keys, k1T_keys, v1_keys, blocks in _self_runs(plan, p, mask.field,
+                                                              q1, k1T, v1, k_norms):
+                dkT = np.zeros((g.shape[1], len(v1_keys)))
+                dvT = np.zeros_like(dkT)
+                for rows, qb, allow in blocks:
+                    dq[rows] = _attend_backward(qb, k1T_keys, v1_keys, allow, upstream[rows],
+                                                dkT, dvT)
                 dk[keys] += dkT.T
                 dv[keys] += dvT.T
-                del k_keys, v1T_keys, dkT, dvT  # before the next run's keys
+                del k1T_keys, v1_keys, dkT, dvT  # before the next run's keys
             return dk, dv
 
         (dk, dv), *rest = _run_parts(part, plan, pinned)

@@ -131,23 +131,22 @@ def softmax_reference(logits: np.ndarray) -> np.ndarray:
     return out
 
 
-def cross_attention_reference(g, blob_arrays, mask_arrays, wq, wk_list, wv_list):
-    """Dense reference: stack every blob token, build the explicit logit
-    matrix with -inf where the blob's mask is off, reference softmax, then
-    the value average."""
+def stacked_tokens(blob_arrays, w_list, width):
+    """Every token of every blob through its blob's map, stacked in blob
+    order: a (tokens, width) array."""
+    rows = [tok @ w_list[n] for n, tokens in enumerate(blob_arrays) for tok in tokens]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width)
+
+
+def cross_attention_probs_reference(g, blob_arrays, mask_arrays, wq, wk_list):
+    """Dense (hw, tokens) cross-attention weights: the explicit logit matrix
+    over every blob token, with -inf where the blob's mask is off, through
+    the reference softmax."""
     hw, d_g = g.shape
-    keys = []
-    values = []
-    key_blob = []
-    for n, tokens in enumerate(blob_arrays):
-        for tok in tokens:
-            keys.append(tok @ wk_list[n])
-            values.append(tok @ wv_list[n])
-            key_blob.append(n)
-    if not keys:
-        return np.zeros((hw, d_g))
-    keys_m = np.stack(keys)
-    values_m = np.stack(values)
+    keys = stacked_tokens(blob_arrays, wk_list, d_g)
+    key_blob = [n for n, tokens in enumerate(blob_arrays) for _ in tokens]
+    if not key_blob:
+        return np.zeros((hw, 0))
     q = g @ wq
     scale = 1.0 / math.sqrt(d_g)
     logits = np.empty((hw, len(keys)), dtype=np.float64)
@@ -156,14 +155,50 @@ def cross_attention_reference(g, blob_arrays, mask_arrays, wq, wk_list, wv_list)
             n = key_blob[j]
             flat_mask = mask_arrays[n].reshape(-1)
             if flat_mask[i]:
-                logits[i, j] = float(q[i] @ keys_m[j]) * scale
+                logits[i, j] = float(q[i] @ keys[j]) * scale
             else:
                 logits[i, j] = -np.inf
-    probs = softmax_reference(logits)
-    return probs @ values_m
+    return softmax_reference(logits)
 
 
-def _self_attention_probs_reference(q, k, label_sets):
+def cross_attention_reference(g, blob_arrays, mask_arrays, wq, wk_list, wv_list):
+    """Dense reference: the weights of cross_attention_probs_reference
+    times the stacked values of every blob token."""
+    probs = cross_attention_probs_reference(g, blob_arrays, mask_arrays, wq, wk_list)
+    return probs @ stacked_tokens(blob_arrays, wv_list, g.shape[1])
+
+
+def cross_attention_backward_reference(g, blob_arrays, mask_arrays, wq, wk_list, wv_list,
+                                       upstream):
+    """Gradients (g, blobs, wq, wk, wv) of <upstream, cross_attention_reference(...)>,
+    the last three one array per blob, by the chain rule through the dense
+    weights P, as self_attention_backward_reference: dS_ij = P_ij (dP_ij -
+    sum_l P_il dP_il). Blocked entries and locations covered by no blob have
+    P = 0, so their logit gradients are zero."""
+    d_g = g.shape[1]
+    scale = 1.0 / math.sqrt(d_g)
+    probs = cross_attention_probs_reference(g, blob_arrays, mask_arrays, wq, wk_list)
+    keys = stacked_tokens(blob_arrays, wk_list, d_g)
+    values = stacked_tokens(blob_arrays, wv_list, d_g)
+    dprobs = upstream @ values.T
+    dlogits = np.zeros_like(probs)
+    for i in range(probs.shape[0]):
+        dlogits[i] = probs[i] * (dprobs[i] - probs[i] @ dprobs[i])
+    dq = dlogits @ keys * scale
+    dkeys = dlogits.T @ (g @ wq) * scale
+    dvalues = probs.T @ upstream
+    dblobs, dwk, dwv = [], [], []
+    start = 0
+    for tokens, wk, wv in zip(blob_arrays, wk_list, wv_list):
+        dk, dv = dkeys[start:start + len(tokens)], dvalues[start:start + len(tokens)]
+        start += len(tokens)
+        dblobs.append(dk @ wk.T + dv @ wv.T)
+        dwk.append(tokens.T @ dk)
+        dwv.append(tokens.T @ dv)
+    return dq @ wq.T, dblobs, g.T @ dq, dwk, dwv
+
+
+def self_attention_probs_reference(q, k, label_sets):
     """Dense (Thw, Thw) weights; allowed iff the Python label sets intersect."""
     n, d = q.shape
     scale = 1.0 / math.sqrt(d)
@@ -180,7 +215,7 @@ def _self_attention_probs_reference(q, k, label_sets):
 def self_attention_reference(g, label_sets, wq, wk, wv):
     """Dense reference over Thw positions; allowed iff the Python label sets
     intersect."""
-    return _self_attention_probs_reference(g @ wq, g @ wk, label_sets) @ (g @ wv)
+    return self_attention_probs_reference(g @ wq, g @ wk, label_sets) @ (g @ wv)
 
 
 def self_attention_backward_reference(g, label_sets, wq, wk, wv, upstream):
@@ -192,7 +227,7 @@ def self_attention_backward_reference(g, label_sets, wq, wk, wv, upstream):
     d = g.shape[1]
     scale = 1.0 / math.sqrt(d)
     q, k, v = g @ wq, g @ wk, g @ wv
-    probs = _self_attention_probs_reference(q, k, label_sets)
+    probs = self_attention_probs_reference(q, k, label_sets)
     dprobs = upstream @ v.T
     dlogits = np.zeros_like(probs)
     for i in range(probs.shape[0]):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blobvid import attention
@@ -30,11 +30,15 @@ from blobvid.labelfield import AttnMask3D, LabelField, build_label_field, shares
 from blobvid.video import BlobTrack, BlobVideo, densify
 
 from conftest import (
+    cross_attention_backward_reference,
+    cross_attention_probs_reference,
     cross_attention_reference,
     self_attention_backward_reference,
     self_attention_oracle,
+    self_attention_probs_reference,
     self_attention_reference,
     softmax_reference,
+    stacked_tokens,
 )
 
 
@@ -472,9 +476,10 @@ class TestStreamedSelfAttention:
         # and the smaller ones), never a whole block array. The backward
         # forms a block's weights and then its logit gradients in the
         # logits' own buffer: one block array, one _ROW_CHUNK row chunk of
-        # them and the block mask, besides its 13 (n, d) arrays
-        # (projections, [v | 1], dq, each part's dk and dv, a class run's
-        # gathers and their gradients; one more here for the smaller ones).
+        # them and the block mask, besides its 12 (n, d) arrays (the
+        # forward's inputs [q | |q|], [k | 1].T and [v | 1], dq, each part's
+        # dk and dv, a class run's two gathers and their gradients; two more
+        # here for the ones columns, the key norms and the smaller ones).
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         n, block, fwd_peak, bwd_peak = self.forward_and_backward_peaks(rng, monkeypatch)
         assert block == attention._BLOCK_BYTES
@@ -765,6 +770,119 @@ class TestForwardFuzz:
             covered[b.ravel()] = 1.0
             k, v = np.vstack([k, blob.data @ wk]), np.vstack([v, blob.data @ wv])
         assert_forward_matches(out, sums, want, covered, g @ wts.wq / math.sqrt(d_g), k, v)
+
+
+def logit_rounding_rooms(probs, q, k, v, up):
+    """Bounds, one per row, of how far rounding can move the gradients of
+    the scaled queries q, the keys k and the values v, given the dense
+    weights probs and the upstream rows up.
+
+    Each side rounds a logit of row i by a few ulp of |q_i| max_j |k_j|
+    (assert_forward_matches), which moves a weight p of the row by up to
+    r_i p (1 - p), with r_i = 2^-44 |q_i| max_j |k_j|: a weight near 1
+    stays. The logit gradients p (dp - rowsum(p dp)), dp = up @ v.T, then
+    move by that times m = |up| @ |v|.T + rowsum(p |up| @ |v|.T), a bound
+    of |dp - rowsum(p dp)|, and by p times the row's sum of those moves;
+    and each product rounds by up to 2^-44 of its terms' absolute values,
+    p m for the logit gradients, once more for their products."""
+    gamma = 2.0 ** -44
+    q_norms, k_norms, up_norms = (np.linalg.norm(a, axis=1) for a in (q, k, up))
+    moved = (gamma * q_norms * k_norms.max(initial=0.0))[:, None] * probs * (1 - probs)
+    m = np.abs(up) @ np.abs(v).T
+    m += (probs * m).sum(axis=1, keepdims=True)
+    dlogits = moved * m
+    dlogits += probs * dlogits.sum(axis=1, keepdims=True) + 2 * gamma * probs * m
+    return dlogits @ k_norms, dlogits.T @ q_norms, (moved + 2 * gamma * probs).T @ up_norms
+
+
+def assert_within(got, want, room):
+    """got against want at abs 1e-10 plus room, which broadcasts."""
+    assert np.all(np.abs(got - want) <= 1e-10 + room)
+
+
+class TestBackwardFuzz:
+    """The backward kernel (_attend_backward) of both ops against the dense
+    references on drawn inputs, at the forward fuzz's scales and shift
+    limits. Unit features keep the references' abs 1e-10; scaled ones add
+    the room that the logits' rounding leaves (logit_rounding_rooms), where
+    the weights of nearly tied large logits move on both sides."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(label_set_lists(), st.sampled_from([2, 4, 8]), _SCALES, _GUARDS,
+           st.sampled_from([1, 2, 3, attention._BLOCK]), st.sampled_from([1, 3, 16]),
+           st.sampled_from([1, 2, 8, None]), st.integers(0, 2**32 - 1))
+    @example(drawn=(3, [{0}, {1}, {0, 1}, {2}, {1, 2}, set()]), d=4, scale=1000.0,
+             limit=attention._SHIFT_LIMIT, block=attention._BLOCK, chunk=attention._ROW_CHUNK,
+             small=attention._SMALL_CLASS, seed=0)
+    def test_3d_backward_matches_the_dense_reference(self, drawn, d, scale, limit, block, chunk,
+                                                     small, seed):
+        # _SMALL_CLASS None is n + 1: every class packed. The explicit
+        # example packs every class into one block whose guarded rows have
+        # blocked logits far above their shifts, which overflow unless they
+        # are zeroed before the exp.
+        n_labels, sets = drawn
+        n = len(sets)
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, d)) * scale
+        upstream = rng.standard_normal((n, d))
+        wts = SelfAttnWeights.seeded(d, seed=seed)
+        field = LabelField.from_label_sets(1, 1, n, n_labels, sets)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(attention, "_BLOCK", block)
+            m.setattr(attention, "_ROW_CHUNK", chunk)
+            m.setattr(attention, "_SMALL_CLASS", n + 1 if small is None else small)
+            m.setattr(attention, "_SHIFT_LIMIT", limit)
+            grads = masked_3d_self_attention_backward(g, AttnMask3D(field), wts, upstream)
+        want = self_attention_backward_reference(g, sets, wts.wq, wts.wk, wts.wv, upstream)
+        rq = rk = rv = np.zeros(n)
+        if scale > 1:
+            q, k, v = g @ wts.wq, g @ wts.wk, g @ wts.wv
+            rq, rk, rv = logit_rounding_rooms(self_attention_probs_reference(q, k, sets),
+                                              q / math.sqrt(d), k, v, upstream)
+            rq /= math.sqrt(d)  # dq is the gradient of the unscaled query
+        rooms = [(rq * np.linalg.norm(wts.wq) + rk * np.linalg.norm(wts.wk)
+                  + rv * np.linalg.norm(wts.wv))[:, None]]
+        rooms += [(np.abs(g).T @ r)[:, None] for r in (rq, rk, rv)]
+        for got, ref, room in zip((grads.g, grads.wq, grads.wk, grads.wv), want, rooms):
+            assert_within(got, ref, room)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 3), st.integers(1, 4),
+           st.sampled_from([2, 4, 8]), st.sampled_from([2, 4, 8]), _SCALES, _GUARDS,
+           st.integers(0, 2**32 - 1))
+    def test_cross_backward_matches_the_dense_reference(self, h, w, n_blobs, tokens, d, d_g,
+                                                        scale, limit, seed):
+        # Each blob covers a random half of the locations, so some are
+        # covered by no blob.
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((h * w, d_g)) * scale
+        upstream = rng.standard_normal((h * w, d_g))
+        blobs = [EmbeddingSeq(rng.standard_normal((tokens, d))) for _ in range(n_blobs)]
+        bits = [rng.random((h, w)) < 0.5 for _ in range(n_blobs)]
+        wts = CrossAttnWeights.seeded(n_blobs, d, d_g, seed=seed)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(attention, "_SHIFT_LIMIT", limit)
+            grads = attention.masked_cross_attention_backward(
+                g, blobs, [BinaryMask(b) for b in bits], wts, upstream)
+        arrays = [b.data for b in blobs]
+        dg, dblobs, dwq, dwk, dwv = cross_attention_backward_reference(
+            g, arrays, bits, wts.wq, list(wts.wk), list(wts.wv), upstream)
+        rq, rk = np.zeros(h * w), np.zeros(n_blobs * tokens)
+        rv = rk
+        if scale > 1:
+            rq, rk, rv = logit_rounding_rooms(
+                cross_attention_probs_reference(g, arrays, bits, wts.wq, list(wts.wk)),
+                g @ wts.wq / math.sqrt(d_g), stacked_tokens(arrays, wts.wk, d_g),
+                stacked_tokens(arrays, wts.wv, d_g), upstream)
+            rq /= math.sqrt(d_g)
+        assert_within(grads.g, dg, (rq * np.linalg.norm(wts.wq))[:, None])
+        assert_within(grads.wq, dwq, (np.abs(g).T @ rq)[:, None])
+        for n, (a, wk, wv) in enumerate(zip(arrays, wts.wk, wts.wv)):
+            sl = slice(n * tokens, (n + 1) * tokens)
+            assert_within(grads.blobs[n], dblobs[n],
+                          (rk[sl] * np.linalg.norm(wk) + rv[sl] * np.linalg.norm(wv))[:, None])
+            assert_within(grads.wk[n], dwk[n], (np.abs(a).T @ rk[sl])[:, None])
+            assert_within(grads.wv[n], dwv[n], (np.abs(a).T @ rv[sl])[:, None])
 
 
 class TestGatedFuse:
