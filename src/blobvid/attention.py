@@ -37,21 +37,22 @@ _ROW_CHUNK rows at a time, so it holds about one block array per thread.
 The 3D self-attention never builds its n x n logits (n = T*h*w). Positions
 of one label class (LabelField.classes) attend to the same keys, so the op
 runs in row blocks by class (the row-tiled softmax of "Self-attention Does
-Not Need O(n^2) Memory" and FlashAttention): a large class over its gathered
-keys, small classes packed together under a boolean mask built from their
-class rows. A packed block reads only the keys its rows can reach, the
-positions whose class meets one of its rows' classes, as the block masks of
-FlexAttention and the block-sparse attention of "Generating Long Sequences
-with Sparse Transformers" skip what no row of a block can reach. A block's
-rows are cut so that its (rows, |keys|) float64 array is at most
-_BLOCK_BYTES whatever n is (_rows_per_block). The backward holds that
-array, the forward its mask and one tile, so the forward's working set
-(_self_attention_bytes) is O(n d).
+Not Need O(n^2) Memory" and FlashAttention): a large class over its keys,
+small classes packed together under a boolean mask. A block reads only the
+keys its rows can reach, the positions whose class meets one of its rows'
+classes, as the block masks of FlexAttention and the block-sparse attention
+of "Generating Long Sequences with Sparse Transformers" skip what no row of
+a block can reach. A block's rows are cut so that its (rows, |keys|)
+float64 array is at most _BLOCK_BYTES whatever n is (_rows_per_block). The
+backward holds that array, the forward its mask and one tile, so the
+forward's working set (_self_attention_bytes) is O(n d).
 
 Both passes walk the blocks of a part (below) in class runs (_self_runs),
-the blocks of one large class or a single packed block: a run gathers its
-keys and v1 rows once, and in the backward accumulates its key and value
-gradients in (d, |keys|) buffers that are scattered once.
+the blocks of one large class or a single packed block. One label test per
+run (_class_runs) gives its keys and a packed block's mask, the mask the
+op multiplies. A run gathers its keys and v1 rows once, or reads them in
+place when its keys are all n, and in the backward accumulates its key and
+value gradients in (d, |keys|) buffers that are scattered once.
 
 The blocks are dealt into _PARTS fixed parts (block i goes to part i %
 _PARTS), the split FlashAttention-2 uses across workers: each part writes its
@@ -69,6 +70,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -299,15 +301,14 @@ def _label_blocks(field: LabelField) -> list:
     keys, the positions of every class their set meets; the key count adds
     those classes' counts, one class at a time, so no class x class matrix
     is built. A class of at least _SMALL_CLASS positions gets blocks of its
-    own over its gathered keys; the smaller classes are packed together, in
-    class order, into masked blocks whose masks (_block_allow) come from
-    their classes' rows. A packed block's keys are known only once its rows
-    are cut, so its n_keys is n, the bound its rows per block are cut from;
-    it reads only its reachable keys (_class_runs). Positions with an empty
-    label set attend to nothing and are in no block. The plan holds no
-    block: each part cuts its own from it as it runs (_class_runs). The
-    classes are the field's (LabelField.classes), so the order depends on
-    the field alone: the same on every run.
+    own over its keys; the smaller classes are packed together, in class
+    order, into masked blocks. A packed block's keys and mask are known only
+    once its rows are cut (_class_runs), so its n_keys is n, the bound its
+    rows per block are cut from. Positions with an empty label set attend
+    to nothing and are in no block. The plan holds no block: each part cuts
+    its own from it as it runs (_class_runs). The classes are the field's
+    (LabelField.classes), so the order depends on the field alone: the same
+    on every run.
     """
     codes, inverse, counts = field.classes
     order = np.argsort(inverse, kind="stable")
@@ -323,14 +324,6 @@ def _label_blocks(field: LabelField) -> list:
     if packed.size:
         plan.append(_ClassBlocks(-1, packed, field.size, _rows_per_block(field.size)))
     return plan
-
-
-def _block_allow(field: LabelField, rows: np.ndarray, keys):
-    """The boolean (len(rows), |keys|) mask of a packed block over its keys
-    (an index array, or slice(None) for all n), from its rows' classes.
-    Built only when its block runs, so one per thread."""
-    codes, inverse, _ = field.classes
-    return shares_label(codes[inverse[rows]], codes)[:, inverse[keys]]
 
 
 def _with_column(a: np.ndarray, c) -> np.ndarray:
@@ -350,34 +343,33 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 def _class_runs(plan: list, part: int, field: LabelField):
     """The class runs of one part: block i of the plan, in plan order, goes
-    to part i % _PARTS. Yields (masked, keys, blocks) per run, blocks an
-    iterator over the row arrays of the part's blocks of that run, cut from
-    the plan as they run. A run's keys, the positions its rows may attend
-    to, are built when it starts, for the caller to gather once, and dropped
-    here when it ends, so a part holds the keys of at most two runs at a
-    time. The blocks of a large class form one run over its class's keys.
-    Each packed block is a masked run of its own over its reachable keys:
-    the positions whose class meets the class of any of its rows, or
-    slice(None) when that is all n, so the block gathers nothing."""
+    to part i % _PARTS. A run is the part's blocks of one large class, or
+    one packed block. Yields (keys, blocks) per run, blocks an iterator over
+    the (rows, allow) of its blocks, cut from the plan as they run. One
+    label test of the run's classes (the large class, or each packed row's)
+    against every class gives its keys, the positions whose class meets one
+    of them (slice(None) when that is all n), and a packed block's mask
+    allow over them (None for a large class). A part holds the keys of at
+    most two runs at a time: a run's are dropped here when the next starts."""
     codes, inverse, _ = field.classes
     first = 0
     for entry in plan:
+        c, rows, _, step = entry
         mine = range((part - first) % _PARTS, entry.blocks, _PARTS)
         first += entry.blocks
-        c, rows, _, step = entry
+        cuts = (rows[j * step:(j + 1) * step] for j in mine)
         if c < 0:
-            for j in mine:
-                block = rows[j * step:(j + 1) * step]
-                marked = np.zeros(len(codes), dtype=bool)
-                marked[inverse[block]] = True
-                reach = shares_label(codes[marked], codes).any(axis=0)
-                keys = slice(None) if reach.all() else np.flatnonzero(reach[inverse])
-                yield True, keys, (block,)
-                del keys
-        elif mine:
-            keys = np.flatnonzero(shares_label(codes[c:c + 1], codes)[0][inverse])
-            yield False, keys, (rows[j * step:(j + 1) * step] for j in mine)
-            del keys
+            runs = ((inverse[block], (block,)) for block in cuts)
+        else:
+            runs = ((slice(c, c + 1), cuts),) if mine else ()
+        for classes, blocks in runs:
+            meets = shares_label(codes[classes], codes)
+            reach = meets.any(axis=0) if c < 0 else meets[0]
+            keys = slice(None) if reach.all() else np.flatnonzero(reach[inverse])
+            allow = meets[:, inverse[keys]] if c < 0 else None
+            del meets, reach
+            yield keys, zip(blocks, repeat(allow))
+            del keys, allow
 
 
 def _shift(qb, k1T, allow, tile) -> bool:
@@ -518,15 +510,15 @@ def _self_runs(plan: list, part: int, field: LabelField, q1, k1T, v1, k_norms):
     allow a packed block's mask, else None. Drops a run's gathers when the
     next run is asked for, so a caller that drops its own holds one run's."""
 
-    def cut(blocks, masked, keys, k_max):
-        for rows in blocks:
+    def cut(blocks, k_max):
+        for rows, allow in blocks:
             qb = q1[rows]
             qb[:, -1] *= k_max
-            yield rows, qb, _block_allow(field, rows, keys) if masked else None
+            yield rows, qb, allow
 
-    for masked, keys, blocks in _class_runs(plan, part, field):
+    for keys, blocks in _class_runs(plan, part, field):
         k1T_keys, v1_keys = k1T[:, keys], v1[keys]
-        yield keys, k1T_keys, v1_keys, cut(blocks, masked, keys, k_norms[keys].max())
+        yield keys, k1T_keys, v1_keys, cut(blocks, k_norms[keys].max())
         del k1T_keys, v1_keys
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -197,6 +197,27 @@ class MlpWeights:
         )
 
 
+def _mlp_input(e_tau: np.ndarray, e_s, mlp: MlpWeights):
+    """The MLP's input rows [e_tau ; e_s_l] of N blobs' tokens and each blob's
+    slice of them. ShapeError unless e_tau has one row per token sequence
+    and its width, the tokens' and the MLP's agree."""
+    if e_tau.ndim != 2 or len(e_tau) != len(e_s):
+        raise ShapeError(f"geometry embeddings must be a vector or one row per token "
+                         f"sequence, got shape {e_tau.shape}")
+    half = e_tau.shape[1]
+    starts = np.cumsum([0] + [seq.L for seq in e_s])
+    spans = [slice(start, start + seq.L) for seq, start in zip(e_s, starts)]
+    x = np.empty((starts[-1], 2 * half))
+    for e, seq, span in zip(e_tau, e_s, spans):
+        if seq.dim != half:
+            raise ShapeError(f"geometry width {half} must match token width {seq.dim}")
+        x[span, :half] = e
+        x[span, half:] = seq.data
+    if mlp.width != 2 * half:
+        raise ShapeError(f"MLP width {mlp.width} does not match token width {2 * half}")
+    return x, spans
+
+
 def blob_embed(e_tau, e_s, mlp: MlpWeights):
     """Fuse geometry embeddings with every caption token.
 
@@ -211,22 +232,9 @@ def blob_embed(e_tau, e_s, mlp: MlpWeights):
     e_tau = np.asarray(e_tau, dtype=np.float64)
     if e_tau.ndim == 1:
         return blob_embed(e_tau[None], [e_s], mlp)[0]
-    if e_tau.ndim != 2 or len(e_tau) != len(e_s):
-        raise ShapeError(f"geometry embeddings must be a vector or one row per token "
-                         f"sequence, got shape {e_tau.shape}")
-    half = e_tau.shape[1]
-    for seq in e_s:
-        if seq.dim != half:
-            raise ShapeError(f"geometry width {half} must match token width {seq.dim}")
-    if mlp.width != 2 * half:
-        raise ShapeError(f"MLP width {mlp.width} does not match token width {2 * half}")
-    starts = np.cumsum([0] + [seq.L for seq in e_s])
-    x = np.empty((starts[-1], 2 * half))
-    for e, seq, start in zip(e_tau, e_s, starts):
-        x[start:start + seq.L, :half] = e
-        x[start:start + seq.L, half:] = seq.data
+    x, spans = _mlp_input(e_tau, e_s, mlp)
     y = _gelu(x @ mlp.w1 + mlp.b1) @ mlp.w2 + mlp.b2
-    return tuple(EmbeddingSeq(y[start:start + seq.L]) for seq, start in zip(e_s, starts))
+    return tuple(EmbeddingSeq(y[span]) for span in spans)
 
 
 def _blob_embed_bytes(tokens: int, d: int) -> int:
@@ -238,39 +246,38 @@ def _blob_embed_bytes(tokens: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class BlobEmbedGrads:
-    e_tau: np.ndarray
-    e_s: np.ndarray
+    e_tau: np.ndarray  # (dim,) for one blob, (N, dim) for N
+    e_s: np.ndarray | tuple[np.ndarray, ...]  # (L, dim) for one blob, N such for N
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
 
 
-def blob_embed_backward(e_tau: np.ndarray, e_s: EmbeddingSeq, mlp: MlpWeights,
-                        upstream: np.ndarray) -> BlobEmbedGrads:
-    """Gradients of <upstream, blob_embed(...)> with respect to every input."""
+def blob_embed_backward(e_tau, e_s, mlp: MlpWeights, upstream) -> BlobEmbedGrads:
+    """Gradients of <upstream, blob_embed(e_tau, e_s, mlp)> with respect to
+    every input, for the inputs blob_embed takes: one blob, with upstream
+    an (L, d) array, or N, with upstream one (L_n, d) array per blob."""
     e_tau = np.asarray(e_tau, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    half = e_s.dim
-    x = np.concatenate([np.tile(e_tau, (e_s.L, 1)), e_s.data], axis=1)
+    if e_tau.ndim == 1:
+        grads = blob_embed_backward(e_tau[None], [e_s], mlp, [upstream])
+        return replace(grads, e_tau=grads.e_tau[0], e_s=grads.e_s[0])
+    x, spans = _mlp_input(e_tau, e_s, mlp)
+    shapes, got = [(seq.L, x.shape[1]) for seq in e_s], [np.shape(u) for u in upstream]
+    if got != shapes:
+        raise ShapeError(f"upstream must have shapes {shapes}, got {got}")
+    up = np.concatenate([x[:0], *upstream])  # float64, and (0, d) for no blob
     pre = x @ mlp.w1 + mlp.b1
-    h = _gelu(pre)
-    if upstream.shape != (e_s.L, 2 * half):
-        raise ShapeError(f"upstream must have shape {(e_s.L, 2 * half)}, got {upstream.shape}")
-    dw2 = h.T @ upstream
-    db2 = upstream.sum(axis=0)
-    dh = upstream @ mlp.w2.T
-    dpre = dh * _gelu_grad(pre)
-    dw1 = x.T @ dpre
-    db1 = dpre.sum(axis=0)
+    dpre = (up @ mlp.w2.T) * _gelu_grad(pre)
     dx = dpre @ mlp.w1.T
+    half = e_tau.shape[1]
     return BlobEmbedGrads(
-        e_tau=dx[:, :half].sum(axis=0),
-        e_s=dx[:, half:],
-        w1=dw1,
-        b1=db1,
-        w2=dw2,
-        b2=db2,
+        e_tau=np.array([dx[span, :half].sum(axis=0) for span in spans]).reshape(e_tau.shape),
+        e_s=tuple(dx[span, half:] for span in spans),
+        w1=x.T @ dpre,
+        b1=dpre.sum(axis=0),
+        w2=_gelu(pre).T @ up,
+        b2=up.sum(axis=0),
     )
 
 

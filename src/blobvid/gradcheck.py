@@ -158,23 +158,23 @@ def _check_gated_fuse(rng: np.random.Generator, step: float) -> float:
 
 
 def _check_blob_embed(rng: np.random.Generator, step: float) -> float:
+    # The form run_attend_block calls: a frame of 1-3 blobs in one call.
     half = int(rng.integers(2, 5))
-    L = int(rng.integers(1, 4))
-    e_tau = rng.standard_normal(half)
-    e_s = EmbeddingSeq(rng.standard_normal((L, half)))
+    lengths = rng.integers(1, 4, size=int(rng.integers(1, 4)))
+    e_tau = rng.standard_normal((len(lengths), half))
+    e_s = [EmbeddingSeq(rng.standard_normal((L, half))) for L in lengths]
     mlp = MlpWeights.seeded(2 * half, int(rng.integers(1 << 30)))
-    upstream = rng.standard_normal((L, 2 * half))
+    upstream = [rng.standard_normal((L, 2 * half)) for L in lengths]
 
-    arrays = [e_tau, e_s.data.copy(), mlp.w1.copy(), mlp.b1.copy(), mlp.w2.copy(), mlp.b2.copy()]
+    arrays = [e_tau, *(seq.data for seq in e_s), mlp.w1, mlp.b1, mlp.w2, mlp.b2]
 
     def loss(vals):
-        mlp_ = MlpWeights(vals[2], vals[3], vals[4], vals[5])
-        out = blob_embed(vals[0], EmbeddingSeq(vals[1]), mlp_)
-        return float((upstream * out.data).sum())
+        out = blob_embed(vals[0], [EmbeddingSeq(v) for v in vals[1:-4]], MlpWeights(*vals[-4:]))
+        return float(sum((u * seq.data).sum() for u, seq in zip(upstream, out)))
 
     fd = central_difference_grads(loss, arrays, step)
     an = blob_embed_backward(e_tau, e_s, mlp, upstream)
-    analytic = [an.e_tau, an.e_s, an.w1, an.b1, an.w2, an.b2]
+    analytic = [an.e_tau, *an.e_s, an.w1, an.b1, an.w2, an.b2]
     return max(relative_error(a, f) for a, f in zip(analytic, fd))
 
 

@@ -4,6 +4,8 @@ The reference functions here deliberately avoid the package's own attention,
 rasterization, and bitset machinery: they recompute everything from first
 principles (explicit logit matrices, literal -inf entries, per-pixel loops,
 Python set intersections) so that agreement is evidence, not tautology.
+The one exception is plan_matrix, which reads the 3D ops' own block walk so
+that tests can hold it against those references.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blobvid import blas
+from blobvid import attention, blas
 from blobvid.blobs import BinaryMask, BlobParams, FrameGeometry
 from blobvid.metrics import MatchResult
 
@@ -287,6 +289,28 @@ def decode(code: np.ndarray, n_labels: int) -> frozenset[int]:
 def label_set(field, i: int) -> frozenset[int]:
     """The label set of position i of a LabelField."""
     return decode(field.bits[i], field.n_labels)
+
+
+def plan_matrix(field):
+    """The dense pair mask the 3D ops evaluate, read from the walk they run
+    (attention._class_runs): over both parts, every block's rows get its
+    mask over its run's keys, or all of them for a block without one. A
+    pair outside every block's (rows, keys) stays blocked. Also returns how
+    many blocks hold each position as a row, and how many packed blocks
+    read fewer than all n keys."""
+    n = field.size
+    allowed = np.zeros((n, n), dtype=bool)
+    blocks_per_row = np.zeros(n, dtype=np.int64)
+    gathered = 0
+    plan = attention._label_blocks(field)
+    for part in range(attention._PARTS):
+        for keys, blocks in attention._class_runs(plan, part, field):
+            keys = np.arange(n)[keys]  # a run over all n keys reads slice(None)
+            for rows, allow in blocks:
+                blocks_per_row[rows] += 1
+                gathered += allow is not None and keys.size < n
+                allowed[np.ix_(rows, keys)] = True if allow is None else allow
+    return allowed, blocks_per_row, gathered
 
 
 def read_ppm(path) -> np.ndarray:

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 import blobvid
-from blobvid import attention
 from blobvid.attention import (
     CrossAttnWeights,
     SelfAttnWeights,
@@ -45,6 +44,7 @@ from blobvid.video import BlobTrack, BlobVideo, video_to_json
 from conftest import (
     angle_mean_reference,
     cross_attention_reference,
+    plan_matrix,
     random_canonical_blob,
     self_attention_reference,
 )
@@ -119,29 +119,6 @@ def _label_matrix(field: LabelField) -> np.ndarray:
     return bits[:, : field.n_labels].astype(bool)
 
 
-def _plan_matrix(field: LabelField):
-    """The dense pair mask the 3D ops evaluate, read from their own plan:
-    over both parts, every class run's rows are allowed its gathered keys,
-    and a packed run's rows get _block_allow over its keys. A pair outside
-    every run's (rows, keys) stays blocked. Also returns how many blocks hold
-    each position as a row, and how many packed runs read fewer than all n
-    keys."""
-    n = field.size
-    allowed = np.zeros((n, n), dtype=bool)
-    blocks_per_row = np.zeros(n, dtype=np.int64)
-    gathered = 0
-    plan = attention._label_blocks(field)
-    for part in range(attention._PARTS):
-        for masked, keys, blocks in attention._class_runs(plan, part, field):
-            keys = np.arange(n)[keys]  # a packed run over all n keys reads slice(None)
-            gathered += masked and keys.size < n
-            for rows in blocks:
-                blocks_per_row[rows] += 1
-                allowed[np.ix_(rows, keys)] = (attention._block_allow(field, rows, keys)
-                                               if masked else True)
-    return allowed, blocks_per_row, gathered
-
-
 def test_3_implicit_pair_mask_equals_dense_materialization():
     rng = np.random.default_rng(303)
     instances = []
@@ -170,7 +147,7 @@ def test_3_implicit_pair_mask_equals_dense_materialization():
         expected = (labels.astype(np.int64) @ labels.T.astype(np.int64)) > 0
         nonempty = labels.any(axis=1)
         empty_rows += int((~nonempty).sum())
-        dense, blocks_per_row, gathered = _plan_matrix(field)
+        dense, blocks_per_row, gathered = plan_matrix(field)
         gathered_runs += gathered
         ok &= np.array_equal(dense, expected)
         ok &= np.array_equal(dense, dense.T)
@@ -180,7 +157,7 @@ def test_3_implicit_pair_mask_equals_dense_materialization():
         ok &= np.array_equal(blocks_per_row, nonempty.astype(np.int64))
 
     # Sharing a label is not transitive: 0~1 and 1~2 but 0 and 2 are blocked.
-    counter, _, _ = _plan_matrix(LabelField.from_label_sets(1, 1, 3, 2, [{0}, {0, 1}, {1}]))
+    counter, _, _ = plan_matrix(LabelField.from_label_sets(1, 1, 3, 2, [{0}, {0, 1}, {1}]))
     ok &= counter[0, 1] and counter[1, 2] and not counter[0, 2]
     ok &= empty_rows > 0 and gathered_runs > 0
     _report(3, "the 3D ops' pair mask == dense label product, symmetric, allowed diagonal,"

@@ -33,6 +33,7 @@ from conftest import (
     cross_attention_backward_reference,
     cross_attention_probs_reference,
     cross_attention_reference,
+    plan_matrix,
     self_attention_backward_reference,
     self_attention_oracle,
     self_attention_probs_reference,
@@ -235,10 +236,9 @@ def plan_blocks(plan):
 
 def all_class_runs(field):
     """The class runs of every part (attention._class_runs), each part's as
-    a list of (masked, keys, list of row blocks)."""
+    a list of (keys, list of (rows, allow) blocks)."""
     plan = attention._label_blocks(field)
-    return [[(masked, keys, list(blocks))
-             for masked, keys, blocks in attention._class_runs(plan, p, field)]
+    return [[(keys, list(blocks)) for keys, blocks in attention._class_runs(plan, p, field)]
             for p in range(attention._PARTS)]
 
 
@@ -306,15 +306,19 @@ class TestStreamedSelfAttention:
         assert np.all(sums[empty] == 0.0)
         assert np.all(grads.g[empty] == 0.0)
 
-    def test_class_runs_over_chunked_rows_and_packed_blocks(self, rng):
+    def test_class_runs_over_chunked_rows_and_packed_blocks(self, rng, monkeypatch):
         # Two large classes with overlapping key sets, {0} and {0, 1}, over
         # five blocks each, so each part holds consecutive blocks of both;
-        # their blocks hold more rows than one row chunk of the backward;
-        # and 60 small classes fill two packed blocks.
-        big = 513
+        # their blocks hold more rows than one row chunk of the backward,
+        # the last chunk partial; and 10 small classes fill two packed
+        # blocks. Blocks of 16 rows keep the dense references small.
+        monkeypatch.setattr(attention, "_BLOCK", 16)
+        monkeypatch.setattr(attention, "_ROW_CHUNK", 5)
+        big = 65
         sets = shuffled(rng, [{0}] * big + [{0, 1}] * big
-                        + [{2 + i % 60, i % 2} for i in range(150)])
-        field = LabelField.from_label_sets(1, 1, len(sets), 62, sets)
+                        + [{2 + i % 10, i % 2} for i in range(30)])
+        n = len(sets)
+        field = LabelField.from_label_sets(1, 1, n, 12, sets)
         plan = attention._label_blocks(field)
         blocks = plan_blocks(plan)
         own = [cls for _, cls in blocks if cls >= 0]
@@ -324,13 +328,12 @@ class TestStreamedSelfAttention:
         for p in range(attention._PARTS):
             part = blocks[p::attention._PARTS]
             assert len({a[1] for a, b in zip(part, part[1:]) if a[1] == b[1] >= 0}) == 2
-            runs = [(masked, keys, list(run))
-                    for masked, keys, run in attention._class_runs(plan, p, field)]
-            assert ([rows.tolist() for *_, run in runs for rows in run]
+            runs = [(keys, list(run)) for keys, run in attention._class_runs(plan, p, field)]
+            assert ([rows.tolist() for _, run in runs for rows, _ in run]
                     == [rows.tolist() for rows, _ in part])
-            widths = [keys.size for masked, keys, _ in runs if not masked]
+            widths = [np.arange(n)[keys].size for keys, run in runs if run[0][1] is None]
             assert len(widths) == 2 and max(widths) > big
-        assert_matches_dense_references(rng, sets, 62)
+        assert_matches_dense_references(rng, sets, 12)
 
     @pytest.mark.parametrize("kind", ["one-class", "singletons", "mixed"])
     def test_plan_counts_match_a_count_from_the_label_sets(self, rng, kind):
@@ -371,24 +374,29 @@ class TestStreamedSelfAttention:
             sets = shuffled(rng, [{b for b in range(10) if k >> b & 1}
                                   for k, size in zip(order, sizes) for _ in range(size)])
         elif kind == "own-classes":
+            # And one large class that holds every label.
             sets = [{lab for lab in range(12) if rng.random() < 0.5} or {0}
-                    for _ in range(attention._BLOCK + 50)]
+                    for _ in range(attention._BLOCK + 50)] + [set(range(12))] * 9
         else:
             sets = shuffled(rng, [{4 * g + b for b in range(4) if rng.random() < 0.5} or {4 * g}
                                   for g in rng.integers(0, 3, 200)]
                             + [{0}] * 30 + [{8, 9}] * 9 + [set()] * 5)
         field = LabelField.from_label_sets(1, 1, len(sets), 12, sets)
         n = field.size
-        rows_seen, evaluated = 0, 0
+        rows_seen, evaluated, in_place = 0, 0, Counter()
         for runs in all_class_runs(field):
-            for masked, keys, blocks in runs:
-                if not masked:
-                    continue
-                (rows,) = blocks  # a packed block is a run of its own
-                reach = [j for j in range(n) if any(sets[j] & sets[r] for r in rows)]
+            for keys, blocks in runs:
+                classes = {frozenset(sets[r]) for rows, _ in blocks for r in rows}
+                reach = [j for j in range(n) if any(sets[j] & labs for labs in classes)]
                 assert np.arange(n)[keys].tolist() == reach
                 # All n keys are read in place, not gathered.
                 assert isinstance(keys, slice) == (len(reach) == n)
+                if blocks[0][1] is None:  # a large class's run: no mask
+                    assert len(classes) == 1 and all(allow is None for _, allow in blocks)
+                    in_place["large"] += isinstance(keys, slice)
+                    continue
+                ((rows, _),) = blocks  # a packed block is a run of its own
+                in_place["packed"] += isinstance(keys, slice)
                 rows_seen += rows.size
                 evaluated += rows.size * len(reach)
         sizes = Counter(map(frozenset, sets))
@@ -397,6 +405,7 @@ class TestStreamedSelfAttention:
         if kind == "own-classes":
             # Half of 12 labels per position: every block reaches every key.
             assert evaluated == rows_seen * n
+            assert in_place["large"] == 1 and in_place["packed"] > 0
         else:
             assert evaluated < rows_seen * n
 
@@ -415,16 +424,18 @@ class TestStreamedSelfAttention:
         field = build_label_field(densify(BlobVideo(13, FrameGeometry(96, 96), tracks=tracks)),
                                   96, 96)
         n = field.size
+        positions = np.arange(n)  # a run's keys as positions: a slice of all n has no .size
         assert field.classes[2].size > 500  # grouped before tracing: the field's own cost
         tracemalloc.start()
         try:
             plan = attention._label_blocks(field)
             widths, covered = [], 0
             for p in range(attention._PARTS):
-                for masked, keys, blocks in attention._class_runs(plan, p, field):
-                    covered += sum(rows.size for rows in blocks)
-                    if not masked:
-                        widths.append(keys.size)
+                for keys, blocks in attention._class_runs(plan, p, field):
+                    for rows, allow in blocks:
+                        covered += rows.size
+                    if allow is None:  # a large class's run
+                        widths.append(positions[keys].size)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -537,20 +548,24 @@ class TestStreamedSelfAttention:
         packed = [rows for rows, cls in blocks if cls < 0]
         assert len(packed) >= 2 and len(packed) < len(blocks)
         # Each packed block is a masked run of its own. Its mask over its
-        # keys is the bitsets' own, and no position outside its keys shares
-        # a label with any of its rows, so nothing allowed is skipped.
+        # keys is the bitsets' own; a large class's block has no mask, and
+        # its rows share a label with every key. No position outside a
+        # run's keys shares a label with any of its rows, so nothing
+        # allowed is skipped.
         positions = np.arange(field.size)
         masked_runs = 0
         for runs in all_class_runs(field):
-            for masked, keys, blocks in runs:
+            for keys, blocks in runs:
                 keys = positions[keys]
                 outside = np.setdiff1d(positions, keys)
-                for rows in blocks:
+                for rows, allow in blocks:
                     assert not shares_label(field.bits[rows], field.bits[outside]).any()
-                    if masked:
+                    if allow is None:
+                        assert shares_label(field.bits[rows], field.bits[keys]).all()
+                    else:
                         masked_runs += 1
-                        assert np.array_equal(attention._block_allow(field, rows, keys),
-                                              shares_label(field.bits[rows], field.bits[keys]))
+                        assert np.array_equal(allow, shares_label(field.bits[rows],
+                                                                  field.bits[keys]))
         assert masked_runs == len(packed)
 
     def test_reruns_are_bitwise_identical(self, rng):
@@ -883,6 +898,57 @@ class TestBackwardFuzz:
                           (rk[sl] * np.linalg.norm(wk) + rv[sl] * np.linalg.norm(wv))[:, None])
             assert_within(grads.wk[n], dwk[n], (np.abs(a).T @ rk[sl])[:, None])
             assert_within(grads.wv[n], dwv[n], (np.abs(a).T @ rv[sl])[:, None])
+
+
+class TestPlanFuzz:
+    """The block plan (_label_blocks) and the walk of both passes over it
+    (_class_runs) on drawn fields, with the plan's constants patched small:
+    blocks of 1 to 5 rows or _BLOCK's, _BLOCK_BYTES down to one row per
+    block, and _SMALL_CLASS from 1 to every class packed."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(label_set_lists(), st.sampled_from([2, 4, 8]),
+           st.sampled_from([1, 2, 3, 5, attention._BLOCK]),
+           st.sampled_from([8, 8 * 24, attention._BLOCK_BYTES]),
+           st.sampled_from([1, 2, 8, None]), st.integers(0, 2**32 - 1))
+    @example(drawn=(3, [{0}, {1}, {0, 1}, {2}, {1, 2}, set(), {0}]), d=2,
+             block=attention._BLOCK, block_bytes=attention._BLOCK_BYTES, small=None, seed=0)
+    def test_walk_reproduces_the_label_relation(self, drawn, d, block, block_bytes, small,
+                                                seed):
+        # _BLOCK_BYTES 8 cuts every block to one row; 8 * 24, every block
+        # over 24 keys or more. _SMALL_CLASS None is n + 1: every class packed.
+        # The explicit example packs five classes with different keys into
+        # one partial block that does not reach the empty set's position.
+        n_labels, sets = drawn
+        n = len(sets)
+        labels = np.zeros((n, n_labels), dtype=np.int64)
+        for i, labs in enumerate(sets):
+            labels[i, list(labs)] = 1
+        relation = labels @ labels.T > 0
+        labelled = np.array([bool(labs) for labs in sets])
+        field = LabelField.from_label_sets(1, 1, n, n_labels, sets)
+        g = np.random.default_rng(seed).standard_normal((n, d))
+        wts = SelfAttnWeights.seeded(d, seed=seed)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(attention, "_BLOCK", block)
+            m.setattr(attention, "_BLOCK_BYTES", block_bytes)
+            m.setattr(attention, "_SMALL_CLASS", n + 1 if small is None else small)
+            plan = attention._label_blocks(field)
+            allowed, blocks_per_row, _ = plan_matrix(field)
+            runs = all_class_runs(field)
+            _, sums = masked_3d_self_attention(g, AttnMask3D(field), wts)
+        assert block_bytes > 8 or all(entry.step == 1 for entry in plan)
+        # Every labelled position is a row of exactly one block, and the
+        # blocks' masks over their runs' keys are the label relation.
+        assert np.array_equal(blocks_per_row, labelled.astype(np.int64))
+        assert np.array_equal(allowed, relation)
+        # Each run reads exactly the keys its rows reach.
+        for part in runs:
+            for keys, blocks in part:
+                rows = np.concatenate([rows for rows, _ in blocks])
+                assert np.array_equal(np.arange(n)[keys],
+                                      np.flatnonzero(relation[rows].any(axis=0)))
+        np.testing.assert_allclose(sums, labelled.astype(np.float64), rtol=0, atol=1e-12)
 
 
 class TestGatedFuse:

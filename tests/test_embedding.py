@@ -12,6 +12,7 @@ from blobvid.embedding import (
     EmbeddingSeq,
     MlpWeights,
     blob_embed,
+    blob_embed_backward,
     fourier_encode,
     fourier_features,
     interp_linear,
@@ -169,6 +170,33 @@ class TestBlobEmbed:
                 np.testing.assert_allclose(out.data, alone, rtol=1e-14, atol=1e-15)
         assert fourier_encode([], GEOM, n_freqs=3, out_dim=5).shape == (0, 5)
         assert blob_embed(np.zeros((0, 5)), [], mlp) == ()
+
+    def test_backward_width_mismatch(self):
+        # The backward checks its inputs as blob_embed does: a geometry
+        # vector wider than the tokens, or an MLP of the wrong width.
+        e_s = EmbeddingSeq(np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            blob_embed_backward(np.ones(4), e_s, MlpWeights.seeded(6, seed=0), np.ones((2, 6)))
+        with pytest.raises(ShapeError):
+            blob_embed_backward(np.ones(3), e_s, MlpWeights.seeded(4, seed=0), np.ones((2, 6)))
+
+    def test_backward_over_a_frame_adds_up_one_blob_calls(self, rng):
+        # A frame's backward gives each blob's input gradients as its own
+        # call does, and the MLP's as their sum.
+        seqs = [EmbeddingSeq(rng.standard_normal((L, 3))) for L in (2, 1, 4)]
+        e_tau = rng.standard_normal((3, 3))
+        upstream = [rng.standard_normal((seq.L, 6)) for seq in seqs]
+        mlp = MlpWeights.seeded(6, seed=5)
+        frame = blob_embed_backward(e_tau, seqs, mlp, upstream)
+        alone = [blob_embed_backward(e, seq, mlp, u) for e, seq, u in zip(e_tau, seqs, upstream)]
+        assert frame.e_tau.shape == (3, 3) and len(frame.e_s) == 3
+        for n, one in enumerate(alone):
+            np.testing.assert_allclose(frame.e_tau[n], one.e_tau, rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(frame.e_s[n], one.e_s, rtol=1e-13, atol=1e-14)
+        for name in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_allclose(getattr(frame, name),
+                                       sum(getattr(one, name) for one in alone),
+                                       rtol=1e-12, atol=1e-13)
 
 
 class TestErf:
