@@ -38,14 +38,17 @@ The 3D self-attention never builds its n x n logits (n = T*h*w). Positions
 of one label class (LabelField.classes) attend to the same keys, so the op
 runs in row blocks by class (the row-tiled softmax of "Self-attention Does
 Not Need O(n^2) Memory" and FlashAttention): a large class over its keys,
-small classes packed together under a boolean mask. A block reads only the
-keys its rows can reach, the positions whose class meets one of its rows'
-classes, as the block masks of FlexAttention and the block-sparse attention
-of "Generating Long Sequences with Sparse Transformers" skip what no row of
-a block can reach. A block's rows are cut so that its (rows, |keys|)
-float64 array is at most _BLOCK_BYTES whatever n is (_rows_per_block). The
-backward holds that array, the forward its mask and one tile, so the
-forward's working set (_self_attention_bytes) is O(n d).
+classes of fewer than _SMALL_CLASS positions packed together under a
+boolean mask. A block reads only the keys its rows can reach, the positions
+whose class meets one of its rows' classes, as the block masks of
+FlexAttention and the block-sparse attention of "Generating Long Sequences
+with Sparse Transformers" skip what no row of a block can reach. A block's
+rows are cut so that its (rows, |keys|) float64 array is at most
+_BLOCK_BYTES whatever n is (_rows_per_block), a packed block's by the keys
+its own rows reach: each block costs a fixed amount beside its work, so
+fewer and fuller blocks run faster. The backward holds that array, the
+forward its mask and one tile, so the forward's working set
+(_self_attention_bytes) is O(n d).
 
 Both passes walk the blocks of a part (below) in class runs (_self_runs),
 the blocks of one large class or a single packed block. One label test per
@@ -112,9 +115,14 @@ _TILE_BYTES = 256 << 10
 _SHIFT_LIMIT = 64.0
 # Fixed parts the blocks are dealt into, and the most threads that run them.
 _PARTS = 2
-# Label classes with fewer positions than this share packed, masked blocks,
-# so thousands of tiny classes do not become thousands of tiny GEMMs.
-_SMALL_CLASS = 8
+# Label classes with fewer positions than this share packed, masked blocks.
+# A class run's label test, key gathers and (d, |keys|) scatters cost in
+# proportion to |keys|, its kernel to rows x |keys|, so the break-even is a
+# row count, whatever n is. In an in-process sweep of an attend-many-labels
+# op over 8, 16, ..., 48 (2 CPUs, seeds 1 and 0), 32 ran fastest, 24-48
+# within its quartiles and 8 16-19% slower; at most 48 keeps the plan of
+# the cli's 8x8 exemplar field (classes of 48 to 643 positions).
+_SMALL_CLASS = 32
 # Rows of a backward block whose logit gradients are formed at a time.
 _ROW_CHUNK = 16
 
@@ -275,22 +283,23 @@ def _cross_attention_bytes(hw: int, tokens: int, d: int) -> int:
 
 class _ClassBlocks(NamedTuple):
     """One entry of the block plan (_label_blocks): the rows of one label
-    class, or of all the packed small classes, and how they are blocked."""
+    class, or of one packed block, and how they are blocked."""
 
-    cls: int          # index into LabelField.classes; -1 for the packed classes
+    cls: int          # index into LabelField.classes; -1 for a packed block
     rows: np.ndarray  # the query positions, in class order
-    n_keys: int       # the keys a block may read: its class's; all n, a bound, if packed
-    step: int         # rows per block
+    n_keys: int       # the keys a block reads: its class's, or its own rows' if packed
+    step: int         # rows per block; all its rows if packed
 
     @property
     def blocks(self) -> int:
         return -(-self.rows.size // self.step)
 
 
-def _rows_per_block(n_keys: int) -> int:
-    """Rows of a block over n_keys keys: at most _BLOCK, and few enough that
-    its float64 array fits in _BLOCK_BYTES, but at least one."""
-    return min(_BLOCK, max(1, _BLOCK_BYTES // (8 * n_keys)))
+def _rows_per_block(n_keys):
+    """Rows of a block over n_keys keys, one count or an array of them: at
+    most _BLOCK, and few enough that its float64 array fits in
+    _BLOCK_BYTES, but at least one."""
+    return np.minimum(_BLOCK, np.maximum(1, _BLOCK_BYTES // (8 * n_keys)))
 
 
 def _label_blocks(field: LabelField) -> list:
@@ -299,30 +308,46 @@ def _label_blocks(field: LabelField) -> list:
 
     Positions with equal label sets form a class and attend to the same
     keys, the positions of every class their set meets; the key count adds
-    those classes' counts, one class at a time, so no class x class matrix
-    is built. A class of at least _SMALL_CLASS positions gets blocks of its
-    own over its keys; the smaller classes are packed together, in class
-    order, into masked blocks. A packed block's keys and mask are known only
-    once its rows are cut (_class_runs), so its n_keys is n, the bound its
-    rows per block are cut from. Positions with an empty label set attend
-    to nothing and are in no block. The plan holds no block: each part cuts
-    its own from it as it runs (_class_runs). The classes are the field's
+    those classes' counts. The counts come from label tests of a few
+    classes at a time against every class, so no class x class matrix is
+    built. A class of at least _SMALL_CLASS positions gets blocks of its own
+    over its keys. The smaller classes are packed, in class order, into
+    masked blocks cut greedily by their own reach: a block is closed when
+    one more row would take it past _BLOCK rows or its (rows, keys) array
+    past _BLOCK_BYTES, its keys those of all its rows' classes, so a class
+    may be split between two blocks. Each packed block is an entry of its
+    own. Positions with an empty label set attend to nothing and are in no
+    block. The plan holds rows, not blocks: each part cuts its own from it
+    as it runs (_class_runs). The classes are the field's
     (LabelField.classes), so the order depends on the field alone: the same
     on every run.
     """
     codes, inverse, counts = field.classes
     order = np.argsort(inverse, kind="stable")
     starts = np.cumsum(counts) - counts
-    nonempty = codes.any(axis=1)
-    large = nonempty & (counts >= _SMALL_CLASS)
-    plan = []
-    for c in np.flatnonzero(large):
-        n_keys = int(counts[shares_label(codes[c:c + 1], codes)[0]].sum())
-        plan.append(_ClassBlocks(int(c), order[starts[c]:starts[c] + counts[c]], n_keys,
-                                 _rows_per_block(n_keys)))
-    packed = order[(nonempty & ~large)[inverse[order]]]
-    if packed.size:
-        plan.append(_ClassBlocks(-1, packed, field.size, _rows_per_block(field.size)))
+    # At most _BLOCK classes, and _TILE_BYTES of label tests, at a time.
+    chunk = max(1, min(_BLOCK, _TILE_BYTES // len(codes)))
+    reach = np.concatenate([np.einsum("ij,j->i", shares_label(codes[c:c + chunk], codes), counts)
+                            for c in range(0, len(codes), chunk)])
+    nonempty = reach > 0  # a class with a label reaches at least itself
+    small = nonempty & (counts < _SMALL_CLASS)
+    plan = [_ClassBlocks(int(c), order[starts[c]:starts[c] + counts[c]], int(reach[c]),
+                         int(_rows_per_block(reach[c])))
+            for c in np.flatnonzero(nonempty & ~small)]
+    packed = order[small[inverse[order]]]
+    start = 0
+    while start < packed.size:
+        # The classes of the most rows a block over its first row's keys
+        # holds, and the keys and rows of a block that runs into each.
+        cls = inverse[packed[start:start + _rows_per_block(reach[inverse[packed[start]]])]]
+        first = np.flatnonzero(np.diff(cls, prepend=-1))
+        meets = np.logical_or.accumulate(shares_label(codes[cls[first]], codes))
+        n_keys = np.einsum("ij,j->i", meets, counts)
+        cap = _rows_per_block(n_keys)
+        j = np.count_nonzero(first < cap) - 1  # the last class the block reaches
+        step = int(min(cap[j], first[j + 1] if j + 1 < first.size else cls.size))
+        plan.append(_ClassBlocks(-1, packed[start:start + step], int(n_keys[j]), step))
+        start += step
     return plan
 
 

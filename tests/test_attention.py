@@ -242,6 +242,27 @@ def all_class_runs(field):
             for p in range(attention._PARTS)]
 
 
+def assert_entries_read_their_key_counts(plan, runs, n):
+    """Every plan entry's n_keys is the key count that its runs read in
+    _class_runs (runs as all_class_runs gives them), and its blocks hold at
+    most _BLOCK rows and at most _BLOCK_BYTES of float64 over those keys,
+    unless they hold one row. A packed block is an entry of its own."""
+    entry_of = np.full(n, -1)
+    for i, entry in enumerate(plan):
+        entry_of[entry.rows] = i
+    read = set()
+    for part in runs:
+        for keys, blocks in part:
+            (i,) = {int(i) for rows, _ in blocks for i in entry_of[rows]}
+            assert np.arange(n)[keys].size == plan[i].n_keys
+            read.add(i)
+    assert read == set(range(len(plan)))
+    for entry in plan:
+        assert entry.step <= attention._BLOCK
+        assert entry.step == 1 or entry.step * entry.n_keys * 8 <= attention._BLOCK_BYTES
+        assert entry.cls >= 0 or entry.blocks == 1
+
+
 def blocks_by_class(sets, n_labels):
     """The op's row blocks as (own, classes): own is True for a block of one
     class over its gathered keys, classes the label sets of the block's rows."""
@@ -335,27 +356,51 @@ class TestStreamedSelfAttention:
             assert len(widths) == 2 and max(widths) > big
         assert_matches_dense_references(rng, sets, 12)
 
-    @pytest.mark.parametrize("kind", ["one-class", "singletons", "mixed"])
+    @pytest.mark.parametrize("kind", ["one-class", "singletons", "mixed", "packed-only",
+                                      "empty-sets", "split-class"])
     def test_plan_counts_match_a_count_from_the_label_sets(self, rng, kind):
         # Each entry's key count is the number of positions whose label set
-        # meets its rows' set (all n for packed blocks), and its rows per
-        # block fill at most _BLOCK_BYTES of float64 over those keys.
-        sets = {"one-class": [{0}] * 3000,
-                "singletons": [{b for b in range(12) if (i + 1) >> b & 1} for i in range(600)],
-                "mixed": shuffled(rng, [{0}] * 2100 + [{0, 1}] * 40 + [{1}] * 30 + [set()] * 5
-                                  + [{2 + i % 9, i % 2} for i in range(60)])}[kind]
+        # meets one of its rows' sets, and the count its runs read; its rows
+        # per block fill at most _BLOCK_BYTES of float64 over those keys: a
+        # large class's as many as fit, a packed block's all its rows.
+        # packed-only: small classes of three label groups, so packed blocks
+        # reach different keys. split-class: classes of _SMALL_CLASS - 1
+        # positions that all share label 0, so packed blocks are cut at
+        # _BLOCK rows, inside one of the classes.
+        small = attention._SMALL_CLASS
+        sets = shuffled(rng, {
+            "one-class": lambda: [{0}] * 3000,
+            "singletons": lambda: [{b for b in range(12) if (i + 1) >> b & 1} for i in range(600)],
+            "mixed": lambda: [{0}] * 2100 + [{0, 1}] * 40 + [{1}] * 30 + [set()] * 5
+            + [{2 + i % 9, i % 2} for i in range(60)],
+            "packed-only": lambda: [{4 * g + b for b in range(4) if rng.random() < 0.5} or {4 * g}
+                                    for g in rng.integers(0, 3, 400)],
+            "empty-sets": lambda: [set()] * 40 + [{b for b in range(4) if (i + 1) >> b & 1}
+                                                  for i in range(15)] * 3,
+            "split-class": lambda: [{0, 1 + c} for c in range(attention._BLOCK // (small - 1) + 1)
+                                    for _ in range(small - 1)]}[kind]())
         field = LabelField.from_label_sets(1, 1, len(sets), 12, sets)
         plan = attention._label_blocks(field)
+        assert_entries_read_their_key_counts(plan, all_class_runs(field), field.size)
         rows = np.concatenate([entry.rows for entry in plan])
         assert sorted(rows.tolist()) == [i for i, labs in enumerate(sets) if labs]
         for entry in plan:
-            first = sets[entry.rows[0]]
-            want = len(sets) if entry.cls < 0 else sum(1 for labs in sets if labs & first)
+            classes = {frozenset(sets[r]) for r in entry.rows}
+            want = sum(1 for labs in sets if any(labs & c for c in classes))
             assert entry.n_keys == want
-            assert entry.step == min(attention._BLOCK, attention._BLOCK_BYTES // (8 * want))
-            assert entry.cls < 0 or all(sets[r] == first for r in entry.rows)
+            if entry.cls >= 0:
+                assert entry.step == min(attention._BLOCK, attention._BLOCK_BYTES // (8 * want))
+                assert len(classes) == 1
+        packed = {entry.cls < 0 for entry in plan}
+        assert packed == {"one-class": {False}, "mixed": {False, True}}.get(kind, {True})
         if kind == "one-class":
             assert [entry.step for entry in plan] == [87]
+        if kind == "split-class":
+            # The class that runs across row _BLOCK is split between the
+            # first two packed blocks.
+            classes = [{frozenset(sets[r]) for r in entry.rows} for entry in plan]
+            assert len(plan) == 2 and plan[0].step == attention._BLOCK
+            assert classes[0] & classes[1]
 
     @pytest.mark.parametrize("kind", ["tiny-classes", "own-classes", "grouped"])
     def test_packed_blocks_read_exactly_their_reachable_keys(self, rng, kind):
@@ -374,9 +419,11 @@ class TestStreamedSelfAttention:
             sets = shuffled(rng, [{b for b in range(10) if k >> b & 1}
                                   for k, size in zip(order, sizes) for _ in range(size)])
         elif kind == "own-classes":
-            # And one large class that holds every label.
-            sets = [{lab for lab in range(12) if rng.random() < 0.5} or {0}
-                    for _ in range(attention._BLOCK + 50)] + [set(range(12))] * 9
+            # And one large class, of _SMALL_CLASS positions, that holds
+            # every label.
+            sets = ([{lab for lab in range(12) if rng.random() < 0.5} or {0}
+                     for _ in range(attention._BLOCK + 50)]
+                    + [set(range(12))] * attention._SMALL_CLASS)
         else:
             sets = shuffled(rng, [{4 * g + b for b in range(4) if rng.random() < 0.5} or {4 * g}
                                   for g in rng.integers(0, 3, 200)]
@@ -507,10 +554,10 @@ class TestStreamedSelfAttention:
             raise AssertionError("masked_softmax called")
 
         monkeypatch.setattr(attention, "masked_softmax", refuse)
-        sets = shuffled(rng, [{0}] * 20 + [{lab for lab in range(6) if rng.random() < 0.4}
-                                           for _ in range(40)])
+        sets = shuffled(rng, [{0}] * (attention._SMALL_CLASS + 12)
+                        + [{lab for lab in range(6) if rng.random() < 0.4} for _ in range(40)])
         field = LabelField.from_label_sets(1, 1, len(sets), 6, sets)
-        assert any(entry.cls < 0 for entry in attention._label_blocks(field))
+        assert {entry.cls < 0 for entry in attention._label_blocks(field)} == {True, False}
         assert_matches_dense_references(rng, sets, 6)
         g, blobs, masks, wts = random_cross_instance(rng, n_blobs=3)
         assert not all(m.bits.all() for m in masks)
@@ -540,8 +587,10 @@ class TestStreamedSelfAttention:
     def test_packed_masks_match_the_bitsets(self, rng):
         # 12 labels: 2-byte bitsets. 256 positions of mostly distinct small
         # classes and two large classes, so packed blocks run beside own ones.
+        small = attention._SMALL_CLASS
         sets = shuffled(rng, [{lab for lab in range(12) if rng.random() < 0.3} or {11}
-                              for _ in range(2 * attention._BLOCK)] + [{0}] * 30 + [{3, 9}] * 9)
+                              for _ in range(2 * attention._BLOCK)]
+                        + [{0}] * (small + 22) + [{3, 9}] * (small + 1))
         field = LabelField.from_label_sets(1, 1, len(sets), 12, sets)
         assert field.bits.shape[1] == 2
         blocks = plan_blocks(attention._label_blocks(field))
@@ -686,11 +735,12 @@ class TestAtScaleOracle:
 
     def test_every_position_its_own_class(self):
         # Position i holds the labels of the bits of i + 1: 2,500 distinct
-        # non-empty sets over 12 labels, all in packed blocks over n keys.
+        # non-empty sets over 12 labels, all in packed blocks, each over the
+        # keys its own rows reach.
         sets = [{b for b in range(12) if (i + 1) >> b & 1} for i in range(2500)]
         field = LabelField(1, 1, len(sets), 12, bits_of(sets, 12))
         plan, _ = self.check(field, 8, seed=4)
-        assert [entry.cls for entry in plan] == [-1]
+        assert all(entry.cls < 0 for entry in plan) and len(plan) > 1
 
     def test_empty_label_sets(self, rng):
         sets = [{lab for lab in range(4) if rng.random() < 0.5} for _ in range(3000)]
@@ -702,14 +752,16 @@ class TestAtScaleOracle:
 
 @st.composite
 def label_set_lists(draw):
-    """(n_labels, label sets) of at most 192 positions over 1-20 labels (1-3
-    bitset bytes): up to 12 classes of 1-16 positions each, around
-    _SMALL_CLASS, so some run as blocks of their own and some packed under a
-    mask; some sets are empty. In drawn order."""
+    """(n_labels, label sets) over 1-20 labels (1-3 bitset bytes): 1-8
+    classes of 1-16 positions and up to 2 of within 2 of _SMALL_CLASS, so
+    that at each _SMALL_CLASS the fuzz tests draw some run as blocks of
+    their own and some packed under a mask; some sets are empty. At most
+    128 + 2 (_SMALL_CLASS + 2) positions, in drawn order."""
     n_labels = draw(st.integers(1, 20))
-    classes = draw(st.lists(st.tuples(st.sets(st.integers(0, n_labels - 1), max_size=4),
-                                      st.integers(1, 2 * attention._SMALL_CLASS)),
-                            min_size=1, max_size=12))
+    small = attention._SMALL_CLASS
+    labels = st.sets(st.integers(0, n_labels - 1), max_size=4)
+    classes = draw(st.lists(st.tuples(labels, st.integers(1, 16)), min_size=1, max_size=8))
+    classes += draw(st.lists(st.tuples(labels, st.integers(small - 2, small + 2)), max_size=2))
     sets = [labs for labs, count in classes for _ in range(count)]
     return n_labels, draw(st.permutations(sets))
 
@@ -728,21 +780,24 @@ def assert_forward_matches(out, sums, want, want_sums, q, k, v):
 
 
 _SCALES = st.sampled_from([1.0, 30.0, 1000.0])
+# _SMALL_CLASS values; None is n + 1: every class packed.
+_SMALL = st.sampled_from([1, 2, 8, attention._SMALL_CLASS, None])
 _GUARDS = st.sampled_from([0.0, attention._SHIFT_LIMIT])
 
 
 class TestForwardFuzz:
     """The forward kernel (_attend) of both ops against the dense
     references on drawn inputs, with features scaled up to x 1000, so that
-    rows pass the shift limit, and _SHIFT_LIMIT 0, which sends every row
-    through the guard's exact row max."""
+    rows pass the shift limit, _SHIFT_LIMIT 0, which sends every row
+    through the guard's exact row max, and _SMALL_CLASS from 1 to every
+    class packed."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(label_set_lists(), st.sampled_from([2, 4, 8]), _SCALES, _GUARDS,
-           st.sampled_from([1, 2, 3, attention._BLOCK]), st.integers(1, 3),
+           st.sampled_from([1, 2, 3, attention._BLOCK]), st.integers(1, 3), _SMALL,
            st.integers(0, 2**32 - 1))
     def test_3d_forward_matches_the_dense_reference(self, drawn, d, scale, limit, block,
-                                                    tile_keys, seed):
+                                                    tile_keys, small, seed):
         # A block of one row walks its keys tile_keys at a time, so the last
         # tile may be partial; a block of more rows, one key at a time.
         n_labels, sets = drawn
@@ -755,6 +810,7 @@ class TestForwardFuzz:
             m.setattr(attention, "_BLOCK", block)
             m.setattr(attention, "_TILE_BYTES", 8 * tile_keys)
             m.setattr(attention, "_SHIFT_LIMIT", limit)
+            m.setattr(attention, "_SMALL_CLASS", n + 1 if small is None else small)
             out, sums = masked_3d_self_attention(g, AttnMask3D(field), wts)
         want = self_attention_reference(g, sets, wts.wq, wts.wk, wts.wv)
         want_sums = np.array([1.0 if labs else 0.0 for labs in sets])
@@ -825,7 +881,7 @@ class TestBackwardFuzz:
     @settings(max_examples=100, deadline=None, database=None)
     @given(label_set_lists(), st.sampled_from([2, 4, 8]), _SCALES, _GUARDS,
            st.sampled_from([1, 2, 3, attention._BLOCK]), st.sampled_from([1, 3, 16]),
-           st.sampled_from([1, 2, 8, None]), st.integers(0, 2**32 - 1))
+           _SMALL, st.integers(0, 2**32 - 1))
     @example(drawn=(3, [{0}, {1}, {0, 1}, {2}, {1, 2}, set()]), d=4, scale=1000.0,
              limit=attention._SHIFT_LIMIT, block=attention._BLOCK, chunk=attention._ROW_CHUNK,
              small=attention._SMALL_CLASS, seed=0)
@@ -910,7 +966,7 @@ class TestPlanFuzz:
     @given(label_set_lists(), st.sampled_from([2, 4, 8]),
            st.sampled_from([1, 2, 3, 5, attention._BLOCK]),
            st.sampled_from([8, 8 * 24, attention._BLOCK_BYTES]),
-           st.sampled_from([1, 2, 8, None]), st.integers(0, 2**32 - 1))
+           _SMALL, st.integers(0, 2**32 - 1))
     @example(drawn=(3, [{0}, {1}, {0, 1}, {2}, {1, 2}, set(), {0}]), d=2,
              block=attention._BLOCK, block_bytes=attention._BLOCK_BYTES, small=None, seed=0)
     def test_walk_reproduces_the_label_relation(self, drawn, d, block, block_bytes, small,
@@ -937,6 +993,9 @@ class TestPlanFuzz:
             allowed, blocks_per_row, _ = plan_matrix(field)
             runs = all_class_runs(field)
             _, sums = masked_3d_self_attention(g, AttnMask3D(field), wts)
+            # Each entry carries the key count its runs read, and its blocks
+            # fit under the patched bounds.
+            assert_entries_read_their_key_counts(plan, runs, n)
         assert block_bytes > 8 or all(entry.step == 1 for entry in plan)
         # Every labelled position is a row of exactly one block, and the
         # blocks' masks over their runs' keys are the label relation.
